@@ -893,11 +893,17 @@ fn check_plane_qps(rows: &[Json], host_threads: usize) -> Option<String> {
 //     store's cumulative hit rate — fixed-seed deterministic, so gated by
 //     absolute floors (a dip means the dedup logic changed, not the host),
 //   * ns/probe: fastest-of-5 batched `plan` passes over a frozen clone of
-//     the warm store, regression-gated vs the checked-in baseline.
+//     the warm store, regression-gated vs the checked-in baseline,
+//   * ns per target byte of the fused per-leg kernels (signature, delta,
+//     manifest, patch) over the same history, fastest-of-5, gated the same
+//     way.
 // ---------------------------------------------------------------------------
 
 use relay::ChunkStore;
-use transfer::{ChunkManifest, MutationMix, SyncPopulation, SyncPopulationConfig};
+use transfer::{
+    apply_delta, compute_delta, ChunkManifest, MutationMix, Signature, SyncPopulation,
+    SyncPopulationConfig,
+};
 
 /// Deterministic floors on the recorded byte outcome. The workload is
 /// fixed-seed, so these are exact reproducibility checks, not hardware
@@ -908,17 +914,15 @@ const SYNC_HIT_RATE_FLOOR: f64 = 0.5;
 /// One sync point: `files` files of `file_kb` KB mutated through `rounds`
 /// edit rounds against a shared chunk store.
 fn sync_point(files: usize, file_kb: usize, rounds: usize, reps: usize) -> Json {
-    let mut pop = SyncPopulation::new(
-        42,
-        SyncPopulationConfig {
-            files,
-            file_len: file_kb * KB as usize,
-            mix: MutationMix::desktop(),
-            max_edits: 16,
-            max_append: 4096,
-            max_rewrite: 16 * 1024,
-        },
-    );
+    let cfg = SyncPopulationConfig {
+        files,
+        file_len: file_kb * KB as usize,
+        mix: MutationMix::desktop(),
+        max_edits: 16,
+        max_append: 4096,
+        max_rewrite: 16 * 1024,
+    };
+    let mut pop = SyncPopulation::new(42, cfg);
     let mut store = ChunkStore::new(64 * MB);
     let mut full_bytes = 0u64;
     let mut wire_bytes = 0u64;
@@ -954,10 +958,14 @@ fn sync_point(files: usize, file_kb: usize, rounds: usize, reps: usize) -> Json 
     };
     pass(); // warm-up
     let ns_per_probe = (0..reps).map(|_| pass()).fold(f64::INFINITY, f64::min);
+    let leg_ns_per_byte = (0..reps)
+        .map(|_| sync_leg_pass(cfg, rounds))
+        .fold(f64::INFINITY, f64::min);
 
     println!(
         "flowsim-sync/{probes_per_pass}: {files} files x {file_kb} KB x {rounds} rounds, \
-         {saved_pct:.1}% bytes saved, hit rate {:.2}, probe {ns_per_probe:.0} ns",
+         {saved_pct:.1}% bytes saved, hit rate {:.2}, probe {ns_per_probe:.0} ns, \
+         leg {leg_ns_per_byte:.1} ns/B",
         stats.hit_rate()
     );
     Json::Obj(vec![
@@ -970,7 +978,41 @@ fn sync_point(files: usize, file_kb: usize, rounds: usize, reps: usize) -> Json 
         ("saved_pct".into(), Json::Num(saved_pct)),
         ("hit_rate".into(), Json::Num(stats.hit_rate())),
         ("ns_per_probe".into(), Json::Num(ns_per_probe)),
+        ("leg_ns_per_byte".into(), Json::Num(leg_ns_per_byte)),
     ])
+}
+
+/// One pass of the fused per-leg kernel cost over the point's edit history:
+/// every file is replicated to an empty basis, then re-synced after each
+/// round through the calls a sync leg makes — `Signature::compute`,
+/// `compute_delta`, `ChunkManifest::of`, `apply_delta` — and the time spent
+/// in those calls is divided by the target bytes. Regenerating the history
+/// between legs is not timed.
+fn sync_leg_pass(cfg: SyncPopulationConfig, rounds: usize) -> f64 {
+    let block = transfer::DEFAULT_BLOCK_SIZE;
+    let mut pop = SyncPopulation::new(42, cfg);
+    let mut remote = vec![Vec::new(); cfg.files];
+    let (mut ns, mut bytes) = (0u128, 0u64);
+    for round in 0..=rounds {
+        if round > 0 {
+            pop.advance();
+        }
+        for (i, basis) in remote.iter_mut().enumerate() {
+            let target = pop.file(i);
+            let t = Instant::now();
+            let sig = Signature::compute(basis, block);
+            let delta = compute_delta(&sig, target);
+            let manifest = ChunkManifest::of(target, transfer::DEFAULT_CHUNK_SIZE);
+            let rebuilt = apply_delta(basis, block, &delta);
+            ns += t.elapsed().as_nanos();
+            std::hint::black_box(manifest);
+            let rebuilt = rebuilt.expect("delta applies");
+            assert_eq!(rebuilt, target, "leg did not patch back");
+            bytes += target.len() as u64;
+            *basis = rebuilt;
+        }
+    }
+    ns as f64 / bytes as f64
 }
 
 /// The deterministic byte-outcome floors for every sync point.
@@ -1164,6 +1206,14 @@ fn check_baseline(report: &Json, baseline: &Json) -> Vec<String> {
         "sync",
         "chunks",
         "ns_per_probe",
+        &mut errors,
+    );
+    check_series(
+        report,
+        baseline,
+        "sync",
+        "chunks",
+        "leg_ns_per_byte",
         &mut errors,
     );
     check_threads_series(report, baseline, &mut errors);

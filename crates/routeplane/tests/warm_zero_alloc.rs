@@ -3,10 +3,11 @@
 //! — admitted, shed, and breaker-demoted lookups alike.
 //!
 //! Lives in its own test binary because the counting `#[global_allocator]`
-//! is process-wide.
+//! is process-wide. The count itself is per thread: `cargo test` runs the
+//! tests on parallel threads, and each must see only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cloudstore::TripBoard;
@@ -18,11 +19,26 @@ use routeplane::{
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized and without a
+    /// destructor, so touching it from inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation against the calling thread. `try_with` because a
+/// thread may still allocate after its slot is gone, while it exits.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -77,7 +93,7 @@ fn warm_lookups_are_allocation_free() {
         SimTime::from_secs(3600),
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut demoted = 0u64;
     for now in 1..2_000u64 {
         let k = keys[(now as usize * 7) % keys.len()];
@@ -91,7 +107,7 @@ fn warm_lookups_are_allocation_free() {
             Lookup::Shed => panic!("quota sized for the workload"),
         }
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -118,11 +134,11 @@ fn shed_lookups_are_allocation_free() {
     };
     // Spend the single-token burst (cold path may allocate).
     plane.lookup(0, key, 0, &source);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..1_000 {
         assert_eq!(plane.lookup(0, key, 0, &source), Lookup::Shed);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use transfer::chunk::ChunkManifest;
-use transfer::delta::compute_delta;
+use transfer::delta::{compute_delta, Delta, DeltaOp};
 use transfer::patch::apply_delta;
 use transfer::signature::Signature;
 use transfer::syncpop::{MutationMix, SyncPopulation, SyncPopulationConfig};
@@ -74,6 +74,11 @@ pub struct RunOptions {
     /// bypass executions take different wire paths but must deliver
     /// byte-identical final files ([`RunOutcome::sync_digest`]).
     pub chunk_bypass: bool,
+    /// Flip the first literal byte of every sync leg's delta after the leg
+    /// is priced, to prove the [`Violation::SyncIntegrity`] oracle catches
+    /// a corrupted transfer. Requires the `failpoints` feature; silently
+    /// ignored without it.
+    pub corrupt_sync_literal: bool,
 }
 
 /// What one execution of a scenario produced.
@@ -310,6 +315,7 @@ struct ResolvedSync {
     pop_seed: u64,
     start: SimTime,
     store: Option<Rc<RefCell<ChunkStore>>>,
+    corrupt_literal: bool,
 }
 
 impl ResolvedSync {
@@ -339,7 +345,7 @@ impl ResolvedSync {
             pass: 0,
             file_idx: 0,
             pending: None,
-            pending_manifest: None,
+            corrupt_literal: self.corrupt_literal,
         }
     }
 }
@@ -352,7 +358,7 @@ impl ResolvedSync {
 fn resolve_sync(
     spec: &ScenarioSpec,
     hosts: &[NodeId],
-    bypass: bool,
+    opts: RunOptions,
 ) -> (Vec<ResolvedSync>, Vec<Rc<RefCell<ChunkStore>>>) {
     let n = hosts.len() as u32;
     let mut by_relay: HashMap<u32, Rc<RefCell<ChunkStore>>> = HashMap::new();
@@ -367,7 +373,7 @@ fn resolve_sync(
             if relay == client {
                 relay = (relay + 1) % n;
             }
-            let store = if bypass {
+            let store = if opts.chunk_bypass {
                 None
             } else {
                 Some(Rc::clone(by_relay.entry(relay).or_insert_with(|| {
@@ -391,6 +397,7 @@ fn resolve_sync(
                 pop_seed: crate::scenario::case_seed(spec.seed, 0x5e5e + s.dataset),
                 start: SimTime::from_millis(s.start_ms),
                 store,
+                corrupt_literal: cfg!(feature = "failpoints") && opts.corrupt_sync_literal,
             }
         })
         .collect();
@@ -398,13 +405,17 @@ fn resolve_sync(
 }
 
 /// One delta-sync session: replicate the population to the relay (pass 0),
-/// then advance it one mutation round per pass and rsync every file. Each
-/// file transfer moves exactly the bytes the real exchange would — the
-/// exact [`RsyncWirePlan`] with the delta leg re-priced through the chunk
-/// store when one is attached — and on completion the delta is *actually
-/// applied* to the relay's copy and verified byte-for-byte
-/// ([`Violation::SyncIntegrity`] on mismatch). Finishes with the digest of
-/// the delivered files.
+/// then advance it one mutation round per pass and rsync every file.
+///
+/// Each file leg runs the rsync algorithms once. When the leg starts, the
+/// relay's basis is signed and the client's content is delta-encoded
+/// against it, and the flow moves exactly the bytes that exchange costs:
+/// [`RsyncWirePlan::of`] the signature and delta, with the delta leg
+/// re-priced through the chunk store when one is attached. When the flow
+/// lands, that same delta is *actually applied* to the relay's copy and
+/// verified byte-for-byte ([`Violation::SyncIntegrity`] on mismatch), so
+/// the delta that was priced is the delta that was verified. Finishes with
+/// the digest of the delivered files.
 struct SyncSession {
     session: u32,
     client: NodeId,
@@ -419,10 +430,21 @@ struct SyncSession {
     /// 0 = initial replication, then one mutation round per pass.
     pass: u32,
     file_idx: usize,
-    /// Client content in flight (installed when the flow completes).
-    pending: Option<Vec<u8>>,
+    /// The leg in flight, installed when its flow completes.
+    pending: Option<PendingLeg>,
+    /// Failpoint: corrupt every leg's delta after pricing it
+    /// ([`RunOptions::corrupt_sync_literal`]).
+    corrupt_literal: bool,
+}
+
+/// A file leg in flight.
+struct PendingLeg {
+    /// The client's content.
+    local: Vec<u8>,
+    /// The delta the leg was priced from, applied to the basis on landing.
+    delta: Delta,
     /// Manifest to admit to the store once the bytes arrive.
-    pending_manifest: Option<ChunkManifest>,
+    manifest: Option<ChunkManifest>,
 }
 
 impl SyncSession {
@@ -442,17 +464,33 @@ impl SyncSession {
         }
         let f = self.file_idx;
         let local = self.pop.file(f).to_vec();
-        let plan = RsyncWirePlan::exact(&self.remote[f], &local, SYNC_BLOCK_SIZE);
+        let sig = Signature::compute(&self.remote[f], SYNC_BLOCK_SIZE);
+        let mut delta = compute_delta(&sig, &local);
+        let plan = RsyncWirePlan::of(&sig, &delta);
         let mut wire = plan.total_bytes();
+        let mut manifest = None;
         if let Some(store) = &self.store {
-            let manifest = ChunkManifest::of(&local, SYNC_CHUNK_SIZE);
-            let dedup = store.borrow_mut().plan(&manifest);
+            let m = ChunkManifest::of(&local, SYNC_CHUNK_SIZE);
+            let dedup = store.borrow_mut().plan(&m);
             if dedup.wire_bytes < plan.delta_bytes {
                 wire = wire - plan.delta_bytes + dedup.wire_bytes;
             }
-            self.pending_manifest = Some(manifest);
+            manifest = Some(m);
         }
-        self.pending = Some(local);
+        if self.corrupt_literal {
+            if let Some(DeltaOp::Literal(bytes)) = delta
+                .ops
+                .iter_mut()
+                .find(|op| matches!(op, DeltaOp::Literal(_)))
+            {
+                bytes[0] ^= 0xff;
+            }
+        }
+        self.pending = Some(PendingLeg {
+            local,
+            delta,
+            manifest,
+        });
         let spec = FlowSpec::new(self.client, self.relay, wire.max(1), FlowClass::Commodity);
         if ctx.start_flow(spec).is_err() {
             self.oracle.push(Violation::EngineError {
@@ -462,18 +500,16 @@ impl SyncSession {
         }
     }
 
-    /// A leg landed: run the real signature/delta/patch pipeline against
-    /// the relay's basis and verify it reconstructs the client's bytes.
+    /// A leg landed: apply its delta to the relay's basis and verify it
+    /// reconstructs the client's bytes.
     fn land(&mut self, ctx: &mut Ctx<'_>) {
-        let local = self
+        let leg = self
             .pending
             .take()
             .expect("flow landed without a pending sync leg");
         let f = self.file_idx;
-        let sig = Signature::compute(&self.remote[f], SYNC_BLOCK_SIZE);
-        let delta = compute_delta(&sig, &local);
         let ok = matches!(
-            apply_delta(&self.remote[f], SYNC_BLOCK_SIZE, &delta), Ok(p) if p == local
+            apply_delta(&self.remote[f], SYNC_BLOCK_SIZE, &leg.delta), Ok(p) if p == leg.local
         );
         if !ok {
             self.oracle.push(Violation::SyncIntegrity {
@@ -482,10 +518,10 @@ impl SyncSession {
                 round: self.pass,
             });
         }
-        if let (Some(store), Some(m)) = (&self.store, self.pending_manifest.take()) {
-            store.borrow_mut().admit(&m);
+        if let (Some(store), Some(m)) = (&self.store, &leg.manifest) {
+            store.borrow_mut().admit(m);
         }
-        self.remote[f] = local;
+        self.remote[f] = leg.local;
         self.file_idx += 1;
         self.kick(ctx);
     }
@@ -514,7 +550,7 @@ impl Process for SyncSession {
         d.write_u64(self.pass as u64);
         d.write_u64(self.file_idx as u64);
         d.write_u64(self.remote.iter().map(|f| f.len() as u64).sum());
-        d.write_u64(self.pending.as_ref().map_or(0, |p| p.len() as u64));
+        d.write_u64(self.pending.as_ref().map_or(0, |p| p.local.len() as u64));
     }
 }
 
@@ -827,7 +863,7 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
 
     let jobs = resolve_hosts(spec, &world.hosts);
     let chaos = resolve_chaos(spec, &world.hosts);
-    let (sync, stores) = resolve_sync(spec, &world.hosts, opts.chunk_bypass);
+    let (sync, stores) = resolve_sync(spec, &world.hosts, opts);
     let has_sync = !sync.is_empty();
     let ledger: SyncLedger = Rc::new(RefCell::new(Vec::new()));
     let result = sim.run_process(Box::new(Driver {

@@ -69,15 +69,20 @@ impl Delta {
 }
 
 /// Compute the delta from `basis` (described by `sig`) to `target`.
+///
+/// Unmatched bytes are never copied one at a time: a literal run is the
+/// target range since the last match, sliced out once when the next match
+/// (or the end of the target) closes it.
 pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
     let bs = sig.block_size;
     let mut ops: Vec<DeltaOp> = Vec::new();
-    let mut literal: Vec<u8> = Vec::new();
+    // Start of the open literal run: `target[lit..pos]` has matched nothing.
+    let mut lit = 0usize;
     let mut pos = 0usize;
 
-    let flush = |literal: &mut Vec<u8>, ops: &mut Vec<DeltaOp>| {
-        if !literal.is_empty() {
-            ops.push(DeltaOp::Literal(std::mem::take(literal)));
+    let flush = |ops: &mut Vec<DeltaOp>, run: &[u8]| {
+        if !run.is_empty() {
+            ops.push(DeltaOp::Literal(run.to_vec()));
         }
     };
 
@@ -95,12 +100,12 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                 }
             };
             if let Some(idx) = sig.find_match(checksum, window) {
-                flush(&mut literal, &mut ops);
+                flush(&mut ops, &target[lit..pos]);
                 ops.push(DeltaOp::Copy { index: idx });
                 pos += bs;
+                lit = pos;
                 rc = None; // window recomputed at the new position
             } else {
-                literal.push(target[pos]);
                 if pos + bs < target.len() {
                     rc.as_mut()
                         .expect("rolling state exists while sliding")
@@ -112,7 +117,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
             }
         }
         // Tail shorter than one block: try to match the basis's short final
-        // block exactly, otherwise emit literally.
+        // block exactly, otherwise it joins the open literal run.
         let tail = &target[pos..];
         if !tail.is_empty() {
             let tail_match = sig
@@ -124,22 +129,19 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                         && b.strong == crate::md5::Md5::digest(tail)
                 })
                 .map(|b| b.index);
-            match tail_match {
-                Some(idx) => {
-                    flush(&mut literal, &mut ops);
-                    ops.push(DeltaOp::Copy { index: idx });
-                }
-                None => literal.extend_from_slice(tail),
+            if let Some(idx) = tail_match {
+                flush(&mut ops, &target[lit..pos]);
+                ops.push(DeltaOp::Copy { index: idx });
+                lit = target.len();
             }
             pos = target.len();
         }
     } else {
         // Empty basis: everything is literal (the paper's benchmark case).
-        literal.extend_from_slice(target);
         pos = target.len();
     }
     debug_assert_eq!(pos, target.len());
-    flush(&mut literal, &mut ops);
+    flush(&mut ops, &target[lit..]);
 
     Delta {
         ops,

@@ -5,26 +5,6 @@
 //! security — here it only guards against rolling-checksum false positives,
 //! exactly as in rsync.
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
-/// Binary integer parts of the sines of integers: floor(2^32 * |sin(i+1)|).
-const K: [u32; 64] = [
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
-    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
-    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
-    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
-    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
-];
-
 thread_local! {
     /// One-shot digest invocations on this thread (see
     /// [`Md5::digest_invocations`]).
@@ -105,9 +85,7 @@ impl Md5 {
         }
         let mut chunks = data.chunks_exact(64);
         for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.process_block(&b);
+            self.process_block(block.try_into().expect("64-byte chunk"));
         }
         let rem = chunks.remainder();
         self.buffer[..rem.len()].copy_from_slice(rem);
@@ -117,14 +95,18 @@ impl Md5 {
     /// Finish and produce the 16-byte digest.
     pub fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80 then zeros until length ≡ 56 (mod 64).
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding in one pass: 0x80, zeros up to 56 (mod 64), then the
+        // 64-bit little-endian bit length. A tail of 56+ bytes leaves no
+        // room for the length and spills into one more block.
+        let n = self.buffered;
+        let mut block = [0u8; 64];
+        block[..n].copy_from_slice(&self.buffer[..n]);
+        block[n] = 0x80;
+        if n >= 56 {
+            self.process_block(&block);
+            block = [0u8; 64];
         }
-        // Undo the length bookkeeping the padding incurred.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
+        block[56..].copy_from_slice(&bit_len.to_le_bytes());
         self.process_block(&block);
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
@@ -133,31 +115,115 @@ impl Md5 {
         out
     }
 
+    /// One 64-byte block of the compression function, written out as the
+    /// 64 steps of RFC 1321 §3.4 so every shift amount, sine constant and
+    /// message-word index is a compile-time constant.
     fn process_block(&mut self, block: &[u8; 64]) {
         let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *w = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
         }
         let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
+
+        // a = b + ((a + f(b, c, d) + m[g] + k) <<< s), summed so that
+        // a + m[g] + k (known a step early) waits only on f(b, c, d).
+        macro_rules! step {
+            ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $g:expr, $k:expr, $s:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add(m[$g])
+                        .wrapping_add($k)
+                        .wrapping_add($f($b, $c, $d))
+                        .rotate_left($s),
+                );
             };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
         }
+        // F and G in their one-fewer-operation select forms:
+        // (b & c) | (!b & d) == d ^ (b & (c ^ d)), and likewise for G.
+        #[inline(always)]
+        fn f(b: u32, c: u32, d: u32) -> u32 {
+            d ^ (b & (c ^ d))
+        }
+        #[inline(always)]
+        fn g(b: u32, c: u32, d: u32) -> u32 {
+            c ^ (d & (b ^ c))
+        }
+        #[inline(always)]
+        fn h(b: u32, c: u32, d: u32) -> u32 {
+            b ^ c ^ d
+        }
+        #[inline(always)]
+        fn i(b: u32, c: u32, d: u32) -> u32 {
+            c ^ (b | !d)
+        }
+
+        step!(f, a, b, c, d, 0, 0xd76aa478, 7);
+        step!(f, d, a, b, c, 1, 0xe8c7b756, 12);
+        step!(f, c, d, a, b, 2, 0x242070db, 17);
+        step!(f, b, c, d, a, 3, 0xc1bdceee, 22);
+        step!(f, a, b, c, d, 4, 0xf57c0faf, 7);
+        step!(f, d, a, b, c, 5, 0x4787c62a, 12);
+        step!(f, c, d, a, b, 6, 0xa8304613, 17);
+        step!(f, b, c, d, a, 7, 0xfd469501, 22);
+        step!(f, a, b, c, d, 8, 0x698098d8, 7);
+        step!(f, d, a, b, c, 9, 0x8b44f7af, 12);
+        step!(f, c, d, a, b, 10, 0xffff5bb1, 17);
+        step!(f, b, c, d, a, 11, 0x895cd7be, 22);
+        step!(f, a, b, c, d, 12, 0x6b901122, 7);
+        step!(f, d, a, b, c, 13, 0xfd987193, 12);
+        step!(f, c, d, a, b, 14, 0xa679438e, 17);
+        step!(f, b, c, d, a, 15, 0x49b40821, 22);
+
+        step!(g, a, b, c, d, 1, 0xf61e2562, 5);
+        step!(g, d, a, b, c, 6, 0xc040b340, 9);
+        step!(g, c, d, a, b, 11, 0x265e5a51, 14);
+        step!(g, b, c, d, a, 0, 0xe9b6c7aa, 20);
+        step!(g, a, b, c, d, 5, 0xd62f105d, 5);
+        step!(g, d, a, b, c, 10, 0x02441453, 9);
+        step!(g, c, d, a, b, 15, 0xd8a1e681, 14);
+        step!(g, b, c, d, a, 4, 0xe7d3fbc8, 20);
+        step!(g, a, b, c, d, 9, 0x21e1cde6, 5);
+        step!(g, d, a, b, c, 14, 0xc33707d6, 9);
+        step!(g, c, d, a, b, 3, 0xf4d50d87, 14);
+        step!(g, b, c, d, a, 8, 0x455a14ed, 20);
+        step!(g, a, b, c, d, 13, 0xa9e3e905, 5);
+        step!(g, d, a, b, c, 2, 0xfcefa3f8, 9);
+        step!(g, c, d, a, b, 7, 0x676f02d9, 14);
+        step!(g, b, c, d, a, 12, 0x8d2a4c8a, 20);
+
+        step!(h, a, b, c, d, 5, 0xfffa3942, 4);
+        step!(h, d, a, b, c, 8, 0x8771f681, 11);
+        step!(h, c, d, a, b, 11, 0x6d9d6122, 16);
+        step!(h, b, c, d, a, 14, 0xfde5380c, 23);
+        step!(h, a, b, c, d, 1, 0xa4beea44, 4);
+        step!(h, d, a, b, c, 4, 0x4bdecfa9, 11);
+        step!(h, c, d, a, b, 7, 0xf6bb4b60, 16);
+        step!(h, b, c, d, a, 10, 0xbebfbc70, 23);
+        step!(h, a, b, c, d, 13, 0x289b7ec6, 4);
+        step!(h, d, a, b, c, 0, 0xeaa127fa, 11);
+        step!(h, c, d, a, b, 3, 0xd4ef3085, 16);
+        step!(h, b, c, d, a, 6, 0x04881d05, 23);
+        step!(h, a, b, c, d, 9, 0xd9d4d039, 4);
+        step!(h, d, a, b, c, 12, 0xe6db99e5, 11);
+        step!(h, c, d, a, b, 15, 0x1fa27cf8, 16);
+        step!(h, b, c, d, a, 2, 0xc4ac5665, 23);
+
+        step!(i, a, b, c, d, 0, 0xf4292244, 6);
+        step!(i, d, a, b, c, 7, 0x432aff97, 10);
+        step!(i, c, d, a, b, 14, 0xab9423a7, 15);
+        step!(i, b, c, d, a, 5, 0xfc93a039, 21);
+        step!(i, a, b, c, d, 12, 0x655b59c3, 6);
+        step!(i, d, a, b, c, 3, 0x8f0ccc92, 10);
+        step!(i, c, d, a, b, 10, 0xffeff47d, 15);
+        step!(i, b, c, d, a, 1, 0x85845dd1, 21);
+        step!(i, a, b, c, d, 8, 0x6fa87e4f, 6);
+        step!(i, d, a, b, c, 15, 0xfe2ce6e0, 10);
+        step!(i, c, d, a, b, 6, 0xa3014314, 15);
+        step!(i, b, c, d, a, 13, 0x4e0811a1, 21);
+        step!(i, a, b, c, d, 4, 0xf7537e82, 6);
+        step!(i, d, a, b, c, 11, 0xbd3af235, 10);
+        step!(i, c, d, a, b, 2, 0x2ad7d2bb, 15);
+        step!(i, b, c, d, a, 9, 0xeb86d391, 21);
+
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);

@@ -3,6 +3,12 @@
 //! In rsync the *receiver* (here: the DTN) splits its existing copy of the
 //! file into fixed-size blocks and sends `(rolling, strong)` checksums per
 //! block to the sender, which then hunts for those blocks in the new file.
+//!
+//! The hunt probes one window per target byte wherever nothing matches, so
+//! the first filter must be cheap. As in rsync, a 16-bit tag of each
+//! block's rolling checksum is recorded in a 65,536-bit table: a window
+//! whose tag bit is clear has no candidate, and is rejected before the
+//! rolling-checksum map is hashed at all.
 
 use crate::md5::Md5;
 use crate::rolling;
@@ -12,6 +18,15 @@ use std::collections::HashMap;
 /// fixed 2 KiB is a reasonable middle ground for the file sizes in the
 /// paper's workload).
 pub const DEFAULT_BLOCK_SIZE: usize = 2048;
+
+/// Words in the tag table: one bit per 16-bit tag.
+const TAG_WORDS: usize = (1 << 16) / 64;
+
+/// rsync's 16-bit tag of a rolling checksum: its two halves summed.
+#[inline]
+fn tag(rolling: u32) -> usize {
+    ((rolling & 0xffff) + (rolling >> 16)) as usize & 0xffff
+}
 
 /// Signature of one basis block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +50,10 @@ pub struct Signature {
     pub blocks: Vec<BlockSignature>,
     /// rolling checksum -> candidate block indices (collisions possible).
     index: HashMap<u32, Vec<u32>>,
+    /// Bit `t` is set iff some block's rolling checksum has tag `t`. A
+    /// clear bit proves [`Signature::candidates`] is empty; a set bit may
+    /// be shared by several blocks or by other rolling values.
+    tags: Vec<u64>,
 }
 
 impl Signature {
@@ -43,6 +62,7 @@ impl Signature {
         assert!(block_size > 0, "block size must be positive");
         let mut blocks = Vec::with_capacity(basis.len() / block_size + 1);
         let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut tags = vec![0u64; TAG_WORDS];
         for (i, chunk) in basis.chunks(block_size).enumerate() {
             let rolling = rolling::checksum(chunk);
             let strong = Md5::digest(chunk);
@@ -53,11 +73,14 @@ impl Signature {
                 strong,
             });
             index.entry(rolling).or_default().push(i as u32);
+            let t = tag(rolling);
+            tags[t / 64] |= 1 << (t % 64);
         }
         Signature {
             block_size,
             blocks,
             index,
+            tags,
         }
     }
 
@@ -78,10 +101,16 @@ impl Signature {
     /// Only full-size blocks participate in rolling matching (short final
     /// blocks are matched separately by the delta generator).
     ///
-    /// The strong hash of the window is computed at most once per call —
+    /// A clear tag bit rejects the window without hashing `rolling`. The
+    /// strong hash of the window is computed at most once per call —
     /// lazily, on the first length-compatible candidate — no matter how many
     /// blocks collide on the rolling checksum.
+    #[inline]
     pub fn find_match(&self, rolling: u32, window: &[u8]) -> Option<u32> {
+        let t = tag(rolling);
+        if self.tags[t / 64] & (1 << (t % 64)) == 0 {
+            return None;
+        }
         let mut strong: Option<[u8; 16]> = None;
         for &idx in self.candidates(rolling) {
             let b = &self.blocks[idx as usize];
@@ -193,6 +222,71 @@ mod tests {
         let before = Md5::digest_invocations();
         assert_eq!(sig.find_match(r, &forged[..BS - 1]), None);
         assert_eq!(Md5::digest_invocations() - before, 0);
+    }
+
+    #[test]
+    fn blocks_sharing_a_tag_or_rolling_value_are_all_found() {
+        use crate::delta::{compute_delta, DeltaOp};
+        // Zero blocks with a few set bytes, built so the checksum halves
+        // (a = Σx, b = Σ(L-i)·x_i) collide on purpose:
+        // x: x[1]=2            a=2,  b=2(L-1)
+        // y: x[0]=1, x[2]=1    a=2,  b=2(L-1)   same rolling value as x
+        // z: x[L-1]=L          a=L,  b=L        same tag (a+b = 2L) as x
+        // w: x[L-2]=2, x[L-1]=L-3               same tag again, a third value
+        const L: usize = 64;
+        let mut x = [0u8; L];
+        x[1] = 2;
+        let mut y = [0u8; L];
+        y[0] = 1;
+        y[2] = 1;
+        let mut z = [0u8; L];
+        z[L - 1] = L as u8;
+        let mut w = [0u8; L];
+        w[L - 2] = 2;
+        w[L - 1] = (L - 3) as u8;
+        let r = FileGen::new(9).random_file(L);
+        let blocks: [&[u8]; 5] = [&x, &y, &z, &w, &r];
+        let basis = blocks.concat();
+        let sig = Signature::compute(&basis, L);
+
+        let rx = rolling::checksum(&x);
+        assert_eq!(rx, rolling::checksum(&y));
+        for other in [&z, &w] {
+            let ro = rolling::checksum(other);
+            assert_ne!(ro, rx);
+            assert_eq!(tag(ro), tag(rx), "constructed blocks must share a tag");
+        }
+        assert_eq!(sig.candidates(rx), &[0, 1]);
+
+        // Each block is found on its own...
+        for (i, b) in blocks.iter().enumerate() {
+            assert_eq!(sig.find_match(rolling::checksum(b), b), Some(i as u32));
+        }
+        // ...and at every offset of a shuffled target with literal gaps.
+        let gap = |n: usize| vec![0xAAu8; n];
+        let order = [3usize, 2, 1, 0, 4, 2];
+        let mut target = gap(3);
+        for (k, &i) in order.iter().enumerate() {
+            target.extend_from_slice(blocks[i]);
+            if k == 1 {
+                target.extend(gap(5));
+            }
+        }
+        let delta = compute_delta(&sig, &target);
+        let copy = |index: u32| DeltaOp::Copy { index };
+        assert_eq!(
+            delta.ops,
+            vec![
+                DeltaOp::Literal(gap(3)),
+                copy(3),
+                copy(2),
+                DeltaOp::Literal(gap(5)),
+                copy(1),
+                copy(0),
+                copy(4),
+                copy(2),
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   provided as the baseline alternative the paper mentions ("rsync ... can
 //!   be replaced with a different file-transfer tool").
 
-use crate::delta::compute_delta;
+use crate::delta::{compute_delta, Delta};
 use crate::signature::Signature;
 
 /// rsync protocol constants (framing approximations).
@@ -32,17 +32,23 @@ pub struct RsyncWirePlan {
 }
 
 impl RsyncWirePlan {
-    /// Exact plan for a concrete (basis, target) pair: runs the real
-    /// signature + delta algorithms and counts bytes.
-    pub fn exact(basis: &[u8], target: &[u8], block_size: usize) -> Self {
-        let sig = Signature::compute(basis, block_size);
-        let delta = compute_delta(&sig, target);
+    /// Plan for an exchange whose signature and delta are already
+    /// computed. A caller that goes on to apply `delta` prices exactly the
+    /// delta it applies, and runs the rsync algorithms once.
+    pub fn of(sig: &Signature, delta: &Delta) -> Self {
         RsyncWirePlan {
             handshake_bytes: HANDSHAKE_BYTES,
             signature_bytes: sig.wire_bytes(),
             delta_bytes: delta.wire_bytes(),
             ack_bytes: ACK_BYTES,
         }
+    }
+
+    /// Exact plan for a concrete (basis, target) pair: runs the real
+    /// signature + delta algorithms and counts bytes.
+    pub fn exact(basis: &[u8], target: &[u8], block_size: usize) -> Self {
+        let sig = Signature::compute(basis, block_size);
+        Self::of(&sig, &compute_delta(&sig, target))
     }
 
     /// Closed-form plan for the paper's workload: the DTN's copy was deleted

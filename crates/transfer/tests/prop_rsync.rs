@@ -2,7 +2,7 @@
 //! basis/target pairs and block sizes.
 
 use proptest::prelude::*;
-use transfer::syncpop::{mutate, MutationKind, SyncPopulation, SyncPopulationConfig};
+use transfer::syncpop::{mutate, MutationKind, MutationMix, SyncPopulation, SyncPopulationConfig};
 use transfer::{apply_delta, compute_delta, DeltaOp, FileGen, Md5, RsyncWirePlan, Signature};
 
 /// Arbitrary single mutations for history-driven tests: a kind selector
@@ -239,4 +239,86 @@ proptest! {
         ctx.update(rest);
         prop_assert_eq!(ctx.finalize(), oneshot);
     }
+}
+
+/// FNV-1a over little-endian words: the fold the pinned kernel digest uses.
+struct Fold(u64);
+
+impl Fold {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn bytes(&mut self, bs: &[u8]) {
+        self.word(bs.len() as u64);
+        for &b in bs {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Every delta and wire plan a fixed-seed sync history produces, folded
+/// into one value: op kinds, copy indices, literal bytes, `target_md5` and
+/// every plan field. The histories replicate each file to an empty basis,
+/// then re-sync every file after each mutation round, the way a sync
+/// session does, for both mutation mixes at 1 KiB and 2 KiB blocks. Any
+/// change to the signature, delta-scan or MD5 kernels' outputs moves it.
+#[test]
+fn sync_history_deltas_and_plans_are_pinned() {
+    let mut fold = Fold(0xcbf2_9ce4_8422_2325);
+    for (seed, mix) in [(7u64, MutationMix::desktop()), (8, MutationMix::churny())] {
+        for block_size in [1024usize, 2048] {
+            let cfg = SyncPopulationConfig {
+                files: 4,
+                file_len: 12 * 1024,
+                mix,
+                max_edits: 16,
+                max_append: 2048,
+                max_rewrite: 4096,
+            };
+            let mut pop = SyncPopulation::new(seed, cfg);
+            let mut remote = vec![Vec::new(); pop.len()];
+            for pass in 0..8 {
+                if pass > 0 {
+                    pop.advance();
+                }
+                for (f, basis) in remote.iter_mut().enumerate() {
+                    let target = pop.file(f);
+                    let sig = Signature::compute(basis, block_size);
+                    let delta = compute_delta(&sig, target);
+                    for op in &delta.ops {
+                        match op {
+                            DeltaOp::Copy { index } => {
+                                fold.word(0);
+                                fold.word(*index as u64);
+                            }
+                            DeltaOp::Literal(v) => {
+                                fold.word(1);
+                                fold.bytes(v);
+                            }
+                        }
+                    }
+                    fold.word(delta.target_len);
+                    fold.bytes(&delta.target_md5);
+                    let plan = RsyncWirePlan::exact(basis, target, block_size);
+                    for v in [
+                        plan.handshake_bytes,
+                        plan.signature_bytes,
+                        plan.delta_bytes,
+                        plan.ack_bytes,
+                    ] {
+                        fold.word(v);
+                    }
+                    *basis = target.to_vec();
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fold.0, 0x7e50_2fd6_7746_21c4,
+        "kernel outputs moved: {:#018x}",
+        fold.0
+    );
 }

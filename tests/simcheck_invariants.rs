@@ -79,6 +79,21 @@ fn replay_of_serialized_spec_matches_original() {
     assert!(report.ok());
 }
 
+/// Regression: a departing flow that bridged two pieces of a max-min
+/// component. The incremental allocator waterfilled both pieces as one, so
+/// a shared unit share froze one piece's flows one ulp off their own share
+/// and the reference-allocator differential diverged. This is the shrunk
+/// spec `detour check --class std --seed 110 --cases 112` reported.
+#[test]
+fn split_component_on_departure_matches_reference_allocator() {
+    let spec = ScenarioSpec::from_json(
+        r#"{"seed":3672191955,"topo":{"kind":"star","hosts":4,"access_mbps":44},"jitter_pct":0,"jobs":[{"src":3,"dst":3,"bytes":1989006,"class":2,"weight_pct":100,"start_ms":0},{"src":2,"dst":3,"bytes":2707466,"class":1,"weight_pct":50,"start_ms":0},{"src":3,"dst":2,"bytes":2069236,"class":1,"weight_pct":100,"start_ms":0},{"src":3,"dst":3,"bytes":4599943,"class":3,"weight_pct":50,"start_ms":629},{"src":1,"dst":0,"bytes":8957211,"class":1,"weight_pct":300,"start_ms":512},{"src":0,"dst":3,"bytes":11271826,"class":1,"weight_pct":100,"start_ms":62}],"background":[],"faults":[],"churn":[{"src":0,"dst":2,"flows":12,"bytes":147924,"gap_ms":10}]}"#,
+    )
+    .expect("valid spec");
+    let res = check_case(&spec, RunOptions::default());
+    assert!(res.ok(), "violations: {:?}", res.violations);
+}
+
 /// Fault injection: inflate allocator output by 30% and the oracles must
 /// notice, and the shrinker must reduce the reproducer to a handful of
 /// nodes and at most two flows.
@@ -118,4 +133,51 @@ fn injected_overallocation_is_caught_and_shrunk() {
     // The minimal reproducer survives a JSON round trip and still fails.
     let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
     assert!(!check_case(&round, opts).ok());
+}
+
+/// Fault injection on the transfer layer: flip one literal byte of every
+/// sync leg's delta after the leg is priced. Applying that delta at the
+/// relay must then fail to reproduce the client's file, the sync-integrity
+/// oracle must report it, and the case must shrink to a small replayable
+/// spec that still fails the same way.
+#[test]
+fn corrupted_sync_delta_is_caught_and_shrunk() {
+    let opts = RunOptions {
+        corrupt_sync_literal: true,
+        ..Default::default()
+    };
+    let integrity = |violations: &[Violation]| {
+        violations
+            .iter()
+            .any(|v| matches!(v, Violation::SyncIntegrity { .. }))
+    };
+    let spec = ScenarioSpec::generate_sync(case_seed(13, 0));
+    assert!(
+        check_case(&spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+    let broken = check_case(&spec, opts);
+    assert!(
+        integrity(&broken.violations),
+        "a corrupted delta must be caught, got {:?}",
+        broken.violations
+    );
+
+    let res = shrink(&spec, opts, 200);
+    assert!(res.steps > 0, "nothing shrank");
+    assert_eq!(
+        res.spec.sync.len(),
+        1,
+        "reproducer kept {:?}",
+        res.spec.sync
+    );
+    assert!(
+        res.spec.topo.node_count() <= 4 && res.spec.jobs.len() <= 1,
+        "reproducer not minimal: {}",
+        res.spec.to_json()
+    );
+    assert_eq!((res.spec.sync[0].files, res.spec.sync[0].file_kb), (1, 4));
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    assert!(integrity(&check_case(&round, opts).violations));
+    assert!(check_case(&round, RunOptions::default()).ok());
 }

@@ -11,9 +11,9 @@ use netsim::prelude::*;
 use netsim::shard::{fold_digests, run_shards};
 use netsim::synth::SynthGlobe;
 use netsim::units::{GB, KB, MB};
+use obs::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simcheck::Json;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -1048,76 +1048,44 @@ const REGRESSION_TOLERANCE: f64 = 1.25;
 const PARALLEL_SPEEDUP_FLOOR: f64 = 1.8;
 
 /// Compare one metric series of `report` against `baseline`, matching
-/// points on the `key` field ("flows" for the allocator/engine series,
-/// "nodes" for routing), appending an error line per point slower than
-/// the tolerance allows.
+/// points on the `key` fields (`flows` for the allocator/engine series,
+/// `nodes` for routing, `flows` and `threads` for the sharded series),
+/// appending an error line per point slower than the tolerance allows.
 fn check_series(
     report: &Json,
     baseline: &Json,
     series: &str,
-    key: &str,
+    key: &[&str],
     metric: &str,
     errors: &mut Vec<String>,
 ) {
-    let empty = Vec::new();
-    let base_points = baseline
-        .get(series)
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for point in report.get(series).and_then(Json::as_arr).unwrap_or(&empty) {
-        let at = point.get(key).and_then(Json::as_u64).unwrap_or(0);
+    fn points<'a>(doc: &'a Json, series: &str) -> &'a [Json] {
+        doc.get(series).and_then(Json::as_arr).unwrap_or(&[])
+    }
+    let key_of = |p: &Json| -> Option<Vec<u64>> {
+        key.iter()
+            .map(|k| p.get(k).and_then(Json::as_u64))
+            .collect()
+    };
+    for point in points(report, series) {
+        let Some(at) = key_of(point) else {
+            continue;
+        };
         let now = point.get(metric).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let Some(was) = base_points
+        let Some(was) = points(baseline, series)
             .iter()
-            .find(|b| b.get(key).and_then(Json::as_u64) == Some(at))
+            .find(|b| key_of(b).as_ref() == Some(&at))
             .and_then(|b| b.get(metric))
             .and_then(Json::as_f64)
         else {
             continue;
         };
         if now > was * REGRESSION_TOLERANCE {
+            let at: Vec<String> = at.iter().map(u64::to_string).collect();
             errors.push(format!(
-                "flowsim-{series}/{at}: {metric} {now:.0} vs \
-                 baseline {was:.0} (> {REGRESSION_TOLERANCE}x)"
-            ));
-        }
-    }
-}
-
-/// Like `check_series` but keyed on `(flows, threads)` — the sharded
-/// series has one row per worker count at each size.
-fn check_threads_series(report: &Json, baseline: &Json, errors: &mut Vec<String>) {
-    let empty = Vec::new();
-    let base_points = baseline
-        .get("threads")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for point in report
-        .get("threads")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty)
-    {
-        let flows = point.get("flows").and_then(Json::as_u64).unwrap_or(0);
-        let threads = point.get("threads").and_then(Json::as_u64).unwrap_or(0);
-        let now = point
-            .get("ns_per_event")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        let Some(was) = base_points
-            .iter()
-            .find(|b| {
-                b.get("flows").and_then(Json::as_u64) == Some(flows)
-                    && b.get("threads").and_then(Json::as_u64) == Some(threads)
-            })
-            .and_then(|b| b.get("ns_per_event"))
-            .and_then(Json::as_f64)
-        else {
-            continue;
-        };
-        if now > was * REGRESSION_TOLERANCE {
-            errors.push(format!(
-                "flowsim-threads/{flows}x{threads}: ns_per_event {now:.0} vs \
-                 baseline {was:.0} (> {REGRESSION_TOLERANCE}x)"
+                "flowsim-{series}/{}: {metric} {now:.0} vs \
+                 baseline {was:.0} (> {REGRESSION_TOLERANCE}x)",
+                at.join("x")
             ));
         }
     }
@@ -1151,72 +1119,20 @@ fn check_parallel_speedup(threads: &[Json], host_threads: usize) -> Option<Strin
 /// Compare against a baseline `BENCH_flowsim.json`; returns error lines.
 fn check_baseline(report: &Json, baseline: &Json) -> Vec<String> {
     let mut errors = Vec::new();
-    check_series(
-        report,
-        baseline,
-        "sizes",
-        "flows",
-        "incremental_ns",
-        &mut errors,
-    );
-    check_series(report, baseline, "engine", "flows", "lazy_ns", &mut errors);
-    check_series(
-        report,
-        baseline,
-        "routing",
-        "nodes",
-        "query_ns",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "routing",
-        "nodes",
-        "detour_ns",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "routing",
-        "nodes",
-        "build_ms",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "plane_decision",
-        "keys",
-        "warm_ns",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "plane_fleet",
-        "threads",
-        "ns_per_lookup",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "sync",
-        "chunks",
-        "ns_per_probe",
-        &mut errors,
-    );
-    check_series(
-        report,
-        baseline,
-        "sync",
-        "chunks",
-        "leg_ns_per_byte",
-        &mut errors,
-    );
-    check_threads_series(report, baseline, &mut errors);
+    for (series, key, metric) in [
+        ("sizes", &["flows"][..], "incremental_ns"),
+        ("engine", &["flows"], "lazy_ns"),
+        ("routing", &["nodes"], "query_ns"),
+        ("routing", &["nodes"], "detour_ns"),
+        ("routing", &["nodes"], "build_ms"),
+        ("plane_decision", &["keys"], "warm_ns"),
+        ("plane_fleet", &["threads"], "ns_per_lookup"),
+        ("sync", &["chunks"], "ns_per_probe"),
+        ("sync", &["chunks"], "leg_ns_per_byte"),
+        ("threads", &["flows", "threads"], "ns_per_event"),
+    ] {
+        check_series(report, baseline, series, key, metric, &mut errors);
+    }
     errors
 }
 
@@ -1388,7 +1304,7 @@ fn main() {
         let path = workspace_path(&path);
         match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|s| Json::parse(&s))
+            .and_then(|s| Json::parse(&s).map_err(|e| e.to_string()))
         {
             Ok(baseline) => {
                 for err in check_baseline(&report, &baseline) {

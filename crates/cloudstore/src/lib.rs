@@ -21,7 +21,7 @@
 //!   hard deadlines in sim time, and per-frontend circuit breakers.
 //! * [`session`] — the upload state machine (token → init → chunks →
 //!   finish), including resume-after-failure semantics.
-//! * [`download`] — the symmetric chunked download path (the paper measures
+//! * [`mod@download`] — the symmetric chunked download path (the paper measures
 //!   uploads only; downloads are our extension).
 //! * [`report`] — structured transfer reports (elapsed, RPC count, retries,
 //!   wire bytes).

@@ -87,9 +87,10 @@ impl Default for Digest {
 /// Observer invoked by the engine while a root process runs.
 ///
 /// `after_event` fires once after every dispatched event (and once at run
-/// start, before the first event), with a read-only [`AuditView`] over the
-/// engine state. `flow_delivered` fires at the moment a flow's last byte is
-/// delivered, *before* the post-event view — oracles use it to close their
+/// start, before the first event), with a read-only
+/// [`AuditView`](crate::engine::AuditView) over the engine state.
+/// `flow_delivered` fires at the moment a flow's last byte is delivered,
+/// *before* the post-event view — oracles use it to close their
 /// per-flow conservation ledgers.
 pub trait AuditHook {
     /// Inspect the engine state after an event was dispatched.

@@ -5,9 +5,9 @@
 //! model-checked across interleavings — a loom-style schedule enumeration
 //! without the dependency.
 
-use netsim::flow::{FlowCore, RateChange};
+use netsim::flow::FlowCore;
 use netsim::prelude::*;
-use netsim::shard::{fold_digests, merge_rate_changes, run_shards};
+use netsim::shard::{fold_digests, run_shards};
 
 /// Build a tiny two-host world and run one transfer; returns the cell's
 /// event count and final engine digest. Constructed entirely on the worker
@@ -48,13 +48,13 @@ fn cell_results_are_independent_of_completion_order() {
     }
 }
 
-/// Satellite-fix regression: the cross-shard rate-change reduction must be
-/// keyed by flow id, never by slab slot assignment (which depends on each
-/// shard's private insert/remove history) or by worker completion order.
+/// Rate changes are reported keyed by flow id, never by slab slot
+/// assignment, which depends on each allocator's private insert/remove
+/// history.
 #[test]
-fn rate_change_reduction_ignores_slot_assignment_and_completion_order() {
-    // Two shards whose allocators hold the SAME flows but with different
-    // slot assignments: shard B recycles slots through an insert/remove
+fn rate_changes_ignore_slot_assignment() {
+    // Two allocators holding the SAME flows with different slot
+    // assignments: the second recycles slots through an insert/remove
     // shuffle, so its slot order disagrees with its id order.
     let build = |shuffle: bool| {
         let mut core = FlowCore::new(vec![10_000.0]);
@@ -73,32 +73,10 @@ fn rate_change_reduction_ignores_slot_assignment_and_completion_order() {
         core.take_changes()
     };
     let plain = build(false);
-    let shuffled = build(true);
     // Same flows, same new rates — only slot internals differ.
-    assert_eq!(plain, shuffled, "FlowCore reports changes id-sorted");
-
-    // Completion-order permutations of a multi-shard reduction all merge
-    // to the same canonical list.
-    let shard_a = plain;
-    let shard_b: Vec<RateChange> = vec![
-        RateChange {
-            id: 1,
-            token: 1,
-            rate: 5.0,
-        },
-        RateChange {
-            id: 20,
-            token: 20,
-            rate: 7.0,
-        },
-    ];
-    let canonical = merge_rate_changes(&[shard_a.clone(), shard_b.clone()]);
-    let permuted = merge_rate_changes(&[shard_b, shard_a]);
-    assert_eq!(canonical, permuted);
-    let ids: Vec<u64> = canonical.iter().map(|c| c.id).collect();
-    let mut sorted = ids.clone();
-    sorted.sort_unstable();
-    assert_eq!(ids, sorted, "reduction is id-sorted");
+    assert_eq!(plain, build(true), "FlowCore reports changes id-sorted");
+    let ids: Vec<u64> = plain.iter().map(|c| c.id).collect();
+    assert_eq!(ids, vec![3, 9, 14]);
 }
 
 /// Seeded multi-thread churn stress — the ThreadSanitizer target. Every

@@ -1,12 +1,10 @@
-//! Property tests for the component partitioner behind the sharded
-//! executor: the incremental [`ComponentTracker`] must agree with the
-//! from-scratch BFS reference on every reachable state, merge/split events
-//! must rebalance the partition correctly, and the union of the shard flow
-//! sets must be exactly the live-flow set under random churn — both for the
-//! tracker and for [`FlowCore::components`], the allocator-side census.
+//! Property test for the allocator-side component census:
+//! [`FlowCore::components`] must report exactly the connected components
+//! of the resource↔flow coupling graph under random churn, in canonical
+//! order, checked against a from-scratch BFS reference. The crowd
+//! workload's benchmark reads this census through `Sim::flow_components`.
 
 use netsim::flow::FlowCore;
-use netsim::shard::{reference_components, ComponentTracker};
 use proptest::prelude::*;
 
 /// One step of random churn over the coupling graph.
@@ -35,69 +33,67 @@ fn op_strategy(resources: u32) -> impl Strategy<Value = Op> {
         })
 }
 
-/// Drive the tracker and a plain model through the same op sequence;
-/// returns the model (live flows with their resource lists) for reference
-/// checks.
-fn apply_ops(tracker: &mut ComponentTracker, resources: u32, ops: &[Op]) -> Vec<(u64, Vec<u32>)> {
-    let mut live: Vec<(u64, Vec<u32>)> = Vec::new();
-    let mut next_id = 0u64;
-    for op in ops {
-        match op {
-            Op::Insert(rs) => {
-                let mut rs: Vec<u32> = rs.iter().map(|r| r % resources).collect();
-                rs.sort_unstable();
-                rs.dedup();
-                tracker.insert_flow(next_id, &rs);
-                live.push((next_id, rs));
-                next_id += 1;
+/// Reference connected components, computed from scratch by breadth-first
+/// search over the resource↔flow bipartite graph, in the census's
+/// canonical form: each component's flow ids sorted ascending, components
+/// ordered by their smallest member id, flows crossing no resources as
+/// singletons.
+fn reference_components(n_resources: usize, flows: &[(u64, Vec<u32>)]) -> Vec<Vec<u64>> {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_resources];
+    for (fi, (_, rs)) in flows.iter().enumerate() {
+        for &r in rs {
+            members[r as usize].push(fi);
+        }
+    }
+    let mut flow_seen = vec![false; flows.len()];
+    let mut res_seen = vec![false; n_resources];
+    let mut out: Vec<Vec<u64>> = Vec::new();
+    for start in 0..flows.len() {
+        if flow_seen[start] {
+            continue;
+        }
+        flow_seen[start] = true;
+        let mut comp = vec![flows[start].0];
+        let mut frontier: Vec<u32> = Vec::new();
+        for &r in &flows[start].1 {
+            if !res_seen[r as usize] {
+                res_seen[r as usize] = true;
+                frontier.push(r);
             }
-            Op::Remove(i) => {
-                if !live.is_empty() {
-                    let (id, _) = live.remove(i % live.len());
-                    assert!(tracker.remove_flow(id));
+        }
+        while let Some(r) = frontier.pop() {
+            for &fi in &members[r as usize] {
+                if !flow_seen[fi] {
+                    flow_seen[fi] = true;
+                    comp.push(flows[fi].0);
+                    for &r2 in &flows[fi].1 {
+                        if !res_seen[r2 as usize] {
+                            res_seen[r2 as usize] = true;
+                            frontier.push(r2);
+                        }
+                    }
                 }
             }
         }
+        comp.sort_unstable();
+        out.push(comp);
     }
-    live
+    out.sort_unstable_by_key(|c| c[0]);
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The incremental partition equals the BFS reference after any churn
-    /// sequence, and the union of the shard flow sets is exactly the
-    /// live-flow set.
+    /// After any insert/remove sequence the census equals the BFS
+    /// reference over the live flows and covers every active flow.
     #[test]
-    fn tracker_matches_bfs_reference_under_churn(
-        resources in 1u32..12,
-        ops in proptest::collection::vec(op_strategy(12), 0..80),
+    fn flowcore_census_matches_bfs_reference(
+        resources in 1u32..10,
+        ops in proptest::collection::vec(op_strategy(10), 0..60),
     ) {
-        let mut tracker = ComponentTracker::new(resources as usize);
-        let live = apply_ops(&mut tracker, resources, &ops);
-
-        let got = tracker.components();
-        let expected = reference_components(resources as usize, &live);
-        prop_assert_eq!(&got, &expected);
-
-        // Union of the shard flow sets == live-flow set, no overlaps.
-        let mut union: Vec<u64> = got.iter().flatten().copied().collect();
-        union.sort_unstable();
-        let mut want: Vec<u64> = live.iter().map(|(id, _)| *id).collect();
-        want.sort_unstable();
-        prop_assert_eq!(union, want);
-        prop_assert_eq!(tracker.flow_count(), live.len());
-    }
-
-    /// Checking the partition after *every* op (not just at the end)
-    /// exercises the lazy rebuild on each split and the union path on each
-    /// merge.
-    #[test]
-    fn tracker_matches_reference_at_every_step(
-        resources in 1u32..8,
-        ops in proptest::collection::vec(op_strategy(8), 1..40),
-    ) {
-        let mut tracker = ComponentTracker::new(resources as usize);
+        let caps = vec![1e9; resources as usize];
+        let mut core = FlowCore::new(caps);
         let mut live: Vec<(u64, Vec<u32>)> = Vec::new();
         let mut next_id = 0u64;
         for op in &ops {
@@ -106,86 +102,38 @@ proptest! {
                     let mut rs: Vec<u32> = rs.iter().map(|r| r % resources).collect();
                     rs.sort_unstable();
                     rs.dedup();
-                    tracker.insert_flow(next_id, &rs);
+                    core.insert(next_id, next_id, &rs, f64::INFINITY, 1.0);
                     live.push((next_id, rs));
                     next_id += 1;
                 }
                 Op::Remove(i) => {
                     if !live.is_empty() {
                         let (id, _) = live.remove(i % live.len());
-                        tracker.remove_flow(id);
-                    }
-                }
-            }
-            prop_assert_eq!(
-                tracker.components(),
-                reference_components(resources as usize, &live)
-            );
-        }
-    }
-
-    /// The allocator-side census agrees with the tracker fed the same
-    /// insert/remove stream: [`FlowCore::components`] is the same partition
-    /// in the same canonical order.
-    #[test]
-    fn flowcore_census_agrees_with_tracker(
-        resources in 1u32..10,
-        ops in proptest::collection::vec(op_strategy(10), 0..60),
-    ) {
-        let caps = vec![1e9; resources as usize];
-        let mut core = FlowCore::new(caps);
-        let mut tracker = ComponentTracker::new(resources as usize);
-        let mut live: Vec<u64> = Vec::new();
-        let mut next_id = 0u64;
-        for op in &ops {
-            match op {
-                Op::Insert(rs) => {
-                    let mut rs: Vec<u32> = rs.iter().map(|r| r % resources).collect();
-                    rs.sort_unstable();
-                    rs.dedup();
-                    core.insert(next_id, next_id, &rs, f64::INFINITY, 1.0);
-                    tracker.insert_flow(next_id, &rs);
-                    live.push(next_id);
-                    next_id += 1;
-                }
-                Op::Remove(i) => {
-                    if !live.is_empty() {
-                        let id = live.remove(i % live.len());
                         core.remove(id);
-                        tracker.remove_flow(id);
                     }
                 }
             }
         }
-        prop_assert_eq!(core.components(), tracker.components());
+        prop_assert_eq!(
+            core.components(),
+            reference_components(resources as usize, &live)
+        );
         let census: usize = core.components().iter().map(Vec::len).sum();
         prop_assert_eq!(census, core.len(), "census covers every active flow");
     }
 }
 
-/// Deterministic merge/split walk: growing a chain merges components one
-/// by one; removing the couplers splits them back, with the counters
-/// recording each barrier-worthy event.
 #[test]
-fn merge_and_split_rebalance_a_chain() {
-    let n = 6;
-    let mut t = ComponentTracker::new(n);
-    // One single-resource flow per resource: n singleton components.
-    for r in 0..n as u32 {
-        assert!(!t.insert_flow(r as u64, &[r]));
-    }
-    assert_eq!(t.component_count(), n);
-    // Couple them pairwise into a chain; every coupler merges exactly once.
-    for r in 0..(n - 1) as u32 {
-        assert!(t.insert_flow(100 + r as u64, &[r, r + 1]));
-        assert_eq!(t.component_count(), n - 1 - r as usize);
-    }
-    assert_eq!(t.merges(), (n - 1) as u64);
-    // Remove the couplers in reverse; each removal splits one component off.
-    for r in (0..(n - 1) as u32).rev() {
-        assert!(t.remove_flow(100 + r as u64));
-        assert_eq!(t.component_count(), n - r as usize);
-    }
-    assert_eq!(t.rebuilds(), (n - 1) as u64);
-    assert_eq!(t.component_count(), n);
+fn reference_splits_a_small_graph() {
+    let flows: Vec<(u64, Vec<u32>)> = vec![
+        (10, vec![0, 1]),
+        (11, vec![1]),
+        (12, vec![2, 3]),
+        (13, vec![3]),
+        (14, vec![]),
+    ];
+    assert_eq!(
+        reference_components(4, &flows),
+        vec![vec![10, 11], vec![12, 13], vec![14]]
+    );
 }

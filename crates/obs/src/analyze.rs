@@ -10,7 +10,7 @@
 //! spans overall. Output is deterministic and renders as both an aligned
 //! text report and canonical JSON for golden snapshots and CI artifacts.
 
-use crate::export::json_escape;
+use crate::json;
 use crate::trace::Trace;
 use std::fmt::Write as _;
 
@@ -290,7 +290,7 @@ impl AnalyzeReport {
                     out.push(',');
                 }
                 out.push_str("{\"name\":");
-                json_escape(&step.name, &mut out);
+                json::escape(&step.name, &mut out);
                 let _ = write!(
                     out,
                     ",\"cat\":\"{}\",\"start_ns\":{},\"duration_ns\":{},\"depth\":{}}}",
@@ -305,9 +305,9 @@ impl AnalyzeReport {
                 out.push(',');
             }
             let _ = write!(out, "{{\"t_ns\":{},\"name\":", r.t_ns);
-            json_escape(&r.name, &mut out);
+            json::escape(&r.name, &mut out);
             out.push_str(",\"under\":");
-            json_escape(&r.under, &mut out);
+            json::escape(&r.under, &mut out);
             let opt = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
             let _ = write!(
                 out,
@@ -326,10 +326,10 @@ impl AnalyzeReport {
                 "{{\"t_ns\":{},\"kind\":\"{}\",\"target\":",
                 b.t_ns, b.kind
             );
-            json_escape(&b.target, &mut out);
+            json::escape(&b.target, &mut out);
             out.push_str(",\"route\":");
             match &b.route {
-                Some(r) => json_escape(r, &mut out),
+                Some(r) => json::escape(r, &mut out),
                 None => out.push_str("null"),
             }
             out.push('}');
@@ -340,7 +340,7 @@ impl AnalyzeReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            json_escape(&s.name, &mut out);
+            json::escape(&s.name, &mut out);
             let _ = write!(
                 out,
                 ",\"cat\":\"{}\",\"start_ns\":{},\"duration_ns\":{}}}",

@@ -6,28 +6,11 @@
 //! shortest-roundtrip formatter, and no wall-clock or environment state is
 //! consulted — two runs with the same seed produce byte-identical files.
 
+use crate::json;
 use crate::telemetry::{ArgValue, Recording, SpanId};
 use std::fmt::Write as _;
 
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn json_value(v: &ArgValue, out: &mut String) {
+fn json_value(v: &ArgValue, out: &mut String) {
     match v {
         ArgValue::U64(n) => {
             let _ = write!(out, "{n}");
@@ -35,14 +18,8 @@ pub(crate) fn json_value(v: &ArgValue, out: &mut String) {
         ArgValue::I64(n) => {
             let _ = write!(out, "{n}");
         }
-        ArgValue::F64(f) => {
-            if f.is_finite() {
-                let _ = write!(out, "{f}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        ArgValue::Str(s) => json_escape(s, out),
+        ArgValue::F64(f) => json::push_f64(out, *f),
+        ArgValue::Str(s) => json::escape(s, out),
         ArgValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
@@ -55,7 +32,7 @@ fn json_args(args: &[(&'static str, ArgValue)], out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        json_escape(k, out);
+        json::escape(k, out);
         out.push(':');
         json_value(v, out);
     }
@@ -101,7 +78,7 @@ pub fn jsonl_log(rec: &Recording) -> String {
                     s.start_ns,
                     s.cat.label()
                 );
-                json_escape(s.name, &mut out);
+                json::escape(s.name, &mut out);
                 if !s.args.is_empty() {
                     out.push_str(",\"args\":");
                     json_args(&s.args, &mut out);
@@ -127,7 +104,7 @@ pub fn jsonl_log(rec: &Recording) -> String {
                     e.t_ns,
                     e.cat.label()
                 );
-                json_escape(e.name, &mut out);
+                json::escape(e.name, &mut out);
                 if !e.args.is_empty() {
                     out.push_str(",\"args\":");
                     json_args(&e.args, &mut out);
@@ -234,7 +211,7 @@ pub fn chrome_trace_json(rec: &Recording) -> String {
             lanes[i],
             s.cat.label()
         );
-        json_escape(s.name, &mut out);
+        json::escape(s.name, &mut out);
         out.push_str(",\"args\":");
         let mut args = s.args.clone();
         args.push(("span_id", ArgValue::U64(s.id.0)));
@@ -259,7 +236,7 @@ pub fn chrome_trace_json(rec: &Recording) -> String {
             "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{lane},\"ts\":{ts_us},\"cat\":\"{}\",\"name\":",
             e.cat.label()
         );
-        json_escape(e.name, &mut out);
+        json::escape(e.name, &mut out);
         if !e.args.is_empty() {
             out.push_str(",\"args\":");
             json_args(&e.args, &mut out);

@@ -21,7 +21,7 @@
 //! ingesting several traces is order-independent for every sketch and
 //! counter (burn windows anchor to the maximum end time seen).
 
-use crate::export::json_escape;
+use crate::json;
 use crate::sketch::QuantileSketch;
 use crate::trace::{Trace, TraceSpan};
 use std::collections::BTreeMap;
@@ -569,9 +569,9 @@ impl HealthReport {
                 out.push(',');
             }
             out.push_str("{\"vantage\":");
-            json_escape(&r.vantage, &mut out);
+            json::escape(&r.vantage, &mut out);
             out.push_str(",\"provider\":");
-            json_escape(&r.provider, &mut out);
+            json::escape(&r.provider, &mut out);
             let _ = write!(
                 out,
                 ",\"size\":\"{}\",\"attempts\":{},\"errors\":{},\"p50_ns\":{},\"p99_ns\":{},\
@@ -613,7 +613,7 @@ impl HealthReport {
                 out.push(',');
             }
             out.push_str("{\"target\":");
-            json_escape(target, &mut out);
+            json::escape(target, &mut out);
             let _ = write!(
                 out,
                 ",\"trips\":{},\"closes\":{},\"skips\":{}}}",

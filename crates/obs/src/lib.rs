@@ -5,7 +5,7 @@
 //! reports into one [`Telemetry`] handle owned by the simulation:
 //!
 //! * **Spans and events** ([`telemetry`]) are stamped with *simulated* time
-//!   (nanoseconds of [`SimTime`-like] clock), never wall time, so a trace
+//!   (nanoseconds of a `SimTime`-like clock), never wall time, so a trace
 //!   is a pure function of the scenario and seed. When telemetry is
 //!   disabled (the default) every call is a no-op behind a single branch.
 //! * **Metrics** ([`metrics`]) are counters, gauges, and log-linear
@@ -20,12 +20,16 @@
 //!   mergeable log-linear quantile sketches (merge-order-independent,
 //!   bit-identical reduction for sharded workers) and sim-time tumbling
 //!   windows with watermark-driven flush.
-//! * **The health plane** ([`trace`], [`health`], [`analyze`]) parses
+//! * **The health plane** ([`trace`], [`health`], [`mod@analyze`]) parses
 //!   recorded JSONL traces back (with typed, actionable errors), folds
 //!   them into a per-(vantage, provider, size-class) route-health
 //!   scoreboard with multi-window SLO burn rates, and extracts critical
 //!   paths / retry waterfalls / breaker timelines (`detour health`,
 //!   `detour analyze`).
+//! * **JSON** ([`json`]) is the workspace's one JSON codec: the value
+//!   tree, parser and writer behind trace reading, replayable simcheck
+//!   specs and verdicts, and bench baselines, plus the string escaper
+//!   every exporter above shares.
 //!
 //! The crate is dependency-free and knows nothing about the simulator; the
 //! simulator passes plain nanosecond timestamps.
@@ -33,6 +37,7 @@
 pub mod analyze;
 pub mod export;
 pub mod health;
+pub mod json;
 pub mod metrics;
 pub mod sketch;
 pub mod telemetry;
@@ -42,6 +47,7 @@ pub mod window;
 pub use analyze::{analyze, AnalyzeReport};
 pub use export::{chrome_trace_json, jsonl_log, span_tree_text};
 pub use health::{size_class, HealthBoard, HealthReport, SloPolicy, Verdict};
+pub use json::{Json, JsonError, JsonErrorKind};
 pub use metrics::{
     is_valid_metric_name, metric_segment, Histogram, MetricsRegistry, MetricsSnapshot,
 };

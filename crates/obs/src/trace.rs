@@ -20,7 +20,9 @@
 //! remediation hint (see [`TraceError::hint`]).
 
 use crate::export::jsonl_log;
+use crate::json::{Json, JsonError, JsonErrorKind};
 use crate::telemetry::Recording;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -162,8 +164,8 @@ pub enum TraceErrorKind {
     Unreadable(String),
     /// The file exists but contains no trace lines.
     Empty,
-    /// A line is not valid JSON.
-    BadJson(String),
+    /// A line is not valid JSON (or not a JSON object).
+    BadJson(JsonError),
     /// The final line stops mid-record — the classic partial-write tail.
     Truncated,
     /// A record lacks a required field.
@@ -233,7 +235,9 @@ impl fmt::Display for TraceError {
         match &self.kind {
             TraceErrorKind::Unreadable(io) => write!(f, "cannot read trace ({io})")?,
             TraceErrorKind::Empty => write!(f, "empty trace")?,
-            TraceErrorKind::BadJson(what) => write!(f, "invalid JSON ({what})")?,
+            TraceErrorKind::BadJson(e) => {
+                write!(f, "invalid JSON ({} at byte {})", e.kind, e.offset)?
+            }
             TraceErrorKind::Truncated => write!(f, "truncated trace: last line is incomplete")?,
             TraceErrorKind::MissingField(k) => write!(f, "missing field \"{k}\"")?,
             TraceErrorKind::BadField(k) => write!(f, "field \"{k}\" has the wrong type or range")?,
@@ -265,115 +269,30 @@ pub fn parse_jsonl(text: &str, source: &str) -> Result<Trace, TraceError> {
     let mut trace = Trace::default();
     // Live segment-local id → global span index; overwritten when a later
     // run (in a concatenated file) reuses the id.
-    let mut id_map: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-
-    let err = |line: usize, kind: TraceErrorKind| TraceError {
-        source: source.to_string(),
-        line: Some(line),
-        kind,
-    };
-
+    let mut id_map: HashMap<u64, usize> = HashMap::new();
     let mut saw_line = false;
-    let lines: Vec<&str> = text.lines().collect();
-    let last_idx = lines.len().saturating_sub(1);
-    for (i, raw) in lines.iter().enumerate() {
-        let lineno = i + 1;
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((i, raw)) = lines.next() {
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
         saw_line = true;
-        let obj = match parse_json_object(line) {
-            Ok(obj) => obj,
-            Err(JsonError::UnexpectedEof) if i == last_idx => {
-                return Err(err(lineno, TraceErrorKind::Truncated));
-            }
-            Err(e) => return Err(err(lineno, TraceErrorKind::BadJson(e.to_string()))),
+        let folded = match Json::parse(line) {
+            Ok(Json::Obj(fields)) => fold_record(fields, &mut trace, &mut id_map),
+            Ok(_) => Err(TraceErrorKind::BadJson(JsonError {
+                kind: JsonErrorKind::Unexpected(line.chars().next().unwrap_or(' ')),
+                offset: 0,
+                line: 1,
+            })),
+            Err(e) if e.is_eof() && lines.peek().is_none() => Err(TraceErrorKind::Truncated),
+            Err(e) => Err(TraceErrorKind::BadJson(e)),
         };
-        let get = |key: &'static str| -> Result<&JsonVal, TraceError> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| err(lineno, TraceErrorKind::MissingField(key)))
-        };
-        let get_u64 = |key: &'static str| -> Result<u64, TraceError> {
-            match get(key)? {
-                JsonVal::Int(n) => {
-                    u64::try_from(*n).map_err(|_| err(lineno, TraceErrorKind::BadField(key)))
-                }
-                _ => Err(err(lineno, TraceErrorKind::BadField(key))),
-            }
-        };
-        let get_str = |key: &'static str| -> Result<String, TraceError> {
-            match get(key)? {
-                JsonVal::Str(s) => Ok(s.clone()),
-                _ => Err(err(lineno, TraceErrorKind::BadField(key))),
-            }
-        };
-        let ty = get_str("type")?;
-        match ty.as_str() {
-            "span_begin" => {
-                let id = get_u64("id")?;
-                let parent_id = get_u64("parent")?;
-                // Parents outside this file (e.g. a tail of a bigger
-                // trace) simply become roots rather than errors.
-                let parent = if parent_id == 0 {
-                    None
-                } else {
-                    id_map.get(&parent_id).copied()
-                };
-                let args = match obj.iter().find(|(k, _)| k == "args") {
-                    Some((_, JsonVal::Obj(kv))) => kv
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_trace_value()))
-                        .collect(),
-                    Some(_) => return Err(err(lineno, TraceErrorKind::BadField("args"))),
-                    None => Vec::new(),
-                };
-                let idx = trace.spans.len();
-                trace.spans.push(TraceSpan {
-                    parent,
-                    cat: get_str("cat")?,
-                    name: get_str("name")?,
-                    start_ns: get_u64("t_ns")?,
-                    end_ns: None,
-                    args,
-                });
-                id_map.insert(id, idx);
-            }
-            "span_end" => {
-                let id = get_u64("id")?;
-                let t = get_u64("t_ns")?;
-                match id_map.get(&id) {
-                    Some(&idx) => trace.spans[idx].end_ns = Some(t),
-                    None => return Err(err(lineno, TraceErrorKind::DanglingSpanEnd(id))),
-                }
-            }
-            "event" => {
-                let parent_id = get_u64("parent")?;
-                let parent = if parent_id == 0 {
-                    None
-                } else {
-                    id_map.get(&parent_id).copied()
-                };
-                let args = match obj.iter().find(|(k, _)| k == "args") {
-                    Some((_, JsonVal::Obj(kv))) => kv
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_trace_value()))
-                        .collect(),
-                    Some(_) => return Err(err(lineno, TraceErrorKind::BadField("args"))),
-                    None => Vec::new(),
-                };
-                trace.events.push(TraceEvent {
-                    parent,
-                    cat: get_str("cat")?,
-                    name: get_str("name")?,
-                    t_ns: get_u64("t_ns")?,
-                    args,
-                });
-            }
-            other => return Err(err(lineno, TraceErrorKind::UnknownType(other.to_string()))),
-        }
+        folded.map_err(|kind| TraceError {
+            source: source.to_string(),
+            line: Some(i + 1),
+            kind,
+        })?;
     }
     if !saw_line {
         return Err(TraceError {
@@ -385,271 +304,97 @@ pub fn parse_jsonl(text: &str, source: &str) -> Result<Trace, TraceError> {
     Ok(trace)
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (the crate is dependency-free). Integers parse
-// exactly into i128; only what the JSONL exporter emits is supported,
-// plus enough generality (arrays, nesting, unicode escapes) to reject
-// foreign files with a useful message instead of a panic.
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Obj(Vec<(String, JsonVal)>),
-    Arr(Vec<JsonVal>),
-    Str(String),
-    Int(i128),
-    Float(f64),
-    Bool(bool),
-    Null,
-}
-
-impl JsonVal {
-    fn to_trace_value(&self) -> TraceValue {
-        match self {
-            JsonVal::Int(n) => {
-                if let Ok(u) = u64::try_from(*n) {
-                    TraceValue::U64(u)
-                } else if let Ok(i) = i64::try_from(*n) {
-                    TraceValue::I64(i)
-                } else {
-                    TraceValue::F64(*n as f64)
-                }
-            }
-            JsonVal::Float(f) => TraceValue::F64(*f),
-            JsonVal::Str(s) => TraceValue::Str(s.clone()),
-            JsonVal::Bool(b) => TraceValue::Bool(*b),
-            JsonVal::Obj(_) | JsonVal::Arr(_) | JsonVal::Null => TraceValue::Null,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JsonError {
-    UnexpectedEof,
-    Unexpected(char, usize),
-    BadNumber(usize),
-    BadEscape(usize),
-    TrailingData(usize),
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonError::UnexpectedEof => write!(f, "unexpected end of input"),
-            JsonError::Unexpected(c, at) => write!(f, "unexpected {c:?} at byte {at}"),
-            JsonError::BadNumber(at) => write!(f, "malformed number at byte {at}"),
-            JsonError::BadEscape(at) => write!(f, "bad string escape at byte {at}"),
-            JsonError::TrailingData(at) => write!(f, "trailing data at byte {at}"),
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(c) => Err(JsonError::Unexpected(c as char, self.pos)),
-            None => Err(JsonError::UnexpectedEof),
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonVal, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonVal::Bool(true)),
-            Some(b'f') => self.literal("false", JsonVal::Bool(false)),
-            Some(b'n') => self.literal("null", JsonVal::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(c) => Err(JsonError::Unexpected(c as char, self.pos)),
-            None => Err(JsonError::UnexpectedEof),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: JsonVal) -> Result<JsonVal, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else if self.bytes.len() - self.pos < word.len() {
-            Err(JsonError::UnexpectedEof)
-        } else {
-            Err(JsonError::Unexpected(
-                self.bytes[self.pos] as char,
-                self.pos,
-            ))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonVal, JsonError> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonVal::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            out.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonVal::Obj(out));
-                }
-                Some(c) => return Err(JsonError::Unexpected(c as char, self.pos)),
-                None => return Err(JsonError::UnexpectedEof),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonVal, JsonError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonVal::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonVal::Arr(out));
-                }
-                Some(c) => return Err(JsonError::Unexpected(c as char, self.pos)),
-                None => return Err(JsonError::UnexpectedEof),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or(JsonError::UnexpectedEof)?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or(JsonError::BadEscape(start))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        Some(_) => return Err(JsonError::BadEscape(start)),
-                        None => return Err(JsonError::UnexpectedEof),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or(JsonError::UnexpectedEof)?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(JsonError::UnexpectedEof),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonVal, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::BadNumber(start))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(JsonVal::Float)
-                .map_err(|_| JsonError::BadNumber(start))
-        } else {
-            text.parse::<i128>()
-                .map(JsonVal::Int)
-                .map_err(|_| JsonError::BadNumber(start))
-        }
-    }
-}
-
-fn parse_json_object(line: &str) -> Result<Vec<(String, JsonVal)>, JsonError> {
-    let mut cur = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
+/// Fold one trace record into `trace`. Fields are moved out of the parsed
+/// object (the first of duplicate keys wins), so no string is copied.
+fn fold_record(
+    mut fields: Vec<(String, Json)>,
+    trace: &mut Trace,
+    id_map: &mut HashMap<u64, usize>,
+) -> Result<(), TraceErrorKind> {
+    let mut take = |key: &str| {
+        fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null))
     };
-    let val = cur.value()?;
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err(JsonError::TrailingData(cur.pos));
+    // Parents outside this file (e.g. a tail of a bigger trace) simply
+    // become roots rather than errors.
+    let parent_of = |id: u64| (id != 0).then(|| id_map.get(&id).copied()).flatten();
+    match str_field(take("type"), "type")?.as_str() {
+        "span_begin" => {
+            let id = u64_field(take("id"), "id")?;
+            let parent = parent_of(u64_field(take("parent"), "parent")?);
+            let args = args_field(take("args"))?;
+            trace.spans.push(TraceSpan {
+                parent,
+                cat: str_field(take("cat"), "cat")?,
+                name: str_field(take("name"), "name")?,
+                start_ns: u64_field(take("t_ns"), "t_ns")?,
+                end_ns: None,
+                args,
+            });
+            id_map.insert(id, trace.spans.len() - 1);
+        }
+        "span_end" => {
+            let id = u64_field(take("id"), "id")?;
+            let t = u64_field(take("t_ns"), "t_ns")?;
+            match id_map.get(&id) {
+                Some(&idx) => trace.spans[idx].end_ns = Some(t),
+                None => return Err(TraceErrorKind::DanglingSpanEnd(id)),
+            }
+        }
+        "event" => {
+            let parent = parent_of(u64_field(take("parent"), "parent")?);
+            let args = args_field(take("args"))?;
+            trace.events.push(TraceEvent {
+                parent,
+                cat: str_field(take("cat"), "cat")?,
+                name: str_field(take("name"), "name")?,
+                t_ns: u64_field(take("t_ns"), "t_ns")?,
+                args,
+            });
+        }
+        other => return Err(TraceErrorKind::UnknownType(other.to_string())),
     }
-    match val {
-        JsonVal::Obj(kv) => Ok(kv),
-        _ => Err(JsonError::Unexpected(line.chars().next().unwrap_or(' '), 0)),
+    Ok(())
+}
+
+fn u64_field(v: Option<Json>, key: &'static str) -> Result<u64, TraceErrorKind> {
+    match v {
+        Some(Json::Int(n)) => Ok(n),
+        Some(_) => Err(TraceErrorKind::BadField(key)),
+        None => Err(TraceErrorKind::MissingField(key)),
     }
+}
+
+fn str_field(v: Option<Json>, key: &'static str) -> Result<String, TraceErrorKind> {
+    match v {
+        Some(Json::Str(s)) => Ok(s),
+        Some(_) => Err(TraceErrorKind::BadField(key)),
+        None => Err(TraceErrorKind::MissingField(key)),
+    }
+}
+
+fn args_field(v: Option<Json>) -> Result<Vec<(String, TraceValue)>, TraceErrorKind> {
+    let kv = match v {
+        Some(Json::Obj(kv)) => kv,
+        Some(_) => return Err(TraceErrorKind::BadField("args")),
+        None => return Ok(Vec::new()),
+    };
+    Ok(kv
+        .into_iter()
+        .map(|(k, v)| {
+            let v = match v {
+                Json::Int(n) => TraceValue::U64(n),
+                Json::NegInt(n) => TraceValue::I64(n),
+                Json::Num(f) => TraceValue::F64(f),
+                Json::Str(s) => TraceValue::Str(s),
+                Json::Bool(b) => TraceValue::Bool(b),
+                Json::Null | Json::Arr(_) | Json::Obj(_) => TraceValue::Null,
+            };
+            (k, v)
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! paper's win/loss frontier.
 //!
 //! Three arms per (tenant, round), all on the calibrated
-//! [`NorthAmerica`](crate::NorthAmerica) map and all with identical seeds
+//! [`NorthAmerica`] map and all with identical seeds
 //! (same background-traffic realization, same capacity jitter):
 //!
 //! 1. **direct** — upload the changed files to the provider in full;

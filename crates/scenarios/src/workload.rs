@@ -2,7 +2,7 @@
 //!
 //! The paper's motivation is everyday cloud-storage use, but its benchmark
 //! is single files of 10–100 MB. Real sync sessions (Drago et al., IMC'12,
-//! the paper's [4]/[8]) are dominated *in count* by small files and *in
+//! the paper's \[4\]/\[8\]) are dominated *in count* by small files and *in
 //! bytes* by a few large ones. This module generates such sessions and
 //! plays them through a client, comparing routing policies end to end —
 //! where per-file protocol overheads (which detours double) matter for the

@@ -24,21 +24,23 @@
 //!   modes, and under the sharded executor at several worker counts
 //!   ([`Violation::ShardDivergence`] fires if parallel execution is not
 //!   bit-identical to sequential).
-//! * [`shrink`] reduces a failing scenario to a minimal reproducer.
+//! * [`mod@shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`
 //! integration test drive [`run_check`]; `--replay` re-executes a saved
-//! spec. The `failpoints` feature (forwarded to `netsim`) adds
+//! spec. Specs and verdicts are JSON through [`obs::json`], the
+//! workspace's one codec; a replayed spec is bounds-checked field by field
+//! ([`ScenarioSpec::from_json`]), so a hand-edited file gets an error that
+//! names the field instead of a crash. The `failpoints` feature (forwarded to `netsim`) adds
 //! fault-injection knobs used to prove the oracles actually catch a broken
 //! engine.
 
-pub mod json;
 pub mod oracle;
 pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
-pub use json::Json;
+use obs::Json;
 pub use oracle::{OracleHandle, Violation};
 pub use runner::{
     check_case, check_case_at, run_once, run_sharded, CaseResult, RunOptions, RunOutcome,

@@ -733,7 +733,7 @@ impl ChurnGen {
 }
 
 /// Execute a scenario once under the oracle: its cells run sequentially
-/// in cell order and fold via [`merge_outcomes`]. For the overwhelmingly
+/// in cell order and fold via `merge_outcomes`. For the overwhelmingly
 /// common single-cell scenario the fold is the identity, so this is
 /// byte-for-byte the pre-sharding behavior.
 pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {

@@ -4,13 +4,14 @@
 //! fuzz case: topology shape, capacity jitter, foreground upload/detour
 //! jobs, background-traffic generators and link-fault schedule. Everything
 //! is plain integers (fractions are stored as percents) so the JSON round
-//! trip is exact and a replayed spec drives a bit-identical simulation.
+//! trip through [`obs::json`] is exact and a replayed spec drives a
+//! bit-identical simulation.
 //!
 //! Host and link references are stored as raw indices and resolved modulo
 //! the actual host/link count at build time — that keeps every spec valid
 //! under shrinking (removing hosts can never dangle a reference).
 
-use crate::json::Json;
+use obs::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -232,6 +233,28 @@ pub struct ScenarioSpec {
     /// cell order, so the spec stays a single replayable unit.
     pub replicas: u32,
 }
+
+/// Bounds a parsed spec must respect. They sit far above anything the
+/// generators or the shrinker produce and keep a hand-edited replay spec
+/// inside what the engine can build and represent.
+///
+/// One simulated hour per millisecond field keeps sums of several such
+/// fields plus transfer times far inside `SimTime`'s ~584 years of
+/// nanoseconds.
+const MAX_MS: u64 = 3_600_000;
+/// Transit, stub and host counts each size the topology's allocations.
+const MAX_NODES: u32 = 64;
+/// Payload of one job, churn transfer or chaos session (1 GiB).
+const MAX_BYTES: u64 = 1 << 30;
+/// `Sim::set_capacity_jitter` needs a fraction below 1.
+const MAX_JITTER_PCT: u32 = 99;
+/// Background flow-count scale: 10x the calibrated profile.
+const MAX_SCALE_PCT: u32 = 1_000;
+/// Sync files per session and KiB per file size the real file bytes.
+const MAX_SYNC_FILES: u32 = 16;
+const MAX_FILE_KB: u32 = 256;
+/// Sync mutation rounds each rerun the full rsync pipeline.
+const MAX_SYNC_ROUNDS: u32 = 16;
 
 impl ScenarioSpec {
     /// Generate the spec for one fuzz case, fully determined by `case_seed`.
@@ -709,36 +732,47 @@ impl ScenarioSpec {
         Json::Obj(fields)
     }
 
-    /// Parse a spec previously produced by [`Self::to_json`].
+    /// Parse a spec previously produced by [`Self::to_json`]. Syntax
+    /// errors carry their line and byte; a field outside its bound (see
+    /// the `MAX_*` constants) is rejected by name, so no replay file can
+    /// push the engine past what it can allocate or represent.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
-        let v = Json::parse(text)?;
+        let v = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&v)
     }
 
+    /// Build a spec from parsed JSON, rejecting any field outside its
+    /// `MAX_*` bound with an error that names it.
     pub(crate) fn from_json_value(v: &Json) -> Result<ScenarioSpec, String> {
-        fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-            v.get(key)
+        fn req_u64(v: &Json, key: &str, max: u64) -> Result<u64, String> {
+            let n = v
+                .get(key)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+                .ok_or_else(|| format!("missing or non-integer field {key:?}"))?;
+            if n > max {
+                return Err(format!("field {key:?} is {n}, above its bound {max}"));
+            }
+            Ok(n)
         }
-        fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
-            u32::try_from(req_u64(v, key)?).map_err(|_| format!("field {key:?} out of u32 range"))
+        fn req_u32(v: &Json, key: &str, max: u32) -> Result<u32, String> {
+            req_u64(v, key, max.into()).map(|n| n as u32)
         }
+        const ANY: u32 = u32::MAX;
 
         let topo_v = v.get("topo").ok_or("missing field \"topo\"")?;
         let topo = match topo_v.get("kind").and_then(Json::as_str) {
             Some("synth") => TopoSpec::Synth {
-                transit: req_u32(topo_v, "transit")?,
-                stubs: req_u32(topo_v, "stubs")?,
-                hosts: req_u32(topo_v, "hosts")?,
-                core_mbps: req_u32(topo_v, "core_mbps")?,
-                access_lo_mbps: req_u32(topo_v, "access_lo_mbps")?,
-                access_hi_mbps: req_u32(topo_v, "access_hi_mbps")?,
-                topo_seed: req_u64(topo_v, "topo_seed")?,
+                transit: req_u32(topo_v, "transit", MAX_NODES)?,
+                stubs: req_u32(topo_v, "stubs", MAX_NODES)?,
+                hosts: req_u32(topo_v, "hosts", MAX_NODES)?,
+                core_mbps: req_u32(topo_v, "core_mbps", ANY)?,
+                access_lo_mbps: req_u32(topo_v, "access_lo_mbps", ANY)?,
+                access_hi_mbps: req_u32(topo_v, "access_hi_mbps", ANY)?,
+                topo_seed: req_u64(topo_v, "topo_seed", u64::MAX)?,
             },
             Some("star") => TopoSpec::Star {
-                hosts: req_u32(topo_v, "hosts")?,
-                access_mbps: req_u32(topo_v, "access_mbps")?,
+                hosts: req_u32(topo_v, "hosts", MAX_NODES)?,
+                access_mbps: req_u32(topo_v, "access_mbps", ANY)?,
             },
             other => return Err(format!("unknown topo kind {other:?}")),
         };
@@ -767,29 +801,37 @@ impl ScenarioSpec {
             }
         }
 
-        let jobs = v
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or("missing field \"jobs\"")?
-            .iter()
-            .map(|j| {
-                Ok(JobSpec {
-                    src: req_u32(j, "src")?,
-                    dst: req_u32(j, "dst")?,
-                    via: match j.get("via") {
-                        None | Some(Json::Null) => None,
-                        Some(via) => Some(
-                            u32::try_from(via.as_u64().ok_or("non-integer \"via\"")?)
-                                .map_err(|_| "via out of range".to_string())?,
-                        ),
-                    },
-                    bytes: req_u64(j, "bytes")?,
-                    class: req_u64(j, "class")? as u8,
-                    weight_pct: req_u32(j, "weight_pct")?,
-                    start_ms: req_u64(j, "start_ms")?,
-                })
+        // Every entry of an array section, its errors prefixed with where
+        // it sits (`jobs[2]: ...`). A missing section is empty.
+        fn section<T>(
+            v: &Json,
+            key: &str,
+            entry: impl Fn(&Json) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let items = v.get(key).and_then(Json::as_arr).unwrap_or(&[]);
+            let entries = items.iter().enumerate();
+            entries
+                .map(|(i, item)| entry(item).map_err(|e| format!("{key}[{i}]: {e}")))
+                .collect()
+        }
+
+        if v.get("jobs").and_then(Json::as_arr).is_none() {
+            return Err("missing field \"jobs\"".into());
+        }
+        let jobs = section(v, "jobs", |j| {
+            Ok(JobSpec {
+                src: req_u32(j, "src", ANY)?,
+                dst: req_u32(j, "dst", ANY)?,
+                via: match j.get("via") {
+                    None | Some(Json::Null) => None,
+                    Some(_) => Some(req_u32(j, "via", ANY)?),
+                },
+                bytes: req_u64(j, "bytes", MAX_BYTES)?,
+                class: req_u32(j, "class", u8::MAX.into())? as u8,
+                weight_pct: req_u32(j, "weight_pct", ANY)?,
+                start_ms: req_u64(j, "start_ms", MAX_MS)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         if let Some(bad) = jobs
             .iter()
             .find(|j| j.bytes == 0 || j.weight_pct == 0 || j.weight_pct > 10_000)
@@ -797,103 +839,77 @@ impl ScenarioSpec {
             return Err(format!("degenerate job {bad:?}"));
         }
 
-        let background = v
-            .get("background")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|b| {
-                Ok(BgSpec {
-                    src: req_u32(b, "src")?,
-                    dst: req_u32(b, "dst")?,
-                    heavy: b
-                        .get("heavy")
-                        .and_then(Json::as_bool)
-                        .ok_or("missing \"heavy\"")?,
-                    scale_pct: req_u32(b, "scale_pct")?,
-                })
+        let background = section(v, "background", |b| {
+            Ok(BgSpec {
+                src: req_u32(b, "src", ANY)?,
+                dst: req_u32(b, "dst", ANY)?,
+                heavy: b
+                    .get("heavy")
+                    .and_then(Json::as_bool)
+                    .ok_or("missing \"heavy\"")?,
+                scale_pct: req_u32(b, "scale_pct", MAX_SCALE_PCT)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
 
-        let faults = v
-            .get("faults")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|f| {
-                Ok(FaultSpec {
-                    link: req_u32(f, "link")?,
-                    at_ms: req_u64(f, "at_ms")?,
-                    factor_pct: req_u32(f, "factor_pct")?,
-                })
+        let faults = section(v, "faults", |f| {
+            Ok(FaultSpec {
+                link: req_u32(f, "link", ANY)?,
+                at_ms: req_u64(f, "at_ms", MAX_MS)?,
+                factor_pct: req_u32(f, "factor_pct", ANY)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
 
-        let churn = v
-            .get("churn")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| {
-                Ok(ChurnSpec {
-                    src: req_u32(c, "src")?,
-                    dst: req_u32(c, "dst")?,
-                    flows: req_u32(c, "flows")?,
-                    bytes: req_u64(c, "bytes")?,
-                    gap_ms: req_u64(c, "gap_ms")?,
-                })
+        let churn = section(v, "churn", |c| {
+            Ok(ChurnSpec {
+                src: req_u32(c, "src", ANY)?,
+                dst: req_u32(c, "dst", ANY)?,
+                flows: req_u32(c, "flows", ANY)?,
+                bytes: req_u64(c, "bytes", MAX_BYTES)?,
+                gap_ms: req_u64(c, "gap_ms", MAX_MS)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         if let Some(bad) = churn.iter().find(|c| c.flows == 0 || c.bytes == 0) {
             return Err(format!("degenerate churn generator {bad:?}"));
         }
 
-        let chaos = v
-            .get("chaos")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| {
-                Ok(ChaosSpec {
-                    client: req_u32(c, "client")?,
-                    frontend: req_u32(c, "frontend")?,
-                    bytes: req_u64(c, "bytes")?,
-                    throttle_pct: req_u32(c, "throttle_pct")?,
-                    transient_pct: req_u32(c, "transient_pct")?,
-                    retry_after_ms: req_u64(c, "retry_after_ms")?,
-                    deadline_ms: c.get("deadline_ms").and_then(Json::as_u64).unwrap_or(0),
-                    start_ms: req_u64(c, "start_ms")?,
-                })
+        let chaos = section(v, "chaos", |c| {
+            Ok(ChaosSpec {
+                client: req_u32(c, "client", ANY)?,
+                frontend: req_u32(c, "frontend", ANY)?,
+                bytes: req_u64(c, "bytes", MAX_BYTES)?,
+                throttle_pct: req_u32(c, "throttle_pct", 100)?,
+                transient_pct: req_u32(c, "transient_pct", 100)?,
+                retry_after_ms: req_u64(c, "retry_after_ms", MAX_MS)?,
+                deadline_ms: match c.get("deadline_ms") {
+                    None => 0,
+                    Some(_) => req_u64(c, "deadline_ms", MAX_MS)?,
+                },
+                start_ms: req_u64(c, "start_ms", MAX_MS)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         if let Some(bad) = chaos
             .iter()
             .find(|c| c.bytes == 0 || c.throttle_pct + c.transient_pct > 100)
         {
             return Err(format!("degenerate chaos session {bad:?}"));
         }
-        let sync = v
-            .get("sync")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|s| {
-                Ok(SyncSpec {
-                    client: req_u32(s, "client")?,
-                    relay: req_u32(s, "relay")?,
-                    files: req_u32(s, "files")?,
-                    file_kb: req_u32(s, "file_kb")?,
-                    rounds: req_u32(s, "rounds")?,
-                    cache_kb: req_u32(s, "cache_kb")?,
-                    dataset: req_u32(s, "dataset")?,
-                    churny: s
-                        .get("churny")
-                        .and_then(Json::as_bool)
-                        .ok_or("missing \"churny\"")?,
-                    start_ms: req_u64(s, "start_ms")?,
-                })
+
+        let sync = section(v, "sync", |s| {
+            Ok(SyncSpec {
+                client: req_u32(s, "client", ANY)?,
+                relay: req_u32(s, "relay", ANY)?,
+                files: req_u32(s, "files", MAX_SYNC_FILES)?,
+                file_kb: req_u32(s, "file_kb", MAX_FILE_KB)?,
+                rounds: req_u32(s, "rounds", MAX_SYNC_ROUNDS)?,
+                cache_kb: req_u32(s, "cache_kb", ANY)?,
+                dataset: req_u32(s, "dataset", ANY)?,
+                churny: s
+                    .get("churny")
+                    .and_then(Json::as_bool)
+                    .ok_or("missing \"churny\"")?,
+                start_ms: req_u64(s, "start_ms", MAX_MS)?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         if let Some(bad) = sync
             .iter()
             .find(|s| s.files == 0 || s.file_kb == 0 || s.rounds == 0 || s.cache_kb == 0)
@@ -914,9 +930,9 @@ impl ScenarioSpec {
         }
 
         Ok(ScenarioSpec {
-            seed: req_u64(v, "seed")?,
+            seed: req_u64(v, "seed", u64::MAX)?,
             topo,
-            jitter_pct: req_u32(v, "jitter_pct")?,
+            jitter_pct: req_u32(v, "jitter_pct", MAX_JITTER_PCT)?,
             jobs,
             background,
             faults,
@@ -1139,6 +1155,172 @@ mod tests {
                 "accepted {field}=0"
             );
         }
+    }
+
+    /// A spec with every section populated, each field inside its bound.
+    fn full_spec() -> ScenarioSpec {
+        ScenarioSpec {
+            seed: 1,
+            topo: TopoSpec::Star {
+                hosts: 3,
+                access_mbps: 10,
+            },
+            jitter_pct: 5,
+            jobs: vec![JobSpec {
+                src: 0,
+                dst: 1,
+                via: None,
+                bytes: 1024,
+                class: 0,
+                weight_pct: 100,
+                start_ms: 0,
+            }],
+            background: vec![BgSpec {
+                src: 0,
+                dst: 2,
+                heavy: false,
+                scale_pct: 50,
+            }],
+            faults: vec![FaultSpec {
+                link: 0,
+                at_ms: 10,
+                factor_pct: 50,
+            }],
+            churn: vec![ChurnSpec {
+                src: 0,
+                dst: 2,
+                flows: 5,
+                bytes: 4096,
+                gap_ms: 1,
+            }],
+            chaos: vec![ChaosSpec {
+                client: 0,
+                frontend: 1,
+                bytes: 1 << 20,
+                throttle_pct: 50,
+                transient_pct: 0,
+                retry_after_ms: 100,
+                deadline_ms: 1000,
+                start_ms: 0,
+            }],
+            sync: vec![SyncSpec {
+                client: 0,
+                relay: 1,
+                files: 1,
+                file_kb: 4,
+                rounds: 1,
+                cache_kb: 16,
+                dataset: 0,
+                churny: false,
+                start_ms: 0,
+            }],
+            replicas: 1,
+        }
+    }
+
+    /// `mutate` pushes one field of `full_spec` past its bound; parsing
+    /// must fail with an error naming that field.
+    fn assert_rejected(field: &str, mutate: impl FnOnce(&mut ScenarioSpec)) {
+        let mut spec = full_spec();
+        mutate(&mut spec);
+        let err = ScenarioSpec::from_json(&spec.to_json()).expect_err(field);
+        assert!(err.contains(field), "{field}: {err}");
+    }
+
+    #[test]
+    fn fields_at_their_bounds_are_accepted() {
+        let mut spec = full_spec();
+        spec.jitter_pct = MAX_JITTER_PCT;
+        spec.topo = TopoSpec::Synth {
+            transit: MAX_NODES,
+            stubs: MAX_NODES,
+            hosts: MAX_NODES,
+            core_mbps: 500,
+            access_lo_mbps: 5,
+            access_hi_mbps: 50,
+            topo_seed: u64::MAX,
+        };
+        spec.jobs[0].bytes = MAX_BYTES;
+        spec.jobs[0].start_ms = MAX_MS;
+        spec.background[0].scale_pct = MAX_SCALE_PCT;
+        spec.faults[0].at_ms = MAX_MS;
+        spec.churn[0].gap_ms = MAX_MS;
+        spec.chaos[0].retry_after_ms = MAX_MS;
+        spec.chaos[0].deadline_ms = MAX_MS;
+        spec.sync[0].files = MAX_SYNC_FILES;
+        spec.sync[0].file_kb = MAX_FILE_KB;
+        spec.sync[0].rounds = MAX_SYNC_ROUNDS;
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
+    }
+
+    #[test]
+    fn jitter_of_100_pct_or_more_is_rejected() {
+        assert_rejected("\"jitter_pct\" is 150", |s| s.jitter_pct = 150);
+        assert_rejected("\"jitter_pct\" is 100", |s| s.jitter_pct = 100);
+    }
+
+    #[test]
+    fn job_start_past_sim_time_is_rejected() {
+        assert_rejected("jobs[0]: field \"start_ms\"", |s| {
+            s.jobs[0].start_ms = u64::MAX
+        });
+    }
+
+    #[test]
+    fn chaos_retry_after_past_sim_time_is_rejected() {
+        assert_rejected("chaos[0]: field \"retry_after_ms\"", |s| {
+            s.chaos[0].retry_after_ms = u64::MAX
+        });
+    }
+
+    #[test]
+    fn chaos_deadline_past_sim_time_is_rejected() {
+        assert_rejected("chaos[0]: field \"deadline_ms\"", |s| {
+            s.chaos[0].deadline_ms = u64::MAX
+        });
+    }
+
+    #[test]
+    fn churn_gap_past_sim_time_is_rejected() {
+        assert_rejected("churn[0]: field \"gap_ms\"", |s| {
+            s.churn[0].gap_ms = u64::MAX
+        });
+    }
+
+    #[test]
+    fn background_scale_too_large_to_allocate_is_rejected() {
+        assert_rejected("background[0]: field \"scale_pct\"", |s| {
+            s.background[0].scale_pct = u32::MAX
+        });
+    }
+
+    #[test]
+    fn fault_time_that_would_wrap_is_rejected() {
+        assert_rejected("faults[0]: field \"at_ms\"", |s| {
+            s.faults[0].at_ms = u64::MAX
+        });
+    }
+
+    #[test]
+    fn allocation_sizes_past_their_bounds_are_rejected() {
+        assert_rejected("field \"hosts\"", |s| {
+            s.topo = TopoSpec::Star {
+                hosts: u32::MAX,
+                access_mbps: 10,
+            }
+        });
+        assert_rejected("jobs[0]: field \"bytes\"", |s| s.jobs[0].bytes = u64::MAX);
+        assert_rejected("churn[0]: field \"bytes\"", |s| s.churn[0].bytes = u64::MAX);
+        assert_rejected("chaos[0]: field \"bytes\"", |s| s.chaos[0].bytes = u64::MAX);
+        assert_rejected("sync[0]: field \"files\"", |s| s.sync[0].files = u32::MAX);
+        assert_rejected("sync[0]: field \"file_kb\"", |s| {
+            s.sync[0].file_kb = u32::MAX
+        });
+        assert_rejected("sync[0]: field \"rounds\"", |s| s.sync[0].rounds = u32::MAX);
+        // Each probability is bounded on its own, so their sum cannot wrap.
+        assert_rejected("chaos[0]: field \"throttle_pct\"", |s| {
+            s.chaos[0].throttle_pct = u32::MAX
+        });
     }
 
     #[test]

@@ -186,6 +186,48 @@ fn check_emits_json_verdict_and_replays() {
     assert!(err3.contains("bad scenario spec"), "{err3}");
 }
 
+/// Run `detour` expecting a clean failure: exit code 1, no panic.
+fn detour_fails_cleanly(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_detour"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn out_of_range_replay_spec_exits_1_naming_the_field() {
+    let mut spec = routing_detours::simcheck::ScenarioSpec::generate(
+        routing_detours::simcheck::case_seed(7, 0),
+    );
+    spec.jitter_pct = 150;
+    let dir = std::env::temp_dir().join("detour-check-cli-bounds");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spec.json");
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let err = detour_fails_cleanly(&["check", "--replay", path.to_str().unwrap()]);
+    assert!(err.contains("bad scenario spec"), "{err}");
+    assert!(err.contains("\"jitter_pct\" is 150"), "{err}");
+}
+
+#[test]
+fn deeply_nested_json_is_a_typed_error() {
+    let dir = std::env::temp_dir().join("detour-cli-deep-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let path = path.to_str().unwrap();
+    let err = detour_fails_cleanly(&["check", "--replay", path]);
+    assert!(err.contains("bad scenario spec"), "{err}");
+    assert!(err.contains("nesting deeper than"), "{err}");
+    let err = detour_fails_cleanly(&["trace", "--from", path]);
+    assert!(err.contains("invalid JSON (nesting deeper than"), "{err}");
+    assert!(err.contains("hint:"), "{err}");
+}
+
 #[test]
 fn bad_flags_fail_cleanly() {
     let (_, err, ok) = detour(&[

@@ -2,7 +2,8 @@
 //!
 //! The paper's APIs support downloads through the same session machinery;
 //! the paper only reports upload measurements, so this path is our
-//! extension (exercised by tests and the `download` example scenario).
+//! extension (exercised by this module's tests and
+//! `tests/end_to_end_detours.rs`).
 //!
 //! Downloads share the provider's [`FaultPlan`](crate::faults::FaultPlan)
 //! and the resilience plane ([`crate::resilience`]): ranged GETs can be

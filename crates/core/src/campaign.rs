@@ -3,9 +3,8 @@
 //! A campaign reproduces one of the paper's figures: it times every route
 //! for every file size under the 7-run/keep-5 protocol. Every run is an
 //! independent simulation (its own seed, its own background-traffic
-//! realization), so runs parallelize perfectly across cores; we use
-//! scoped threads with a shared atomic work index, per the data-parallel
-//! idiom of the HPC guides.
+//! realization), so the runs go to [`netsim::shard::run_shards`], the
+//! workspace's one executor for independent simulations.
 
 use crate::job::run_job;
 use crate::route::Route;
@@ -16,8 +15,6 @@ use netsim::error::NetError;
 use netsim::flow::FlowClass;
 use netsim::topology::NodeId;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Builds a fresh simulator per run. Implemented by scenario crates.
 pub trait SimFactory: Sync {
@@ -88,48 +85,31 @@ impl<'a> Campaign<'a> {
         assert!(!self.routes.is_empty() && !self.sizes.is_empty());
         let runs = self.protocol.total_runs;
         let n_jobs = self.sizes.len() * self.routes.len() * runs;
-        let results: Vec<Mutex<Option<Result<f64, NetError>>>> =
-            (0..n_jobs).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
         let threads = if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
         } else {
             self.threads
-        }
-        .min(n_jobs.max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= n_jobs {
-                        break;
-                    }
-                    let run = j % runs;
-                    let route_idx = (j / runs) % self.routes.len();
-                    let size_idx = j / (runs * self.routes.len());
-                    let outcome = self.one_run(size_idx, route_idx, run);
-                    *results[j].lock().expect("campaign worker panicked") = Some(outcome);
-                });
-            }
-        });
+        };
+        // Job j is run `j % runs` of route `(j / runs) % routes` at size
+        // `j / (runs * routes)`; results come back in job order.
+        let mut outcomes = netsim::shard::run_shards(vec![(); n_jobs], threads, |j, ()| {
+            let run = j % runs;
+            let route_idx = (j / runs) % self.routes.len();
+            let size_idx = j / (runs * self.routes.len());
+            self.one_run(size_idx, route_idx, run)
+        })
+        .into_iter();
 
         // Assemble per-cell statistics.
         let mut cells = Vec::with_capacity(self.sizes.len());
-        for (size_idx, _) in self.sizes.iter().enumerate() {
+        for _ in 0..self.sizes.len() {
             let mut row = Vec::with_capacity(self.routes.len());
-            for (route_idx, _) in self.routes.iter().enumerate() {
+            for _ in 0..self.routes.len() {
                 let mut samples = Vec::with_capacity(self.protocol.kept());
                 for run in 0..runs {
-                    let j = (size_idx * self.routes.len() + route_idx) * runs + run;
-                    let outcome = results[j]
-                        .lock()
-                        .expect("campaign worker panicked")
-                        .take()
-                        .expect("every job slot filled");
-                    let secs = outcome?;
+                    let secs = outcomes.next().expect("one outcome per job")?;
                     if run >= self.protocol.discard {
                         samples.push(secs);
                     }
@@ -333,44 +313,6 @@ impl CampaignResult {
     /// against published values.
     pub fn mean_series(&self, route_idx: usize) -> Vec<f64> {
         self.cells.iter().map(|row| row[route_idx].mean).collect()
-    }
-
-    /// Append the campaign's per-cell measurements and winner decisions to
-    /// a telemetry sink as post-hoc control events at timestamp `t_ns`
-    /// (campaign runs execute on independent simulators, so no single
-    /// simulated clock applies to the aggregate).
-    pub fn record_decisions(&self, t_ns: u64, tele: &mut obs::Telemetry) {
-        if !tele.is_enabled() {
-            return;
-        }
-        for (si, &size) in self.sizes.iter().enumerate() {
-            for (ri, route) in self.routes.iter().enumerate() {
-                let (label, s) = (route.label(), &self.cells[si][ri]);
-                tele.event(
-                    t_ns,
-                    obs::Category::Control,
-                    "campaign.cell",
-                    obs::SpanId::NONE,
-                    |a| {
-                        a.set("size_bytes", size)
-                            .set("route", label)
-                            .set("mean_secs", s.mean)
-                            .set("std_dev_secs", s.std_dev);
-                    },
-                );
-            }
-            let best = self.best_route_for(si);
-            let label = self.routes[best].label();
-            tele.event(
-                t_ns,
-                obs::Category::Control,
-                "campaign.best",
-                obs::SpanId::NONE,
-                |a| {
-                    a.set("size_bytes", size).set("route", label);
-                },
-            );
-        }
     }
 }
 

@@ -989,11 +989,6 @@ impl<'a> AuditView<'a> {
         self.core.now
     }
 
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.core.stats.events
-    }
-
     /// Number of real links (resource indices below this are links;
     /// at and above are aggregate policers).
     pub fn n_links(&self) -> usize {
@@ -1361,11 +1356,6 @@ impl Sim {
         self.audit = Some(hook);
     }
 
-    /// Remove and return the installed audit hook.
-    pub fn take_audit_hook(&mut self) -> Option<Box<dyn AuditHook>> {
-        self.audit.take()
-    }
-
     /// Full deterministic state digest: the core (clock, flows, queue,
     /// routing) plus every live process's [`Process::digest_into`]
     /// contribution. Two same-seed executions of the same scenario must
@@ -1403,11 +1393,6 @@ impl Sim {
             hook.after_event(&AuditView { core: &self.core });
             self.audit = Some(hook);
         }
-    }
-
-    /// Override TCP model parameters.
-    pub fn set_tcp(&mut self, tcp: TcpParams) {
-        self.core.tcp = tcp;
     }
 
     /// Apply symmetric per-run capacity jitter: every link's effective

@@ -147,11 +147,6 @@ impl RoutingTable {
         self.oracle.k_detours(topo, src, dst, k)
     }
 
-    /// Direct access to the oracle backend.
-    pub fn oracle_mut(&mut self) -> &mut RouteOracle {
-        &mut self.oracle
-    }
-
     /// Drop cached trees and memoised paths (call after mutating costs in
     /// tests). Overrides are kept.
     pub fn clear_cache(&mut self) {

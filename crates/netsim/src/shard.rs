@@ -15,9 +15,14 @@
 //!   shard-id order, never in worker completion order, which varies
 //!   across schedules.
 //!
-//! Callers hand [`run_shards`] cells that are already independent (for
-//! example simcheck's scenario replicas); the allocator-side census of
-//! coupled components is [`FlowCore::components`](crate::flow::FlowCore::components).
+//! Callers hand [`run_shards`] cells that are already independent; the
+//! allocator-side census of coupled components is
+//! [`FlowCore::components`](crate::flow::FlowCore::components). There are
+//! two callers. `simcheck` uses it as a determinism tool: every checked
+//! case re-executes its scenario replicas once on four workers and must
+//! match the sequential run bit for bit. It is also the campaign
+//! executor: `detour_core::Campaign::run` hands it every (size, route,
+//! run) job of a campaign, each an independent simulation.
 //!
 //! # Determinism argument
 //!
@@ -40,31 +45,6 @@ use crate::audit::Digest;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Hard ceiling on worker threads: shards are memory-bandwidth-bound well
-/// before this, and an unbounded pool only adds scheduling noise.
-pub const MAX_THREADS: usize = 8;
-
-/// Number of worker threads to use for sharded runs: an explicit request
-/// (CLI `--threads`), else the `DETOUR_THREADS` environment variable, else
-/// the host's available parallelism — always clamped to
-/// `1..=`[`MAX_THREADS`]. A requested `0` means "auto".
-pub fn resolve_threads(requested: Option<usize>) -> usize {
-    requested
-        .filter(|&n| n > 0)
-        .or_else(|| {
-            std::env::var("DETOUR_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&n| n > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, MAX_THREADS)
-}
-
 /// Execute independent shards on up to `workers` scoped threads; returns
 /// the results **in shard-id order**, regardless of which worker finished
 /// which shard first.
@@ -76,9 +56,9 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 /// indices from a single atomic counter (deterministic work set, arbitrary
 /// schedule) and write results into per-shard slots; the scope join is the
 /// barrier, after which slots are read in index order. With `workers <= 1`
-/// (or a single shard... at most one worker has work) execution is
-/// sequential through the same claim order, so sequential and parallel
-/// runs fold identically.
+/// the shards run in index order on the calling thread; otherwise every
+/// shard runs on a spawned worker, even when there is only one. Either
+/// way sequential and parallel runs fold identically.
 pub fn run_shards<S, R, F>(shards: Vec<S>, workers: usize, run: F) -> Vec<R>
 where
     S: Send,
@@ -181,14 +161,5 @@ mod tests {
     fn fold_digests_is_identity_for_one_shard() {
         assert_eq!(fold_digests(&[42]), 42);
         assert_ne!(fold_digests(&[42, 43]), fold_digests(&[43, 42]));
-    }
-
-    #[test]
-    fn resolve_threads_clamps_and_defaults() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(100)), MAX_THREADS);
-        assert!(resolve_threads(Some(0)) >= 1, "0 means auto");
-        assert!(resolve_threads(None) >= 1);
-        assert!(resolve_threads(None) <= MAX_THREADS);
     }
 }

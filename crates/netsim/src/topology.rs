@@ -400,12 +400,6 @@ impl TopologyBuilder {
         self.node(name, NodeKind::Datacenter, location)
     }
 
-    /// Set the AS number of a node.
-    pub fn set_asn(&mut self, node: NodeId, asn: u32) -> &mut Self {
-        self.nodes[node.0 as usize].asn = asn;
-        self
-    }
-
     /// Override the auto-assigned IP of a node (for traceroute fidelity).
     pub fn set_ip(&mut self, node: NodeId, ip: [u8; 4]) -> &mut Self {
         self.nodes[node.0 as usize].ip = ip;

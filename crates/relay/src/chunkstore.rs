@@ -95,11 +95,6 @@ impl ChunkStore {
         }
     }
 
-    /// Capacity in payload bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cap_bytes
-    }
-
     /// Payload bytes currently resident.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes

@@ -235,11 +235,6 @@ impl RoutePlane {
         &self.cfg
     }
 
-    /// The attached trip board, if any.
-    pub fn trip_board(&self) -> Option<&Arc<TripBoard>> {
-        self.trips.as_ref()
-    }
-
     fn shard_of(&self, packed: u64) -> &Mutex<HashMap<u64, CacheSlot, PackedKeyBuild>> {
         let h = PackedKeyBuild::default().hash_one(packed);
         &self.shards[(h as usize) & self.shard_mask]
@@ -318,11 +313,6 @@ impl RoutePlane {
         self.gens.bump_vantage_range(provider, lo, hi)
     }
 
-    /// Invalidate every decision targeting `provider`.
-    pub fn invalidate_provider(&self, provider: u16) -> usize {
-        self.gens.bump_provider(provider)
-    }
-
     /// The generation table (read-side, e.g. for coherence checks).
     pub fn generations(&self) -> &GenTable {
         &self.gens
@@ -356,23 +346,6 @@ impl RoutePlane {
             stale_refreshes: self.counters.stale_refreshes.load(Ordering::Relaxed),
             demotions: self.counters.demotions.load(Ordering::Relaxed),
             sheds: self.counters.sheds.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Export the counters into a telemetry sink under `routeplane.*`
-    /// dotted names.
-    pub fn export_metrics(&self, tele: &mut obs::Telemetry) {
-        let s = self.stats();
-        for (name, v) in [
-            ("routeplane.cache.hits", s.hits),
-            ("routeplane.cache.misses", s.misses),
-            ("routeplane.cache.stale_refreshes", s.stale_refreshes),
-            ("routeplane.breaker.demotions", s.demotions),
-            ("routeplane.admission.sheds", s.sheds),
-        ] {
-            if v > 0 {
-                tele.counter_add(name, v);
-            }
         }
     }
 }

@@ -54,13 +54,18 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// Virtual nanoseconds for one full churn sweep over every (provider,
     /// vantage-window) cell — the hard upper bound on served-decision
-    /// staleness. `None` when churn is off.
+    /// staleness, saturating at `u64::MAX`. `None` when churn is off.
     pub fn churn_period_ns(&self) -> Option<u64> {
         if self.churn_every == 0 {
             return None;
         }
         let windows = (self.plane.vantages as u64).div_ceil(self.churn_width.max(1) as u64);
-        Some(self.churn_every * windows * self.plane.providers as u64 * self.ns_per_lookup)
+        Some(
+            self.churn_every
+                .saturating_mul(windows)
+                .saturating_mul(self.plane.providers as u64)
+                .saturating_mul(self.ns_per_lookup),
+        )
     }
 }
 

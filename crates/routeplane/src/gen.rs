@@ -76,16 +76,6 @@ impl GenTable {
         self.buckets_per_provider
     }
 
-    /// Vantages per invalidation bucket.
-    pub fn bucket_width(&self) -> u32 {
-        1 << self.shift
-    }
-
-    /// Total generation slots (providers × buckets).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Sum of all generation counters (a cheap churn fingerprint).
     pub fn total_bumps(&self) -> u64 {
         self.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum()

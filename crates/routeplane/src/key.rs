@@ -26,15 +26,6 @@ pub struct DecisionKey {
 }
 
 impl DecisionKey {
-    /// Build a key, classifying `bytes` into its size class.
-    pub fn for_transfer(vantage: u32, provider: u16, bytes: u64) -> Self {
-        DecisionKey {
-            vantage,
-            provider,
-            size_class: Self::size_class_of(bytes),
-        }
-    }
-
     /// The size class of a transfer, with the same boundaries the health
     /// plane uses for its (vantage, provider, size) cells.
     pub fn size_class_of(bytes: u64) -> u8 {

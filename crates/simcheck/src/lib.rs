@@ -20,10 +20,11 @@
 //!   chains per-event state digests so two same-seed executions can be
 //!   compared bit-for-bit.
 //! * [`runner`] builds the world a spec describes and executes it — twice
-//!   for the determinism check, under differential allocator/progress
-//!   modes, and under the sharded executor at several worker counts
+//!   for the determinism check, under differential allocator, progress and
+//!   routing modes, and once under the sharded executor at four workers
 //!   ([`Violation::ShardDivergence`] fires if parallel execution is not
-//!   bit-identical to sequential).
+//!   bit-identical to sequential). That is six executions per case, seven
+//!   for a sync case, which re-runs with the relay chunk store bypassed.
 //! * [`mod@shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`
@@ -43,8 +44,7 @@ pub mod shrink;
 use obs::Json;
 pub use oracle::{OracleHandle, Violation};
 pub use runner::{
-    check_case, check_case_at, run_once, run_sharded, CaseResult, RunOptions, RunOutcome,
-    SHARD_WORKER_COUNTS,
+    check_case, run_once, run_sharded, CaseResult, RunOptions, RunOutcome, SHARD_WORKER_COUNTS,
 };
 pub use scenario::{
     case_seed, BgSpec, ChaosSpec, ChurnSpec, FaultSpec, JobSpec, ScenarioSpec, SyncSpec, TopoSpec,
@@ -84,10 +84,6 @@ pub struct CheckConfig {
     pub rate_inflation: Option<f64>,
     /// Max candidate evaluations when shrinking a failure.
     pub shrink_budget: u32,
-    /// Extra worker count for the sharded differential executions, on top
-    /// of the standard [`SHARD_WORKER_COUNTS`] (1, 2 and 4). `0` adds
-    /// nothing; the CLI wires `--threads` / `DETOUR_THREADS` here.
-    pub threads: u32,
 }
 
 impl Default for CheckConfig {
@@ -98,7 +94,6 @@ impl Default for CheckConfig {
             class: ScenarioClass::Standard,
             rate_inflation: None,
             shrink_budget: 200,
-            threads: 0,
         }
     }
 }
@@ -178,14 +173,6 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
         rate_inflation: config.rate_inflation,
         ..Default::default()
     };
-    // The sharded differential always covers 1/2/4 workers; an explicit
-    // --threads request joins the set (deduplicated, ascending).
-    let mut workers: Vec<usize> = SHARD_WORKER_COUNTS.to_vec();
-    if config.threads > 0 {
-        workers.push(config.threads as usize);
-        workers.sort_unstable();
-        workers.dedup();
-    }
     let mut report = CheckReport::default();
     for i in 0..config.cases {
         let seed = case_seed(config.seed, i);
@@ -194,7 +181,7 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
             ScenarioClass::Chaos => ScenarioSpec::generate_chaos(seed),
             ScenarioClass::Sync => ScenarioSpec::generate_sync(seed),
         };
-        let res = check_case_at(&spec, opts, &workers);
+        let res = check_case(&spec, opts);
         report.events += res.events;
         if res.ok() {
             report.passed += 1;

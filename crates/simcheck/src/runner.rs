@@ -1,9 +1,11 @@
 //! Scenario execution: build the world a [`ScenarioSpec`] describes, run it
 //! under the invariant oracle, and (for checking) run it repeatedly: twice
-//! with the same seed to compare determinism digests, once under the
-//! reference (full-recompute) allocator, once under the eager progress
-//! sweep, and once per worker count under the sharded executor — every
-//! differential execution must be bit-identical to the first.
+//! with the same seed to compare determinism digests, once each under the
+//! reference (full-recompute) allocator, the eager progress sweep and the
+//! reference routing backend, and once under the sharded executor at
+//! [`SHARD_WORKER_COUNTS`] — six executions, seven for a sync case, which
+//! adds a chunk-store bypass run. Every differential execution must be
+//! bit-identical to the first.
 //!
 //! A scenario is a list of independent *cells* ([`ScenarioSpec::cells`]):
 //! single-replica scenarios are one cell, replicated ones are several.
@@ -79,6 +81,13 @@ pub struct RunOptions {
     /// a corrupted transfer. Requires the `failpoints` feature; silently
     /// ignored without it.
     pub corrupt_sync_literal: bool,
+    /// Make a cell's outcome depend on its thread: under [`run_sharded`],
+    /// a cell that ran on a worker rather than on the calling thread
+    /// reports an inverted chain digest. Proves the
+    /// [`Violation::ShardDivergence`] oracle catches a thread-dependent
+    /// execution. Requires the `failpoints` feature; silently ignored
+    /// without it.
+    pub thread_dependent_cells: bool,
 }
 
 /// What one execution of a scenario produced.
@@ -110,14 +119,15 @@ pub struct RunOutcome {
     pub sync_digest: Option<u64>,
 }
 
-/// Result of checking one scenario (two same-seed executions plus a
-/// reference-allocator execution).
+/// Result of checking one scenario with [`check_case`]: two same-seed
+/// executions plus the differential executions.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
     /// The scenario that was run.
     pub spec: ScenarioSpec,
-    /// All violations: first execution's, plus a determinism violation if
-    /// the second execution diverged.
+    /// All violations: the first execution's, plus one for each later
+    /// execution whose digest diverged from it, plus the plane-coherence
+    /// check's.
     pub violations: Vec<Violation>,
     /// Events processed by the first execution.
     pub events: u64,
@@ -747,7 +757,15 @@ pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
 /// to [`run_once`] for every scenario and worker count — [`check_case`]
 /// proves it per case and flags [`Violation::ShardDivergence`] otherwise.
 pub fn run_sharded(spec: &ScenarioSpec, opts: RunOptions, workers: usize) -> RunOutcome {
-    let outs = netsim::shard::run_shards(spec.cells(), workers, |_, cell| run_cell(&cell, opts));
+    let caller = std::thread::current().id();
+    let thread_fault = cfg!(feature = "failpoints") && opts.thread_dependent_cells;
+    let outs = netsim::shard::run_shards(spec.cells(), workers, |_, cell| {
+        let mut out = run_cell(&cell, opts);
+        if thread_fault && std::thread::current().id() != caller {
+            out.chain_digest = !out.chain_digest;
+        }
+        out
+    });
     merge_outcomes(outs)
 }
 
@@ -995,9 +1013,11 @@ fn finish_outcome(
 }
 
 /// Worker counts every checked case is re-executed with under the sharded
-/// executor: sequential-through-the-executor (1), plus genuinely parallel
-/// 2 and 4.
-pub const SHARD_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+/// executor. One run at four workers covers the executor: a single worker
+/// is [`run_once`]'s sequential fold byte for byte, two workers take the
+/// same claim-counter path as four, and four give every generated spec (at
+/// most three cells) a worker per cell.
+pub const SHARD_WORKER_COUNTS: [usize; 1] = [4];
 
 /// Operations per plane-coherence differential (see
 /// [`check_plane_coherence`]).
@@ -1098,20 +1118,14 @@ fn plane_coherence_with(seed: u64, gen_skew: u64) -> Vec<Violation> {
     violations
 }
 
-/// Check one scenario at the default shard worker counts
-/// ([`SHARD_WORKER_COUNTS`]); see [`check_case_at`].
-pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
-    check_case_at(spec, opts, &SHARD_WORKER_COUNTS)
-}
-
 /// Check one scenario: run it twice with the same seed and flag invariant
 /// violations plus any determinism divergence; once more under the
 /// reference allocator, once more under the eager progress sweep, and once
-/// more under the per-query reference Dijkstra routing backend; then
-/// once per entry of `shard_workers` under the sharded executor. Every
+/// more under the per-query reference Dijkstra routing backend; then once
+/// per entry of [`SHARD_WORKER_COUNTS`] under the sharded executor. Every
 /// differential execution's chained digest must be identical to the
 /// incremental/lazy/sequential execution's (same seed ⇒ bit-identical).
-pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usize]) -> CaseResult {
+pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
     // Health folding is forced on so every determinism and differential
     // comparison also covers the aggregation/health plane.
     let opts = RunOptions {
@@ -1172,7 +1186,7 @@ pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usi
             });
         }
     }
-    for &workers in shard_workers {
+    for workers in SHARD_WORKER_COUNTS {
         let sharded = run_sharded(spec, opts, workers);
         if first.chain_digest != sharded.chain_digest {
             violations.push(Violation::ShardDivergence {

@@ -3,9 +3,9 @@
 //! ```text
 //! detour simulate   --client ubc --provider gdrive --size 100 [--route ualberta] [--runs 7] [--seed 1]
 //! detour best-route --client purdue --provider gdrive --size 60 [--rule overlap|mean]
-//! detour traceroute --client ubc --provider gdrive
-//! detour probe      --client ubc
-//! detour tiv        --client ubc --provider gdrive
+//! detour traceroute --client ubc --provider gdrive [--seed 5]
+//! detour probe      --client ubc [--seed 1]
+//! detour tiv        --client ubc --provider gdrive [--seed 1]
 //! detour trace      --client ubc --provider gdrive --size 100 [--route ualberta] [--seed 1]
 //!                   [--format tree|jsonl|chrome|metrics] [--out FILE]
 //! detour trace      --from FILE          # summarize a recorded JSONL trace
@@ -13,8 +13,7 @@
 //!                   [--seed 1] [--record FILE] [--slo-p99-secs N] [--format table|json] [--out FILE]
 //! detour health     --trace FILE [--slo-p99-secs N] [--format table|json] [--out FILE]
 //! detour analyze    (same inputs as health) [--top N]
-//! detour check      [--cases 64] [--seed 7] [--class std|chaos|sync] [--threads N] [--replay FILE]
-//!                   [--out FILE]
+//! detour check      [--cases 64] [--seed 7] [--class std|chaos|sync] [--replay FILE] [--out FILE]
 //! detour plane      [--lookups N] [--clients N] [--threads N] [--seed N] [--tenants N]
 //!                   [--churn-every N] [--trip-every N]
 //! detour sync       [--tenants N] [--files N] [--rounds N] [--size-kb N] [--cache-mb N]
@@ -30,6 +29,12 @@
 //!
 //! Clients: `ubc`, `purdue`, `ucla`. Providers: `gdrive`, `dropbox`,
 //! `onedrive`. Routes: `direct`, `ualberta`, `umich`.
+//!
+//! Each subcommand takes only its own flags. Counts must be positive and
+//! fit their type; `--size` is at most [`MAX_SIZE_MB`] MB, a sync working
+//! set (`--files` × `--size-kb`) at most [`MAX_SYNC_SET_KB`] KiB, and
+//! `plane` at most [`MAX_PLANE_THREADS`] threads and [`MAX_PLANE_TENANTS`]
+//! tenants. Any other flag or value prints the usage text and exits 2.
 
 use routing_detours::cloudstore::{ProviderKind, UploadOptions};
 use routing_detours::detour_core::{run_job, DecisionRule, Route};
@@ -37,50 +42,115 @@ use routing_detours::measure::RunProtocol;
 use routing_detours::netsim::trace::Traceroute;
 use routing_detours::netsim::units::MB;
 use routing_detours::scenarios::{Client, NorthAmerica};
+use std::collections::HashMap;
+use std::ops::RangeBounds;
+
+/// Largest `--size`, in MB: a thousand times the paper's largest file.
+const MAX_SIZE_MB: u64 = 100_000;
+
+/// Largest sync working set, `--files` × `--size-kb`, in KiB (256 MiB).
+const MAX_SYNC_SET_KB: u32 = 256 * 1024;
+
+/// Most fleet worker threads `detour plane` spawns.
+const MAX_PLANE_THREADS: usize = 256;
+
+/// Most tenants `detour plane` keeps an admission bucket for.
+const MAX_PLANE_TENANTS: u32 = 1 << 20;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  detour simulate   --client <ubc|purdue|ucla> --provider <gdrive|dropbox|onedrive> \
          --size <MB> [--route <direct|ualberta|umich>] [--runs N] [--seed N]\n  detour best-route \
          --client <c> --provider <p> --size <MB> [--rule <overlap|mean>]\n  detour traceroute \
-         --client <c> --provider <p>\n  detour probe      --client <c>\n  detour trace      \
+         --client <c> --provider <p> [--seed N]\n  detour probe      --client <c> [--seed N]\n  \
+         detour tiv        --client <c> --provider <p> [--seed N]\n  detour trace      \
          --client <c> --provider <p> --size <MB> [--route <r>] [--seed N] \
          [--format <tree|jsonl|chrome|metrics>] [--out FILE]\n  detour trace      \
          --from FILE\n  detour health     --client <c> --provider <p> --size <MB> [--route <r>] \
          [--runs N] [--seed N] [--record FILE] [--slo-p99-secs N] [--format <table|json>] \
          [--out FILE]\n  detour health     --trace FILE [--slo-p99-secs N] [--format <table|json>] \
          [--out FILE]\n  detour analyze    (same inputs as health) [--top N]\n  detour check      \
-         [--cases N] [--seed N] [--class <std|chaos|sync>] [--threads N] [--replay FILE] [--out FILE]\n  \
+         [--cases N] [--seed N] [--class <std|chaos|sync>] [--replay FILE] [--out FILE]\n  \
          detour plane      [--lookups N] [--clients N] [--threads N] [--seed N] [--tenants N] \
          [--churn-every N] [--trip-every N]\n  \
          detour sync       [--tenants N] [--files N] [--rounds N] [--size-kb N] [--cache-mb N] \
          [--seed N] [--out FILE]\n\
-         \nDETOUR_THREADS sets the default worker count for sharded check executions."
+         \nCounts (--runs, --cases, --lookups, --clients, --threads, --tenants, --files, \
+         --size-kb) must be positive. --size is at most {MAX_SIZE_MB} MB, --files x --size-kb \
+         at most {MAX_SYNC_SET_KB} KiB, and plane takes at most {MAX_PLANE_THREADS} threads and \
+         {MAX_PLANE_TENANTS} tenants."
     );
     std::process::exit(2);
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args, &NorthAmerica);
+
+/// Every subcommand with the space-separated flags it takes; any other
+/// flag is a usage error.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("simulate", "client provider size route runs seed", simulate),
+    ("best-route", "client provider size rule", best_route),
+    ("traceroute", "client provider seed", traceroute),
+    ("probe", "client seed", probe),
+    ("tiv", "client provider seed", tiv),
+    (
+        "trace",
+        "client provider size route seed format out from",
+        trace,
+    ),
+    (
+        "health",
+        "client provider size route runs seed record slo-p99-secs format out trace",
+        health,
+    ),
+    (
+        "analyze",
+        "client provider size route runs seed record slo-p99-secs format out trace top",
+        analyze,
+    ),
+    ("check", "cases seed class replay out", check),
+    (
+        "plane",
+        "lookups clients threads seed tenants churn-every trip-every",
+        plane,
+    ),
+    (
+        "sync",
+        "tenants files rounds size-kb cache-mb seed out",
+        sync_study,
+    ),
+];
+
 struct Args {
-    cmd: String,
-    flags: std::collections::HashMap<String, String>,
+    flags: HashMap<String, String>,
 }
 
 impl Args {
-    fn parse() -> Self {
+    /// Parse `detour <command> [--flag value]...` into the command's entry
+    /// point and its flags, exiting with the usage text on an unknown
+    /// command, a flag the command does not take, or a flag with no value.
+    fn parse() -> (Self, Command) {
         let mut argv = std::env::args().skip(1);
         let cmd = argv.next().unwrap_or_else(|| usage());
-        let mut flags = std::collections::HashMap::new();
+        let &(_, accepted, run) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == cmd)
+            .unwrap_or_else(|| usage());
         let rest: Vec<String> = argv.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let k = rest[i].trim_start_matches("--").to_string();
-            if !rest[i].starts_with("--") || i + 1 >= rest.len() {
-                usage();
+        let mut flags = HashMap::new();
+        for pair in rest.chunks(2) {
+            match pair {
+                [key, value] => match key.strip_prefix("--") {
+                    Some(k) if accepted.split(' ').any(|a| a == k) => {
+                        flags.insert(k.to_string(), value.clone());
+                    }
+                    _ => usage(),
+                },
+                _ => usage(),
             }
-            flags.insert(k, rest[i + 1].clone());
-            i += 2;
         }
-        Args { cmd, flags }
+        (Args { flags }, run)
     }
 
     fn client(&self) -> Client {
@@ -101,19 +171,25 @@ impl Args {
         }
     }
 
+    /// The required `--size` flag, given in MB, as bytes.
     fn size_bytes(&self) -> u64 {
-        self.flags
-            .get("size")
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(|mb| mb * MB)
-            .unwrap_or_else(|| usage())
+        if !self.flags.contains_key("size") {
+            usage();
+        }
+        self.num("size", 0, 1..=MAX_SIZE_MB) * MB
     }
 
-    fn u64_flag(&self, name: &str, default: u64) -> u64 {
-        self.flags
-            .get(name)
-            .map(|s| s.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(default)
+    /// A numeric flag: `default` when absent; a value that does not parse
+    /// as a `T` or lies outside `range` is a usage error.
+    fn num<T>(&self, name: &str, default: T, range: impl RangeBounds<T>) -> T
+    where
+        T: std::str::FromStr + PartialOrd,
+    {
+        match self.flags.get(name).map(|s| s.parse()) {
+            None => default,
+            Some(Ok(v)) if range.contains(&v) => v,
+            Some(_) => usage(),
+        }
     }
 }
 
@@ -127,22 +203,8 @@ fn route_by_name(world: &NorthAmerica, name: &str) -> Route {
 }
 
 fn main() {
-    let args = Args::parse();
-    let world = NorthAmerica::new();
-    match args.cmd.as_str() {
-        "simulate" => simulate(&args, &world),
-        "best-route" => best_route(&args, &world),
-        "traceroute" => traceroute(&args, &world),
-        "probe" => probe(&args, &world),
-        "tiv" => tiv(&args, &world),
-        "trace" => trace(&args, &world),
-        "health" => health(&args, &world),
-        "analyze" => analyze(&args, &world),
-        "check" => check(&args),
-        "plane" => plane(&args),
-        "sync" => sync_study(&args, &world),
-        _ => usage(),
-    }
+    let (args, run) = Args::parse();
+    run(&args, &NorthAmerica::new());
 }
 
 /// Obtain the trace both report commands work from: a recorded JSONL file
@@ -162,8 +224,8 @@ fn report_input(args: &Args, world: &NorthAmerica) -> routing_detours::obs::Trac
     let client = world.client(args.client());
     let provider = world.provider(args.provider());
     let size = args.size_bytes();
-    let runs = args.u64_flag("runs", 3) as usize;
-    let seed = args.u64_flag("seed", 1);
+    let runs: u64 = args.num("runs", 3, 1..);
+    let seed: u64 = args.num("seed", 1, ..);
     let route_name = args
         .flags
         .get("route")
@@ -172,7 +234,7 @@ fn report_input(args: &Args, world: &NorthAmerica) -> routing_detours::obs::Trac
     let route = route_by_name(world, &route_name);
     let mut jsonl = String::new();
     for r in 0..runs {
-        let mut sim = world.build_sim(seed + r as u64);
+        let mut sim = world.build_sim(seed.wrapping_add(r));
         sim.enable_telemetry();
         // Failures still record job.error events — exactly what the
         // scoreboard is for — so errors are folded in, not fatal.
@@ -237,7 +299,7 @@ fn health(args: &Args, world: &NorthAmerica) {
 fn analyze(args: &Args, world: &NorthAmerica) {
     use routing_detours::obs;
     let trace = report_input(args, world);
-    let top = args.u64_flag("top", 10) as usize;
+    let top = args.num("top", 10, ..);
     let report = obs::analyze(&trace, top);
     let rendered = match args.flags.get("format").map(String::as_str) {
         None | Some("table") => report.to_text(),
@@ -253,7 +315,7 @@ fn analyze(args: &Args, world: &NorthAmerica) {
 /// machine-readable JSON verdict on stdout, a human summary on stderr, and
 /// exits nonzero if any invariant fired. `--replay FILE` re-executes a
 /// scenario spec saved from an earlier failure instead of generating cases.
-fn check(args: &Args) {
+fn check(args: &Args, _: &NorthAmerica) {
     use routing_detours::simcheck;
     let report = match args.flags.get("replay") {
         Some(path) => {
@@ -267,26 +329,13 @@ fn check(args: &Args) {
             })
         }
         None => simcheck::run_check(simcheck::CheckConfig {
-            cases: args.u64_flag("cases", 64) as u32,
-            seed: args.u64_flag("seed", 7),
+            cases: args.num("cases", 64, 1..),
+            seed: args.num("seed", 7, ..),
             class: match args.flags.get("class").map(String::as_str) {
                 None | Some("std") => simcheck::ScenarioClass::Standard,
                 Some("chaos") => simcheck::ScenarioClass::Chaos,
                 Some("sync") => simcheck::ScenarioClass::Sync,
                 _ => usage(),
-            },
-            // Extra sharded-executor worker count on top of the standard
-            // 1/2/4 set: --threads flag, else DETOUR_THREADS, else the
-            // host's parallelism (netsim::shard::resolve_threads).
-            threads: match args.flags.get("threads") {
-                Some(s) => {
-                    let n: usize = s.parse().unwrap_or_else(|_| usage());
-                    routing_detours::netsim::shard::resolve_threads(Some(n)) as u32
-                }
-                None if std::env::var("DETOUR_THREADS").is_ok() => {
-                    routing_detours::netsim::shard::resolve_threads(None) as u32
-                }
-                None => 0,
             },
             ..simcheck::CheckConfig::default()
         }),
@@ -336,19 +385,23 @@ fn check(args: &Args) {
 /// Prints the one-line fleet report (QPS, hit/stale/demote/shed counts,
 /// staleness quantiles, determinism digest) plus the churn-sweep staleness
 /// bound the run is held to.
-fn plane(args: &Args) {
+fn plane(args: &Args, _: &NorthAmerica) {
     use routing_detours::routeplane::{run_fleet, FleetConfig, PlaneConfig};
     let plane_cfg = PlaneConfig {
-        tenants: args.u64_flag("tenants", PlaneConfig::default().tenants as u64) as u32,
+        tenants: args.num(
+            "tenants",
+            PlaneConfig::default().tenants,
+            1..=MAX_PLANE_TENANTS,
+        ),
         ..PlaneConfig::default()
     };
     let cfg = FleetConfig {
-        clients: args.u64_flag("clients", 1_000_000),
-        lookups: args.u64_flag("lookups", 2_000_000),
-        threads: args.u64_flag("threads", 1).max(1) as usize,
-        seed: args.u64_flag("seed", 7),
-        churn_every: args.u64_flag("churn-every", 10_000),
-        trip_every: args.u64_flag("trip-every", 50_000),
+        clients: args.num("clients", 1_000_000, 1..),
+        lookups: args.num("lookups", 2_000_000, 1..),
+        threads: args.num("threads", 1, 1..=MAX_PLANE_THREADS),
+        seed: args.num("seed", 7, ..),
+        churn_every: args.num("churn-every", 10_000, ..),
+        trip_every: args.num("trip-every", 50_000, ..),
         plane: plane_cfg,
         ..FleetConfig::default()
     };
@@ -379,13 +432,16 @@ fn sync_study(args: &Args, world: &NorthAmerica) {
     use routing_detours::scenarios::{run_sync_study, SyncStudyConfig};
     let d = SyncStudyConfig::default();
     let cfg = SyncStudyConfig {
-        tenants: args.u64_flag("tenants", d.tenants as u64) as u32,
-        files: args.u64_flag("files", d.files as u64) as u32,
-        rounds: args.u64_flag("rounds", d.rounds as u64) as u32,
-        file_kb: args.u64_flag("size-kb", d.file_kb as u64) as u32,
-        cache_mb: args.u64_flag("cache-mb", d.cache_mb as u64) as u32,
-        seed: args.u64_flag("seed", d.seed),
+        tenants: args.num("tenants", d.tenants, 1..),
+        files: args.num("files", d.files, 1..),
+        rounds: args.num("rounds", d.rounds, ..),
+        file_kb: args.num("size-kb", d.file_kb, 1..),
+        cache_mb: args.num("cache-mb", d.cache_mb, ..),
+        seed: args.num("seed", d.seed, ..),
     };
+    if u64::from(cfg.files) * u64::from(cfg.file_kb) > u64::from(MAX_SYNC_SET_KB) {
+        usage();
+    }
     let report = run_sync_study(world, cfg);
     write_or_print(args, &report.render());
 }
@@ -414,7 +470,7 @@ fn trace(args: &Args, world: &NorthAmerica) {
     let client = world.client(args.client());
     let provider = world.provider(args.provider());
     let size = args.size_bytes();
-    let seed = args.u64_flag("seed", 1);
+    let seed = args.num("seed", 1, ..);
     let route_name = args
         .flags
         .get("route")
@@ -480,7 +536,7 @@ fn trace(args: &Args, world: &NorthAmerica) {
 fn tiv(args: &Args, world: &NorthAmerica) {
     let client = world.client(args.client());
     let provider = world.provider(args.provider());
-    let mut sim = world.build_sim(args.u64_flag("seed", 1));
+    let mut sim = world.build_sim(args.num("seed", 1, ..));
     let frontend = provider.frontend_for(sim.core().topology(), client.node);
     let n = *world.nodes();
     let candidates = [
@@ -530,8 +586,8 @@ fn simulate(args: &Args, world: &NorthAmerica) {
     let client = world.client(args.client());
     let provider = world.provider(args.provider());
     let size = args.size_bytes();
-    let runs = args.u64_flag("runs", 1) as usize;
-    let seed = args.u64_flag("seed", 1);
+    let runs: u64 = args.num("runs", 1, 1..);
+    let seed: u64 = args.num("seed", 1, ..);
     let route_name = args
         .flags
         .get("route")
@@ -539,9 +595,9 @@ fn simulate(args: &Args, world: &NorthAmerica) {
         .unwrap_or_else(|| "direct".into());
     let route = route_by_name(world, &route_name);
 
-    let mut secs = Vec::with_capacity(runs);
+    let mut secs = Vec::new();
     for r in 0..runs {
-        let mut sim = world.build_sim(seed + r as u64);
+        let mut sim = world.build_sim(seed.wrapping_add(r));
         let report = run_job(
             &mut sim,
             client.node,
@@ -621,7 +677,7 @@ fn best_route(args: &Args, world: &NorthAmerica) {
 fn traceroute(args: &Args, world: &NorthAmerica) {
     let client = world.client(args.client());
     let provider = world.provider(args.provider());
-    let mut sim = world.build_sim(args.u64_flag("seed", 5));
+    let mut sim = world.build_sim(args.num("seed", 5, ..));
     let frontend = provider.frontend_for(sim.core().topology(), client.node);
     let tr = Traceroute::run(sim.core(), client.node, frontend).unwrap_or_else(|e| {
         eprintln!("traceroute failed: {e}");
@@ -632,7 +688,7 @@ fn traceroute(args: &Args, world: &NorthAmerica) {
 
 fn probe(args: &Args, world: &NorthAmerica) {
     let client = world.client(args.client());
-    let mut sim = world.build_sim(args.u64_flag("seed", 1));
+    let mut sim = world.build_sim(args.num("seed", 1, ..));
     println!("idle-path rate estimates from {}:", client.name);
     let n = *world.nodes();
     let targets: [(&str, routing_detours::netsim::topology::NodeId); 5] = [

@@ -242,3 +242,92 @@ fn bad_flags_fail_cleanly() {
     assert!(!ok);
     assert!(err.contains("usage:"), "{err}");
 }
+
+/// Run `detour` expecting a usage error: exit code 2 with the usage text,
+/// never a panic or an allocation failure.
+fn detour_rejects(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_detour"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.contains("usage:"), "{args:?}: {err}");
+    assert!(
+        !err.contains("panicked") && !err.contains("memory allocation"),
+        "{args:?}: {err}"
+    );
+}
+
+/// Flag values that once panicked, aborted on a huge allocation or were
+/// truncated to zero by a narrowing cast are usage errors.
+#[test]
+fn out_of_range_flag_values_are_usage_errors() {
+    let ubc = |cmd: &'static str, extra: &[&'static str]| {
+        let mut v = vec![cmd, "--client", "ubc", "--provider", "gdrive"];
+        v.extend_from_slice(extra);
+        v
+    };
+    let cases: Vec<Vec<&str>> = vec![
+        ubc("simulate", &["--size", "10", "--runs", "0"]),
+        ubc("health", &["--size", "10", "--runs", "0"]),
+        ubc("analyze", &["--size", "10", "--runs", "0"]),
+        vec!["plane", "--lookups", "0"],
+        vec!["plane", "--clients", "0"],
+        vec!["plane", "--tenants", "0"],
+        vec!["plane", "--tenants", "4294967295"],
+        vec!["plane", "--threads", "0"],
+        vec!["plane", "--threads", "100000000"],
+        vec!["sync", "--tenants", "0"],
+        vec!["sync", "--files", "0"],
+        vec!["sync", "--size-kb", "0"],
+        vec!["sync", "--tenants", "4294967296"],
+        vec!["sync", "--size-kb", "100000000"],
+        vec!["sync", "--files", "4294967295"],
+        vec!["sync", "--files", "262144"],
+        ubc("simulate", &["--size", "18446744073709"]),
+        ubc("trace", &["--size", "18446744073709"]),
+        ubc("simulate", &["--size", "18446744073709551615"]),
+        ubc("simulate", &["--size", "0"]),
+        vec!["check", "--cases", "4294967296"],
+        vec!["check", "--cases", "0"],
+    ];
+    for args in &cases {
+        detour_rejects(args);
+    }
+
+    // Extreme values inside the ranges still run: seeds wrap instead of
+    // overflowing, and the churn-sweep bound saturates.
+    let (out, err, ok) = detour(&ubc(
+        "simulate",
+        &[
+            "--size",
+            "1",
+            "--runs",
+            "2",
+            "--seed",
+            "18446744073709551615",
+        ],
+    ));
+    assert!(ok, "stdout: {out}\nstderr: {err}");
+    let (out, err, ok) = detour(&[
+        "plane",
+        "--lookups",
+        "100",
+        "--clients",
+        "10",
+        "--churn-every",
+        "18446744073709551615",
+    ]);
+    assert!(ok, "stdout: {out}\nstderr: {err}");
+}
+
+/// Each subcommand takes only its own flags: a flag it does not read, or
+/// one it used to read, is a usage error rather than silently ignored.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    detour_rejects(&["check", "--cases", "2", "--threads", "4"]);
+    detour_rejects(&["check", "--cases", "2", "--threadz", "3"]);
+    detour_rejects(&["probe", "--client", "ubc", "--provider", "gdrive"]);
+    detour_rejects(&["sync", "--size", "10"]);
+}

@@ -4,8 +4,8 @@
 //! the simcheck invariant oracles, proves same-seed re-execution is
 //! bit-identical, and — via the `failpoints` feature, enabled for tests by
 //! the root crate's dev-dependency — proves the oracles catch an
-//! intentionally broken allocator and shrink the failure to a minimal
-//! reproducer.
+//! intentionally broken allocator, sync transfer or sharded execution and
+//! shrink the failure to a minimal reproducer.
 
 use routing_detours::simcheck::{
     case_seed, check_case, replay, run_check, run_once, shrink, CheckConfig, RunOptions,
@@ -21,7 +21,6 @@ fn fixed_seed_budget_is_clean() {
         rate_inflation: None,
         shrink_budget: 50,
         class: ScenarioClass::Standard,
-        threads: 0,
     });
     assert!(
         report.ok(),
@@ -41,7 +40,6 @@ fn fixed_seed_chaos_budget_is_clean() {
         rate_inflation: None,
         shrink_budget: 50,
         class: ScenarioClass::Chaos,
-        threads: 0,
     });
     assert!(
         report.ok(),
@@ -179,5 +177,46 @@ fn corrupted_sync_delta_is_caught_and_shrunk() {
     assert_eq!((res.spec.sync[0].files, res.spec.sync[0].file_kb), (1, 4));
     let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
     assert!(integrity(&check_case(&round, opts).violations));
+    assert!(check_case(&round, RunOptions::default()).ok());
+}
+
+/// Fault injection on the sharded executor: a cell whose outcome depends
+/// on the thread it runs on. The one sharded re-execution per case, at four
+/// workers, must report it as a shard divergence and nothing else may fire;
+/// the case must shrink to a replayable spec that still fails, and that
+/// passes once the fault is off.
+#[test]
+fn thread_dependent_cell_is_caught_by_the_shard_run_and_shrunk() {
+    let opts = RunOptions {
+        thread_dependent_cells: true,
+        ..Default::default()
+    };
+    let only_shard_divergence = |violations: &[Violation]| {
+        !violations.is_empty()
+            && violations
+                .iter()
+                .all(|v| matches!(v, Violation::ShardDivergence { workers: 4, .. }))
+    };
+    let spec = ScenarioSpec::generate(case_seed(7, 0));
+    assert!(
+        check_case(&spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+    let broken = check_case(&spec, opts);
+    assert!(
+        only_shard_divergence(&broken.violations),
+        "expected only a 4-worker shard divergence, got {:?}",
+        broken.violations
+    );
+
+    let res = shrink(&spec, opts, 40);
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    let replayed = check_case(&round, opts);
+    assert!(
+        only_shard_divergence(&replayed.violations),
+        "shrunk spec {} reported {:?}",
+        res.spec.to_json(),
+        replayed.violations
+    );
     assert!(check_case(&round, RunOptions::default()).ok());
 }

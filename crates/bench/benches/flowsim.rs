@@ -1,10 +1,11 @@
-//! Criterion benchmarks of the simulator core — the max-min allocator and
-//! full event-driven transfer runs under background load — plus a scaling
-//! study of incremental vs full-recompute reallocation that emits
-//! `BENCH_flowsim.json` for CI regression gating (see EXPERIMENTS.md).
+//! The workspace's micro-bench harness: scaling studies of the simulator
+//! core (max-min allocator, event engine, sharded executor, route oracle),
+//! the route-decision plane, the delta-sync chunk store and the telemetry
+//! sink. `cargo bench -p bench --bench flowsim` writes every measured row to
+//! `BENCH_flowsim.json` and judges it against the gate table in
+//! `bench::gate` (see EXPERIMENTS.md).
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use netsim::background::{BackgroundProfile, BackgroundTraffic};
+use bench::gate;
 use netsim::flow::{max_min_allocate, AllocEntry, FlowClass, FlowCore, FlowSpec};
 use netsim::oracle::RouteOracle;
 use netsim::prelude::*;
@@ -18,107 +19,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
-
-/// Random allocation problem with `flows` flows over `links` links.
-fn problem(flows: usize, links: usize, seed: u64) -> (Vec<f64>, Vec<AllocEntry>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let caps: Vec<f64> = (0..links).map(|_| rng.gen_range(10.0..1000.0)).collect();
-    let entries = (0..flows)
-        .map(|_| {
-            let n = rng.gen_range(1..=4.min(links));
-            let mut resources: Vec<u32> = (0..n).map(|_| rng.gen_range(0..links as u32)).collect();
-            resources.sort_unstable();
-            resources.dedup();
-            let cap = if rng.gen_bool(0.3) {
-                rng.gen_range(1.0..200.0)
-            } else {
-                f64::INFINITY
-            };
-            AllocEntry::new(resources, cap)
-        })
-        .collect();
-    (caps, entries)
-}
-
-fn bench_allocator(c: &mut Criterion) {
-    let mut g = c.benchmark_group("max-min-allocator");
-    for (flows, links) in [(10, 8), (100, 32), (1000, 64)] {
-        let (caps, entries) = problem(flows, links, 7);
-        g.throughput(Throughput::Elements(flows as u64));
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{flows}f-{links}l")),
-            &(caps, entries),
-            |b, (caps, entries)| b.iter(|| max_min_allocate(caps, entries)),
-        );
-    }
-    g.finish();
-}
-
-fn contended_world() -> (Topology, NodeId, NodeId, NodeId, NodeId) {
-    let mut b = TopologyBuilder::new();
-    let a = b.host("a", GeoPoint::new(49.0, -123.0));
-    let r1 = b.router("r1", GeoPoint::new(45.0, -110.0));
-    let r2 = b.router("r2", GeoPoint::new(42.0, -100.0));
-    let c = b.host("c", GeoPoint::new(37.0, -122.0));
-    let bs = b.host("bs", GeoPoint::new(45.1, -110.1));
-    let bd = b.host("bd", GeoPoint::new(37.1, -122.1));
-    let fat = LinkParams::new(Bandwidth::from_mbps(1000.0), SimTime::from_millis(3));
-    let thin = LinkParams::new(Bandwidth::from_mbps(50.0), SimTime::from_millis(10));
-    b.duplex(a, r1, fat);
-    b.duplex(r1, r2, thin);
-    b.duplex(r2, c, fat);
-    b.duplex(bs, r1, fat);
-    b.duplex(r2, bd, fat);
-    (b.build(), a, c, bs, bd)
-}
-
-fn bench_transfer_run(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim-transfer");
-    let (topo, a, dst, bs, bd) = contended_world();
-    for mb in [10u64, 100] {
-        g.throughput(Throughput::Bytes(mb * MB));
-        g.bench_with_input(BenchmarkId::new("idle", mb), &topo, |b, topo| {
-            b.iter(|| {
-                Sim::new(topo.clone(), 1)
-                    .run_transfer(TransferRequest::new(a, dst, mb * MB))
-                    .unwrap()
-                    .elapsed
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("contended", mb), &topo, |b, topo| {
-            b.iter(|| {
-                let mut sim = Sim::new(topo.clone(), 1);
-                sim.spawn_detached(Box::new(BackgroundTraffic::new(BackgroundProfile::heavy(
-                    bs, bd,
-                ))));
-                sim.run_transfer(TransferRequest::new(a, dst, mb * MB))
-                    .unwrap()
-                    .elapsed
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_scenario_build(c: &mut Criterion) {
-    c.bench_function("northamerica-build-sim", |b| {
-        let world = scenarios::NorthAmerica::new();
-        b.iter(|| world.build_sim(std::hint::black_box(7)))
-    });
-}
-
-fn config() -> Criterion {
-    Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(500))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_allocator, bench_transfer_run, bench_scenario_build
-}
 
 // ---------------------------------------------------------------------------
 // Incremental-reallocation scaling study.
@@ -156,8 +56,9 @@ fn scaling_world(total_flows: usize, seed: u64) -> (Vec<f64>, Vec<AllocEntry>) {
     (caps, entries)
 }
 
-/// Median ns/iter of `f` over `samples` timed runs (after `warmup` runs).
-fn median_ns(warmup: usize, samples: usize, mut f: impl FnMut()) -> f64 {
+/// ns/iter of `f` over `samples` timed runs (after `warmup` runs), fastest
+/// first.
+fn timed_ns(warmup: usize, samples: usize, mut f: impl FnMut()) -> Vec<f64> {
     for _ in 0..warmup {
         f();
     }
@@ -169,6 +70,12 @@ fn median_ns(warmup: usize, samples: usize, mut f: impl FnMut()) -> f64 {
         })
         .collect();
     times.sort_by(f64::total_cmp);
+    times
+}
+
+/// Median ns/iter of `f` over `samples` timed runs (after `warmup` runs).
+fn median_ns(warmup: usize, samples: usize, f: impl FnMut()) -> f64 {
+    let times = timed_ns(warmup, samples, f);
     times[times.len() / 2]
 }
 
@@ -540,12 +447,6 @@ fn threads_point(n: usize, cycles: u64, reps: usize, counts: &[usize]) -> Vec<Js
 // acceptance-scale `SynthGlobe::stress` knobs (~1M host links).
 // ---------------------------------------------------------------------------
 
-/// Warm-query speedup (legacy Dijkstra ns / oracle ns) demanded at the
-/// largest routing point — enforced only when the host has ≥ 4 hardware
-/// threads; smaller boxes record their real measurements and print a
-/// waiver instead (numbers are never fabricated).
-const ROUTING_SPEEDUP_FLOOR: f64 = 25.0;
-
 /// One routing scaling point on `globe`; `quick` trims sample counts.
 fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     let world = globe.build();
@@ -635,29 +536,6 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     ])
 }
 
-/// The routing speedup floor at the largest measured point. Same waiver
-/// policy as the parallel gate: sub-4-thread hosts record and print.
-fn check_routing_speedup(routing: &[Json], host_threads: usize) -> Option<String> {
-    let row = routing
-        .iter()
-        .max_by_key(|p| p.get("nodes").and_then(Json::as_u64).unwrap_or(0))?;
-    let nodes = row.get("nodes").and_then(Json::as_u64).unwrap_or(0);
-    let speedup = row.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
-    if host_threads < 4 {
-        println!(
-            "flowsim-routing: speedup gate waived — host has {host_threads} hardware \
-             thread(s); measured {speedup:.0}x at {nodes} nodes"
-        );
-        return None;
-    }
-    (speedup < ROUTING_SPEEDUP_FLOOR).then(|| {
-        format!(
-            "flowsim-routing/{nodes}: warm-query speedup {speedup:.1}x < required \
-             {ROUTING_SPEEDUP_FLOOR}x vs legacy dijkstra"
-        )
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Route-plane decision study.
 //
@@ -673,8 +551,9 @@ fn check_routing_speedup(routing: &[Json], host_threads: usize) -> Option<String
 //
 // Both run on the same box in the same process, so the ≥10x floor is
 // host-relative and enforced unconditionally (no hardware waiver). The
-// fleet rows then measure served QPS at 1/2/4 worker threads and check
-// the churn-sweep staleness bound end to end.
+// fleet rows then measure lookups/s at 1/2/4 worker threads, total and
+// split into served decisions and admission sheds, and check the
+// churn-sweep staleness bound end to end.
 // ---------------------------------------------------------------------------
 
 use netsim::flow::FlowClass as PlaneFlowClass;
@@ -682,16 +561,6 @@ use routeplane::{
     run_fleet, AdmissionConfig, DecisionKey, DecisionSource, FleetConfig, PlaneConfig, ProbeSource,
     RoutePlane,
 };
-
-/// Warm cache hit vs uncached selector decision: the minimum amortization
-/// the plane must deliver. Host-relative (both sides measured here), so
-/// never waived.
-const PLANE_WARM_SPEEDUP_FLOOR: f64 = 10.0;
-
-/// Served decisions per second demanded of the 4-thread fleet row —
-/// enforced only on hosts with ≥ 4 hardware threads; smaller boxes record
-/// their real measurement and print a waiver (numbers are never fabricated).
-const PLANE_QPS_FLOOR: f64 = 1_000_000.0;
 
 /// A probe-selector-backed source over the NorthAmerica world: 3 vantage
 /// clients × 3 providers × (direct + 2 detour hops), the exact decision
@@ -815,9 +684,12 @@ fn plane_fleet_rows(lookups: u64, reps: usize, counts: &[usize]) -> Vec<Json> {
         let p99 = best.staleness_ns(0.99);
         let ns_per_lookup = 1e9 / best.qps;
         println!(
-            "flowsim-plane/{threads}t: {:.0} lookups/s ({ns_per_lookup:.0} ns/lookup), \
-             hit {} stale {} demote {} shed {}, staleness p99 {p99} ns (bound {bound} ns)",
+            "flowsim-plane/{threads}t: {:.0} lookups/s (served {:.0}/s, shed {:.0}/s; \
+             {ns_per_lookup:.0} ns/lookup), hit {} stale {} demote {} shed {}, \
+             staleness p99 {p99} ns (bound {bound} ns)",
             best.qps,
+            best.served_qps(),
+            best.shed_qps(),
             best.stats.hits,
             best.stats.stale_refreshes,
             best.stats.demotions,
@@ -827,6 +699,8 @@ fn plane_fleet_rows(lookups: u64, reps: usize, counts: &[usize]) -> Vec<Json> {
             ("threads".into(), Json::Int(threads as u64)),
             ("lookups".into(), Json::Int(lookups)),
             ("qps".into(), Json::Num(best.qps)),
+            ("served_qps".into(), Json::Num(best.served_qps())),
+            ("shed_qps".into(), Json::Num(best.shed_qps())),
             ("ns_per_lookup".into(), Json::Num(ns_per_lookup)),
             ("hits".into(), Json::Int(best.stats.hits)),
             ("misses".into(), Json::Int(best.stats.misses)),
@@ -842,42 +716,6 @@ fn plane_fleet_rows(lookups: u64, reps: usize, counts: &[usize]) -> Vec<Json> {
         ]));
     }
     out
-}
-
-/// The warm-hit amortization floor. Host-relative, so always enforced.
-fn check_plane_speedup(decision: &Json) -> Option<String> {
-    let speedup = decision
-        .get("speedup")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    (speedup < PLANE_WARM_SPEEDUP_FLOOR).then(|| {
-        format!(
-            "flowsim-plane-decision: warm-hit speedup {speedup:.1}x < required \
-             {PLANE_WARM_SPEEDUP_FLOOR}x vs uncached selector"
-        )
-    })
-}
-
-/// The absolute QPS floor at 4 fleet threads. Same waiver policy as the
-/// parallel gate: sub-4-thread hosts record and print.
-fn check_plane_qps(rows: &[Json], host_threads: usize) -> Option<String> {
-    let row = rows
-        .iter()
-        .find(|p| p.get("threads").and_then(Json::as_u64) == Some(4))?;
-    let qps = row.get("qps").and_then(Json::as_f64).unwrap_or(0.0);
-    if host_threads < 4 {
-        println!(
-            "flowsim-plane: QPS gate waived — host has {host_threads} hardware \
-             thread(s); measured {qps:.0} lookups/s at 4 threads"
-        );
-        return None;
-    }
-    (qps < PLANE_QPS_FLOOR).then(|| {
-        format!(
-            "flowsim-plane/4t: {qps:.0} lookups/s < required {PLANE_QPS_FLOOR:.0} \
-             (host has {host_threads} hardware threads)"
-        )
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -904,12 +742,6 @@ use transfer::{
     apply_delta, compute_delta, ChunkManifest, MutationMix, Signature, SyncPopulation,
     SyncPopulationConfig,
 };
-
-/// Deterministic floors on the recorded byte outcome. The workload is
-/// fixed-seed, so these are exact reproducibility checks, not hardware
-/// gates — never waived.
-const SYNC_SAVINGS_FLOOR_PCT: f64 = 50.0;
-const SYNC_HIT_RATE_FLOOR: f64 = 0.5;
 
 /// One sync point: `files` files of `file_kb` KB mutated through `rounds`
 /// edit rounds against a shared chunk store.
@@ -1015,125 +847,129 @@ fn sync_leg_pass(cfg: SyncPopulationConfig, rounds: usize) -> f64 {
     ns as f64 / bytes as f64
 }
 
-/// The deterministic byte-outcome floors for every sync point.
-fn check_sync_floors(sync: &[Json]) -> Vec<String> {
-    let mut errors = Vec::new();
-    for point in sync {
-        let chunks = point.get("chunks").and_then(Json::as_u64).unwrap_or(0);
-        let saved = point.get("saved_pct").and_then(Json::as_f64).unwrap_or(0.0);
-        let hit = point.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
-        if saved < SYNC_SAVINGS_FLOOR_PCT {
-            errors.push(format!(
-                "flowsim-sync/{chunks}: bytes saved {saved:.1}% < required \
-                 {SYNC_SAVINGS_FLOOR_PCT}% (deterministic workload)"
-            ));
-        }
-        if hit < SYNC_HIT_RATE_FLOOR {
-            errors.push(format!(
-                "flowsim-sync/{chunks}: hit rate {hit:.2} < required \
-                 {SYNC_HIT_RATE_FLOOR} (deterministic workload)"
-            ));
-        }
+// ---------------------------------------------------------------------------
+// Telemetry overhead study.
+//
+// Every campaign, test and `detour` run keeps the telemetry sink disabled,
+// so its no-op calls ride every hot path. The point times a 10 MB UBC →
+// Google Drive upload with the sink disabled and batches of disabled-sink
+// calls, then charges the per-call cost to every telemetry operation an
+// enabled recording of the same upload performs. Both shares of the upload
+// are ceiling-gated: the span/event/counter sink, and the window path,
+// which sits on the flow-delivery hot path.
+// ---------------------------------------------------------------------------
+
+use cloudstore::{ProviderKind, UploadOptions};
+use detour_core::{run_job, Route};
+use obs::{Category, SpanId, Telemetry};
+use scenarios::{Client, NorthAmerica};
+
+/// Size of the upload the telemetry point measures.
+const TELEMETRY_BYTES: u64 = 10 * MB;
+
+/// One direct UBC → Google Drive upload; returns its recording when
+/// `enabled`.
+fn telemetry_upload(world: &NorthAmerica, enabled: bool) -> Option<obs::Recording> {
+    let client = world.client(Client::Ubc);
+    let provider = world.provider(ProviderKind::GoogleDrive);
+    let mut sim = world.build_sim(7);
+    if enabled {
+        sim.enable_telemetry();
     }
-    errors
+    run_job(
+        &mut sim,
+        client.node,
+        client.class,
+        &provider,
+        TELEMETRY_BYTES,
+        &Route::Direct,
+        UploadOptions::warm(client.class),
+    )
+    .expect("upload succeeds");
+    sim.take_telemetry()
 }
 
-/// Allowed slowdown vs the checked-in baseline before CI fails the run.
-const REGRESSION_TOLERANCE: f64 = 1.25;
+/// Upper bound on the telemetry operations one run executes, counted from
+/// its recording: two per span (begin/end), one per event, one per
+/// histogram/gauge sample, and one counter touch charged to every span and
+/// event (counter adds ride along with those sites).
+fn telemetry_ops(rec: &obs::Recording) -> u64 {
+    let sampled: u64 = rec
+        .metrics
+        .snapshot()
+        .rows
+        .iter()
+        .filter(|r| r.kind != "counter")
+        .map(|r| r.samples)
+        .sum();
+    3 * rec.spans.len() as u64 + 2 * rec.events.len() as u64 + sampled
+}
 
-/// Minimum parallel speedup demanded at 4 threads / 100k flows — enforced
-/// only when the host actually has ≥ 4 hardware threads; a smaller box
-/// records its real measurements and prints a waiver instead (numbers are
-/// never fabricated).
-const PARALLEL_SPEEDUP_FLOOR: f64 = 1.8;
-
-/// Compare one metric series of `report` against `baseline`, matching
-/// points on the `key` fields (`flows` for the allocator/engine series,
-/// `nodes` for routing, `flows` and `threads` for the sharded series),
-/// appending an error line per point slower than the tolerance allows.
-fn check_series(
-    report: &Json,
-    baseline: &Json,
-    series: &str,
-    key: &[&str],
-    metric: &str,
-    errors: &mut Vec<String>,
-) {
-    fn points<'a>(doc: &'a Json, series: &str) -> &'a [Json] {
-        doc.get(series).and_then(Json::as_arr).unwrap_or(&[])
-    }
-    let key_of = |p: &Json| -> Option<Vec<u64>> {
-        key.iter()
-            .map(|k| p.get(k).and_then(Json::as_u64))
-            .collect()
-    };
-    for point in points(report, series) {
-        let Some(at) = key_of(point) else {
-            continue;
-        };
-        let now = point.get(metric).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let Some(was) = points(baseline, series)
-            .iter()
-            .find(|b| key_of(b).as_ref() == Some(&at))
-            .and_then(|b| b.get(metric))
-            .and_then(Json::as_f64)
-        else {
-            continue;
-        };
-        if now > was * REGRESSION_TOLERANCE {
-            let at: Vec<String> = at.iter().map(u64::to_string).collect();
-            errors.push(format!(
-                "flowsim-{series}/{}: {metric} {now:.0} vs \
-                 baseline {was:.0} (> {REGRESSION_TOLERANCE}x)",
-                at.join("x")
-            ));
+/// The telemetry point: the disabled sink's and the disabled window path's
+/// estimated share of the upload. Both sides of each share are
+/// fastest-of-`samples` (after `warmup` runs).
+fn telemetry_point(warmup: usize, samples: usize) -> Json {
+    let world = NorthAmerica::new();
+    let ops = telemetry_ops(&telemetry_upload(&world, true).expect("telemetry enabled"));
+    let upload_ns = timed_ns(warmup, samples, || {
+        std::hint::black_box(telemetry_upload(&world, false));
+    })[0];
+    // black_box on the handle and timestamp keeps the optimizer from proving
+    // the sink disabled and deleting the loops.
+    let mut tele = Telemetry::disabled();
+    // Span begin + end, one event whose argument closure must not run, and
+    // one counter: 4 sink calls per iteration.
+    let sink_ns = timed_ns(warmup, samples, || {
+        let t = std::hint::black_box(&mut tele);
+        for i in 0..1000u64 {
+            let s = t.span_begin_with(
+                std::hint::black_box(i),
+                Category::Flow,
+                "flow",
+                SpanId::NONE,
+                |a| {
+                    a.set("bytes", i);
+                },
+            );
+            t.event(i, Category::Flow, "flow.rate", s, |a| {
+                a.set("bytes_per_sec", 1.0);
+            });
+            t.counter_add("bench.calls", 1);
+            t.span_end(i, s);
         }
-    }
-}
-
-/// The parallel-speedup floor at 4 threads / 100k flows. Returns
-/// an error line when the gate is enforceable and missed; on hosts with
-/// fewer than 4 hardware threads the measurement is recorded but the gate
-/// is waived with a printed note.
-fn check_parallel_speedup(threads: &[Json], host_threads: usize) -> Option<String> {
-    let row = threads.iter().find(|p| {
-        p.get("flows").and_then(Json::as_u64) == Some(100_000)
-            && p.get("threads").and_then(Json::as_u64) == Some(4)
-    })?;
-    let speedup = row.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
-    if host_threads < 4 {
-        println!(
-            "flowsim-threads: speedup gate waived — host has {host_threads} hardware \
-             thread(s); measured {speedup:.2}x at 100k flows / 4 threads"
-        );
-        return None;
-    }
-    (speedup < PARALLEL_SPEEDUP_FLOOR).then(|| {
-        format!(
-            "flowsim-threads/100000x4: speedup {speedup:.2}x < required \
-             {PARALLEL_SPEEDUP_FLOOR}x (host has {host_threads} hardware threads)"
-        )
-    })
-}
-
-/// Compare against a baseline `BENCH_flowsim.json`; returns error lines.
-fn check_baseline(report: &Json, baseline: &Json) -> Vec<String> {
-    let mut errors = Vec::new();
-    for (series, key, metric) in [
-        ("sizes", &["flows"][..], "incremental_ns"),
-        ("engine", &["flows"], "lazy_ns"),
-        ("routing", &["nodes"], "query_ns"),
-        ("routing", &["nodes"], "detour_ns"),
-        ("routing", &["nodes"], "build_ms"),
-        ("plane_decision", &["keys"], "warm_ns"),
-        ("plane_fleet", &["threads"], "ns_per_lookup"),
-        ("sync", &["chunks"], "ns_per_probe"),
-        ("sync", &["chunks"], "leg_ns_per_byte"),
-        ("threads", &["flows", "threads"], "ns_per_event"),
-    ] {
-        check_series(report, baseline, series, key, metric, &mut errors);
-    }
-    errors
+        std::hint::black_box(t.is_enabled());
+    })[0]
+        / 4000.0;
+    // A window record, a window count and a watermark advance: 3 calls per
+    // iteration. Every window site shares a telemetry call site, so the same
+    // op count bounds them.
+    let window_ns = timed_ns(warmup, samples, || {
+        let t = std::hint::black_box(&mut tele);
+        for i in 0..1000u64 {
+            t.window_record(std::hint::black_box(i), "netsim.flow.duration_ns", i);
+            t.window_count(i, "netsim.flow.delivered_bytes", 1);
+            t.advance_watermark(i);
+        }
+        std::hint::black_box(t.is_enabled());
+    })[0]
+        / 3000.0;
+    let share_pct = |ns_per_call: f64| 100.0 * ops as f64 * ns_per_call / upload_ns;
+    let (sink_pct, window_pct) = (share_pct(sink_ns), share_pct(window_ns));
+    println!(
+        "flowsim-telemetry/{TELEMETRY_BYTES}: {ops} ops on a {:.2} ms upload; disabled sink \
+         {sink_ns:.2} ns/call = {sink_pct:.3}%, disabled window path {window_ns:.2} ns/call = \
+         {window_pct:.3}%",
+        upload_ns / 1e6
+    );
+    Json::Obj(vec![
+        ("bytes".into(), Json::Int(TELEMETRY_BYTES)),
+        ("ops".into(), Json::Int(ops)),
+        ("upload_ns".into(), Json::Num(upload_ns)),
+        ("sink_ns_per_call".into(), Json::Num(sink_ns)),
+        ("sink_pct".into(), Json::Num(sink_pct)),
+        ("window_ns_per_call".into(), Json::Num(window_ns)),
+        ("window_pct".into(), Json::Num(window_pct)),
+    ])
 }
 
 /// Resolve a bench-file path against the workspace root. Cargo runs bench
@@ -1158,8 +994,6 @@ fn main() {
     let bench_mode = args.iter().any(|a| a == "--bench");
     let quick = args.iter().any(|a| a == "--quick") || std::env::var_os("BENCH_QUICK").is_some();
 
-    benches();
-
     // Scaling studies: smoke-run tiny points (no report) outside bench mode.
     if !bench_mode {
         scaling_point(100, 0, 2);
@@ -1168,10 +1002,15 @@ fn main() {
         routing_point(SynthGlobe::default().with_target_nodes(600), true);
         plane_decision_point(8, 64, 1);
         plane_fleet_rows(20_000, 1, &[1]);
+        telemetry_point(0, 1);
         // The real smallest series point: the byte outcome is a pure
         // function of (seed, config), so the floors hold here exactly as
         // they do in bench mode.
-        assert!(check_sync_floors(&[sync_point(8, 128, 4, 1)]).is_empty());
+        let sync = Json::Obj(vec![(
+            "sync".into(),
+            Json::Arr(vec![sync_point(8, 128, 4, 1)]),
+        )]);
+        assert!(gate::check(&sync, None, 1).failures.is_empty());
         // The workspace-root anchor the report/baseline paths rely on.
         assert!(workspace_path("Cargo.toml").is_file());
         assert!(workspace_path("crates/bench").is_dir());
@@ -1232,7 +1071,6 @@ fn main() {
         let cycles = (n as u64 / 10).max(2000);
         threads.extend(threads_point(n, cycles, 5, &[1, 2, 4, 8]));
     }
-    let speedup_err = check_parallel_speedup(&threads, host_threads);
 
     // Route-oracle scaling: cold build, warm query, detour enumeration and
     // the legacy Dijkstra gap at 1k/10k/100k nodes (100k = stress knobs).
@@ -1255,16 +1093,13 @@ fn main() {
         .into_iter()
         .map(|g| routing_point(g, quick))
         .collect();
-    let routing_err = check_routing_speedup(&routing, host_threads);
 
     // Route-plane series: the warm-hit amortization point and fleet QPS
     // rows at 1/2/4 worker threads (fastest-of-5 — multi-worker runs on an
     // oversubscribed host pick up scheduling noise that more reps damp).
     let decision = plane_decision_point(256, if quick { 1024 } else { 4096 }, 5);
-    let plane_err = check_plane_speedup(&decision);
     let fleet_lookups = if quick { 400_000 } else { 2_000_000 };
     let plane_fleet = plane_fleet_rows(fleet_lookups, 5, &[1, 2, 4]);
-    let qps_err = check_plane_qps(&plane_fleet, host_threads);
 
     // Delta-sync series: the same two points in quick and full mode (the
     // workload is cheap and the byte floors are deterministic, so there is
@@ -1273,7 +1108,8 @@ fn main() {
         .iter()
         .map(|&(files, file_kb)| sync_point(files, file_kb, 4, 5))
         .collect();
-    let sync_errs = check_sync_floors(&sync);
+
+    let telemetry = telemetry_point(warmup, samples);
 
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("flowsim-scaling".into())),
@@ -1287,36 +1123,33 @@ fn main() {
         ("plane_decision".into(), Json::Arr(vec![decision])),
         ("plane_fleet".into(), Json::Arr(plane_fleet)),
         ("sync".into(), Json::Arr(sync)),
+        ("telemetry".into(), Json::Arr(vec![telemetry])),
     ]);
 
-    // Regression gate: compare BEFORE overwriting any baseline the output
-    // path might point at.
+    // Judge the report BEFORE overwriting any baseline the output path
+    // might point at.
     let mut failed = false;
-    for err in [speedup_err, routing_err, plane_err, qps_err]
-        .into_iter()
-        .flatten()
-        .chain(sync_errs)
-    {
-        eprintln!("REGRESSION: {err}");
-        failed = true;
-    }
-    if let Ok(path) = std::env::var("BENCH_BASELINE") {
+    let baseline = std::env::var("BENCH_BASELINE").ok().and_then(|path| {
         let path = workspace_path(&path);
-        match std::fs::read_to_string(&path)
+        std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|s| Json::parse(&s).map_err(|e| e.to_string()))
-        {
-            Ok(baseline) => {
-                for err in check_baseline(&report, &baseline) {
-                    eprintln!("REGRESSION: {err}");
-                    failed = true;
-                }
-            }
-            Err(e) => {
+            .map_err(|e| {
                 eprintln!("cannot read baseline {}: {e}", path.display());
                 failed = true;
-            }
-        }
+            })
+            .ok()
+    });
+    let verdict = gate::check(&report, baseline.as_ref(), host_threads);
+    for finding in &verdict.waivers {
+        println!(
+            "waived (host has {host_threads} hardware thread(s), gate needs {}): {finding}",
+            gate::HARDWARE_THREADS
+        );
+    }
+    for finding in &verdict.failures {
+        eprintln!("REGRESSION: {finding}");
+        failed = true;
     }
 
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_flowsim.json".into());

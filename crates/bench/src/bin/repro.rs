@@ -1,7 +1,8 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro --all            # the full paper, 7-run protocol (slower)
+//! repro --all            # the full paper, 7-run protocol (slower); then
+//!                        # checks the headline claims, exit 1 on a violation
 //! repro --quick --all    # 3-run protocol, 2 sizes (CI smoke)
 //! repro fig2 table2      # individual artifacts
 //! repro ablations        # the DESIGN.md §6 extension experiments
@@ -68,6 +69,18 @@ fn main() {
             Ok(text) => println!("{text}"),
             Err(e) => {
                 eprintln!("reproduction failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        // The verdict goes to stderr so stdout stays the tables alone.
+        match repro::check_headline_claims(&set) {
+            Ok(v) if v.is_empty() => eprintln!("headline claims: all preserved"),
+            Ok(v) => {
+                eprintln!("HEADLINE CLAIM VIOLATIONS:\n{v:#?}");
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("claim check failed: {e}");
                 std::process::exit(1);
             }
         }

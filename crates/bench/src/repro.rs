@@ -225,8 +225,8 @@ pub fn render_all(set: &ExperimentSet<'_>) -> Result<String, NetError> {
     Ok(out)
 }
 
-/// Quick self-check used by tests: the headline orderings the reproduction
-/// must preserve.
+/// The headline orderings the reproduction must preserve; `repro --all`
+/// runs this after rendering and fails on a violation.
 pub fn check_headline_claims(set: &ExperimentSet<'_>) -> Result<Vec<String>, NetError> {
     let mut violations = Vec::new();
     let fig2 = set.fig2()?;

@@ -69,14 +69,6 @@ impl FaultPlan {
             FaultOutcome::Ok
         }
     }
-
-    /// Backoff before retry attempt `attempt` (1-based) of a `5xx`: the
-    /// first retry waits `backoff_base`, doubling per attempt and
-    /// saturating after eight doublings.
-    pub fn backoff(&self, attempt: u32) -> SimTime {
-        let factor = 1u64 << attempt.saturating_sub(1).min(8);
-        self.backoff_base * factor
-    }
 }
 
 /// Result of a fault roll.
@@ -129,19 +121,6 @@ mod tests {
         let e_rate = transients as f64 / n as f64;
         assert!((0.04..0.06).contains(&t_rate), "throttle rate {t_rate}");
         assert!((0.04..0.06).contains(&e_rate), "transient rate {e_rate}");
-    }
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        let plan = FaultPlan::flaky();
-        // First retry waits exactly the base (500 ms for flaky), doubling
-        // from there.
-        assert_eq!(plan.backoff(1), SimTime::from_millis(500));
-        assert_eq!(plan.backoff(2), SimTime::from_secs(1));
-        assert_eq!(plan.backoff(3), SimTime::from_secs(2));
-        // Saturates at 2^8 over the base.
-        assert_eq!(plan.backoff(100), plan.backoff(9));
-        assert_eq!(plan.backoff(9), plan.backoff_base * 256);
     }
 
     #[test]

@@ -659,32 +659,26 @@ impl Core {
     /// A flow's startup delay elapsed: hand it to the allocator and apply
     /// the resulting rate changes (its connected component only).
     fn activate_flow(&mut self, slot: u32) {
-        // Allocator latency is wall-clock and goes to the metrics registry
-        // only — never into the span/event stream, which must stay a pure
-        // function of the scenario and seed.
-        let t0 = self.tele.is_enabled().then(std::time::Instant::now);
         {
             let f = self.flows.get_mut(slot).expect("activated flow exists");
             f.alloc_slot = self
                 .alloc
                 .insert(f.id, slot as u64, &f.resources, f.cap, f.weight);
         }
-        self.apply_rate_changes(t0);
+        self.apply_rate_changes();
     }
 
     /// A flow drained or was cancelled: release its allocator slot and
     /// re-share within its component.
     fn deactivate_flow(&mut self, alloc_slot: u32) {
-        let t0 = self.tele.is_enabled().then(std::time::Instant::now);
         self.alloc.remove_slot(alloc_slot);
-        self.apply_rate_changes(t0);
+        self.apply_rate_changes();
     }
 
     /// A resource's capacity changed: re-share within its component.
     fn change_capacity(&mut self, resource: u32, bytes_per_sec: f64) {
-        let t0 = self.tele.is_enabled().then(std::time::Instant::now);
         self.alloc.set_capacity(resource, bytes_per_sec);
-        self.apply_rate_changes(t0);
+        self.apply_rate_changes();
     }
 
     /// Apply the rate changes the allocator just computed: update each
@@ -694,11 +688,9 @@ impl Core {
     /// unaffected flows within it — keep their rates *and* their already
     /// queued drain events, which is what makes reallocation O(component)
     /// instead of O(all flows).
-    fn apply_rate_changes(&mut self, t0: Option<std::time::Instant>) {
+    fn apply_rate_changes(&mut self) {
         self.stats.reallocations += 1;
-        if let Some(t0) = t0 {
-            self.tele
-                .hist_record("netsim.realloc_wall_ns", t0.elapsed().as_nanos() as u64);
+        if self.tele.is_enabled() {
             self.tele.counter_add("netsim.reallocations", 1);
             self.tele
                 .gauge_set("netsim.active_flows", self.alloc.len() as f64);

@@ -118,13 +118,27 @@ impl FleetReport {
         self.staleness.quantile(q).unwrap_or(0)
     }
 
+    /// Served decisions (hits, misses and stale refreshes) per wall-clock
+    /// second.
+    pub fn served_qps(&self) -> f64 {
+        self.stats.served() as f64 / self.elapsed_secs.max(1e-9)
+    }
+
+    /// Shed lookups per wall-clock second; with [`FleetReport::served_qps`]
+    /// it sums to `qps`.
+    pub fn shed_qps(&self) -> f64 {
+        self.stats.sheds as f64 / self.elapsed_secs.max(1e-9)
+    }
+
     /// One-line human summary.
     pub fn to_line(&self) -> String {
         format!(
-            "{} lookups in {:.2}s = {:.0}/s | hit {} miss {} stale {} demote {} shed {} | staleness p50 {}ns p99 {}ns | digest {:016x}",
+            "{} lookups in {:.2}s = {:.0}/s (served {:.0}/s, shed {:.0}/s) | hit {} miss {} stale {} demote {} shed {} | staleness p50 {}ns p99 {}ns | digest {:016x}",
             self.lookups,
             self.elapsed_secs,
             self.qps,
+            self.served_qps(),
+            self.shed_qps(),
             self.stats.hits,
             self.stats.misses,
             self.stats.stale_refreshes,
@@ -322,6 +336,12 @@ mod tests {
         assert!(r.stats.demotions > 0, "trips must demote some decisions");
         assert!(r.trips > 0 && r.churn_bumps > 0);
         assert_eq!(r.staleness.count(), r.stats.served());
+        let split = r.served_qps() + r.shed_qps();
+        assert!(
+            (split - r.qps).abs() <= 1e-9 * r.qps,
+            "{split} vs {}",
+            r.qps
+        );
     }
 
     #[test]

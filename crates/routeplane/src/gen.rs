@@ -66,20 +66,6 @@ impl GenTable {
         }
         hi_b - lo_b + 1
     }
-
-    /// Invalidate every key targeting `provider`.
-    pub fn bump_provider(&self, provider: u16) -> usize {
-        let p = provider as usize % self.providers as usize;
-        for b in 0..self.buckets_per_provider {
-            self.slots[p * self.buckets_per_provider + b].fetch_add(1, Ordering::Relaxed);
-        }
-        self.buckets_per_provider
-    }
-
-    /// Sum of all generation counters (a cheap churn fingerprint).
-    pub fn total_bumps(&self) -> u64 {
-        self.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -114,17 +100,6 @@ mod tests {
         for v in 0..8 {
             assert_eq!(t.current(key(0, v)), u64::from(v == 3), "vantage {v}");
         }
-    }
-
-    #[test]
-    fn provider_bump_covers_all_buckets() {
-        let t = GenTable::new(3, 100, 4);
-        let buckets = t.bump_provider(2);
-        assert_eq!(buckets, 100 / 16 + 1);
-        assert_eq!(t.current(key(2, 0)), 1);
-        assert_eq!(t.current(key(2, 99)), 1);
-        assert_eq!(t.current(key(0, 50)), 0);
-        assert_eq!(t.total_bumps(), buckets as u64);
     }
 
     #[test]

@@ -21,23 +21,11 @@ pub struct DecisionKey {
     pub vantage: u32,
     /// Provider index, `0..providers`.
     pub provider: u16,
-    /// Size class, `0..SIZE_CLASSES` (see [`DecisionKey::size_class_of`]).
+    /// Size class, `0..SIZE_CLASSES`.
     pub size_class: u8,
 }
 
 impl DecisionKey {
-    /// The size class of a transfer, with the same boundaries the health
-    /// plane uses for its (vantage, provider, size) cells.
-    pub fn size_class_of(bytes: u64) -> u8 {
-        if bytes < 16 * 1024 * 1024 {
-            SIZE_CLASS_SMALL
-        } else if bytes < 256 * 1024 * 1024 {
-            SIZE_CLASS_MEDIUM
-        } else {
-            SIZE_CLASS_LARGE
-        }
-    }
-
     /// Pack into a single `u64` (vantage high, then provider, then class).
     pub fn pack(self) -> u64 {
         ((self.vantage as u64) << 24) | ((self.provider as u64) << 8) | self.size_class as u64
@@ -106,22 +94,6 @@ mod tests {
             },
         ] {
             assert_eq!(DecisionKey::unpack(key.pack()), key);
-        }
-    }
-
-    #[test]
-    fn size_classes_match_the_health_plane() {
-        const MIB: u64 = 1024 * 1024;
-        for (bytes, class, name) in [
-            (MIB, SIZE_CLASS_SMALL, "small"),
-            (16 * MIB - 1, SIZE_CLASS_SMALL, "small"),
-            (16 * MIB, SIZE_CLASS_MEDIUM, "medium"),
-            (255 * MIB, SIZE_CLASS_MEDIUM, "medium"),
-            (256 * MIB, SIZE_CLASS_LARGE, "large"),
-            (10_000 * MIB, SIZE_CLASS_LARGE, "large"),
-        ] {
-            assert_eq!(DecisionKey::size_class_of(bytes), class, "{bytes}");
-            assert_eq!(obs::size_class(bytes), name, "{bytes}");
         }
     }
 

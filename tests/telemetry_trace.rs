@@ -207,6 +207,12 @@ fn campaign_trace_replay_is_deterministic() {
     let (secs_b, rec_b) = campaign.trace_run(0, 0, run).expect("trace run");
     assert_eq!(secs_a.to_bits(), secs_b.to_bits());
     assert_eq!(obs::jsonl_log(&rec_a), obs::jsonl_log(&rec_b));
+    // `repro --metrics` prints this snapshot: it must hold no wall-clock
+    // reading.
+    assert_eq!(
+        rec_a.metrics.snapshot().to_text(),
+        rec_b.metrics.snapshot().to_text()
+    );
     assert!(rec_a.spans.iter().any(|s| s.name == "upload-session"));
 }
 

@@ -64,75 +64,209 @@ fn op_sequence() -> impl Strategy<Value = (Vec<f64>, Vec<OpSpec>)> {
     })
 }
 
+/// Strategy shaped like perfbench's `crowd` workload: 16–64 clients, each
+/// with a private resource of its own capacity, sharing 1–3 resources, all
+/// at indices spread over a 4,096-resource space. One flow per client
+/// starts at once; then flows arrive (sometimes a second on one client),
+/// depart and see capacities change. A flow is mostly bottlenecked on its
+/// private resource, so a waterfill freezes about one flow per round, and
+/// most departures leave an empty piece behind on the private resource.
+fn crowd_sequence() -> impl Strategy<Value = (Vec<f64>, Vec<OpSpec>)> {
+    (16usize..=64, 1usize..=3).prop_flat_map(|(clients, shared)| {
+        let n = clients + shared;
+        (
+            prop::collection::btree_set(0..4096u32, n),
+            prop::collection::vec(any::<u64>(), n),
+            // Private capacities, distinct by construction (hundredths).
+            prop::collection::btree_set(100u32..5000, clients),
+            prop::collection::vec(500.0f64..5000.0, shared),
+            prop::collection::vec(
+                (
+                    0u8..8,
+                    (0usize..64, 1u8..8),
+                    (prop::option::of(1.0f64..60.0), 0.5f64..4.0, 0u8..4),
+                    (0usize..4096, 1.0f64..5000.0),
+                ),
+                40..120,
+            ),
+        )
+            .prop_map(move |(indices, keys, private_caps, shared_caps, churn)| {
+                // Shuffle the sorted indices so shared resources land
+                // anywhere among the private ones.
+                let mut order: Vec<(u64, u32)> = keys.into_iter().zip(indices).collect();
+                order.sort_unstable();
+                let (private, shared): (Vec<u32>, Vec<u32>) = (
+                    order[..clients].iter().map(|&(_, r)| r).collect(),
+                    order[clients..].iter().map(|&(_, r)| r).collect(),
+                );
+                let mut caps = vec![1000.0; 4096];
+                for (&r, c) in private.iter().zip(&private_caps) {
+                    caps[r as usize] = f64::from(*c) / 100.0;
+                }
+                for (&r, &c) in shared.iter().zip(&shared_caps) {
+                    caps[r as usize] = c;
+                }
+                let flow = |client: usize, mask: u8| {
+                    let mut resources = vec![private[client % clients]];
+                    resources.extend(
+                        shared
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| mask & (1 << i) != 0)
+                            .map(|(_, &r)| r),
+                    );
+                    resources
+                };
+                let mut ops: Vec<OpSpec> = (0..clients)
+                    .map(|c| OpSpec::Insert {
+                        resources: flow(c, 0b111),
+                        cap: f64::INFINITY,
+                        weight: 1.0,
+                    })
+                    .collect();
+                ops.extend(churn.into_iter().map(
+                    |(kind, (client, mask), (cap, weight, plain), (pick, capacity))| match kind {
+                        0..=3 => OpSpec::Insert {
+                            resources: flow(client, mask),
+                            // Most flows are uncapped with weight 1, as in
+                            // `crowd`; the rest exercise capped rounds and
+                            // weighted shares.
+                            cap: if plain == 0 {
+                                cap.unwrap_or(f64::INFINITY)
+                            } else {
+                                f64::INFINITY
+                            },
+                            weight: if plain == 0 { weight } else { 1.0 },
+                        },
+                        4..=6 => OpSpec::Remove { pick },
+                        _ if pick % 2 == 0 => OpSpec::SetCap {
+                            resource: shared[pick % shared.len()],
+                            capacity,
+                        },
+                        _ => OpSpec::SetCap {
+                            resource: private[pick % clients],
+                            capacity: capacity / 100.0,
+                        },
+                    },
+                ));
+                (caps, ops)
+            })
+    })
+}
+
+/// An incremental and a Reference-mode [`FlowCore`] driven through the
+/// same operations, with the state a fresh [`max_min_allocate`] needs.
+struct Twin {
+    inc: FlowCore,
+    refc: FlowCore,
+    capacities: Vec<f64>,
+    entries: HashMap<u64, AllocEntry>,
+    live: Vec<u64>,
+    next_id: u64,
+}
+
+impl Twin {
+    fn new(caps: &[f64]) -> Self {
+        let mut refc = FlowCore::new(caps.to_vec());
+        refc.set_mode(AllocMode::Reference);
+        Twin {
+            inc: FlowCore::new(caps.to_vec()),
+            refc,
+            capacities: caps.to_vec(),
+            entries: HashMap::new(),
+            live: Vec::new(),
+            next_id: 1,
+        }
+    }
+
+    fn apply(&mut self, op: &OpSpec) {
+        match op {
+            OpSpec::Insert {
+                resources,
+                cap,
+                weight,
+            } => {
+                let id = self.next_id;
+                self.next_id += 1;
+                self.inc.insert(id, id, resources, *cap, *weight);
+                self.refc.insert(id, id, resources, *cap, *weight);
+                self.entries.insert(
+                    id,
+                    AllocEntry {
+                        resources: resources.clone(),
+                        cap: *cap,
+                        weight: *weight,
+                    },
+                );
+                self.live.push(id);
+            }
+            OpSpec::Remove { pick } => {
+                if self.live.is_empty() {
+                    return;
+                }
+                let id = self.live.remove(pick % self.live.len());
+                assert!(self.inc.remove(id));
+                assert!(self.refc.remove(id));
+                self.entries.remove(&id);
+            }
+            OpSpec::SetCap { resource, capacity } => {
+                self.inc.set_capacity(*resource, *capacity);
+                self.refc.set_capacity(*resource, *capacity);
+                self.capacities[*resource as usize] = *capacity;
+            }
+        }
+    }
+
+    /// The incremental allocator matches a fresh full recompute within
+    /// 1e-9 relative and the Reference-mode core bitwise, rates and change
+    /// lists alike.
+    fn check(&self) {
+        let flows: Vec<AllocEntry> = self
+            .live
+            .iter()
+            .map(|id| self.entries[id].clone())
+            .collect();
+        let want = max_min_allocate(&self.capacities, &flows);
+        for (id, want) in self.live.iter().zip(&want) {
+            let got = self.inc.rate(*id).expect("live flow has a rate");
+            prop_assert!(
+                (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                "flow {} diverged: incremental {} vs reference {}",
+                id,
+                got,
+                want
+            );
+            // Mode parity is stronger: bit-identical.
+            let got_ref = self.refc.rate(*id).expect("live flow has a rate");
+            prop_assert!(
+                got.to_bits() == got_ref.to_bits(),
+                "flow {} mode divergence: incremental {} vs reference-mode {}",
+                id,
+                got,
+                got_ref
+            );
+        }
+        // Change lists must agree too (the engine schedules completion
+        // events from them).
+        prop_assert_eq!(self.inc.changes().len(), self.refc.changes().len());
+        for (a, b) in self.inc.changes().iter().zip(self.refc.changes()) {
+            prop_assert_eq!(a.id, b.id);
+            prop_assert_eq!(a.token, b.token);
+            prop_assert!(a.rate.to_bits() == b.rate.to_bits());
+        }
+    }
+}
+
 proptest! {
     /// After every operation the incremental allocator matches a fresh
     /// full-recompute reference within 1e-9 relative, and a Reference-mode
     /// FlowCore driven identically matches bitwise.
     #[test]
     fn incremental_matches_reference((caps, ops) in op_sequence()) {
-        let mut inc = FlowCore::new(caps.clone());
-        let mut refc = FlowCore::new(caps.clone());
-        refc.set_mode(AllocMode::Reference);
-        let mut capacities = caps.clone();
-        let mut entries: HashMap<u64, AllocEntry> = HashMap::new();
-        let mut live: Vec<u64> = Vec::new();
-        let mut next_id = 1u64;
+        let mut twin = Twin::new(&caps);
         for op in &ops {
-            match op {
-                OpSpec::Insert { resources, cap, weight } => {
-                    let id = next_id;
-                    next_id += 1;
-                    inc.insert(id, id, resources, *cap, *weight);
-                    refc.insert(id, id, resources, *cap, *weight);
-                    entries.insert(id, AllocEntry {
-                        resources: resources.clone(),
-                        cap: *cap,
-                        weight: *weight,
-                    });
-                    live.push(id);
-                }
-                OpSpec::Remove { pick } => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let id = live.remove(pick % live.len());
-                    prop_assert!(inc.remove(id));
-                    prop_assert!(refc.remove(id));
-                    entries.remove(&id);
-                }
-                OpSpec::SetCap { resource, capacity } => {
-                    inc.set_capacity(*resource, *capacity);
-                    refc.set_capacity(*resource, *capacity);
-                    capacities[*resource as usize] = *capacity;
-                }
-            }
-            // Independent reference: full recompute over the live set.
-            let flows: Vec<AllocEntry> =
-                live.iter().map(|id| entries[id].clone()).collect();
-            let want = max_min_allocate(&capacities, &flows);
-            for (id, want) in live.iter().zip(&want) {
-                let got = inc.rate(*id).expect("live flow has a rate");
-                prop_assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "flow {} diverged: incremental {} vs reference {}",
-                    id, got, want
-                );
-                // Mode parity is stronger: bit-identical.
-                let got_ref = refc.rate(*id).expect("live flow has a rate");
-                prop_assert!(
-                    got.to_bits() == got_ref.to_bits(),
-                    "flow {} mode divergence: incremental {} vs reference-mode {}",
-                    id, got, got_ref
-                );
-            }
-            // Change lists must agree too (the engine schedules completion
-            // events from them).
-            prop_assert_eq!(inc.changes().len(), refc.changes().len());
-            for (a, b) in inc.changes().iter().zip(refc.changes()) {
-                prop_assert_eq!(a.id, b.id);
-                prop_assert_eq!(a.token, b.token);
-                prop_assert!(a.rate.to_bits() == b.rate.to_bits());
-            }
+            twin.apply(op);
+            twin.check();
         }
     }
 
@@ -148,6 +282,20 @@ proptest! {
                 "flow {} changed: single-pass {} vs one-at-a-time {}",
                 j, a, b
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// The same agreement on crowd-shaped churn, where one waterfill runs
+    /// as many rounds as its component has flows (up to 64).
+    #[test]
+    fn incremental_matches_reference_on_many_round_waterfills((caps, ops) in crowd_sequence()) {
+        let mut twin = Twin::new(&caps);
+        for op in &ops {
+            twin.apply(op);
+            twin.check();
         }
     }
 }

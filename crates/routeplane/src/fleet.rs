@@ -11,7 +11,7 @@
 //! that drew the boundary sequence number owns its event.
 
 use crate::cache::{Lookup, PlaneConfig, PlaneStats, RoutePlane, ServeStatus};
-use crate::key::DecisionKey;
+use crate::key::{DecisionKey, SIZE_CLASSES};
 use crate::source::{splitmix64, SyntheticSource};
 use cloudstore::TripBoard;
 use netsim::time::SimTime;
@@ -173,7 +173,7 @@ fn key_for_client(client: u64, cfg: &FleetConfig) -> DecisionKey {
     DecisionKey {
         vantage: (h % cfg.plane.vantages as u64) as u32,
         provider: ((h >> 32) % cfg.plane.providers as u64) as u16,
-        size_class: ((h >> 56) % 3) as u8,
+        size_class: ((h >> 56) % SIZE_CLASSES as u64) as u8,
     }
 }
 

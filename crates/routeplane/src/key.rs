@@ -2,14 +2,9 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Size-class boundaries, matching `obs::health::size_class`: transfers
-/// under 16 MB are "small", under 256 MB "medium", the rest "large".
-pub const SIZE_CLASS_SMALL: u8 = 0;
-/// Medium size class (16–256 MB).
-pub const SIZE_CLASS_MEDIUM: u8 = 1;
-/// Large size class (≥ 256 MB).
-pub const SIZE_CLASS_LARGE: u8 = 2;
-/// Number of size classes.
+/// Number of size classes. The boundaries match `obs::health::size_class`:
+/// class 0 ("small") is under 16 MB, class 1 ("medium") under 256 MB, and
+/// class 2 ("large") the rest.
 pub const SIZE_CLASSES: u8 = 3;
 
 /// The cache key for one scored decision: which vantage is asking, which

@@ -10,7 +10,7 @@
 //! design exists to accommodate.
 
 use crate::cache::{DecisionSource, RouteScore, ScoredEntry, DIRECT_ROUTE};
-use crate::key::DecisionKey;
+use crate::key::{DecisionKey, SIZE_CLASSES};
 use cloudstore::Provider;
 use detour_core::{ProbeSelector, Route};
 use netsim::engine::Sim;
@@ -168,7 +168,7 @@ impl DecisionSource for ProbeSource {
         let mut sim = self.sim.borrow_mut();
         let (client, class) = self.clients[key.vantage as usize % self.clients.len()];
         let provider = &self.providers[key.provider as usize % self.providers.len()];
-        let bytes = self.class_bytes[key.size_class as usize % 3];
+        let bytes = self.class_bytes[(key.size_class % SIZE_CLASSES) as usize];
         let mut direct: Option<RouteScore> = None;
         let mut best: Option<RouteScore> = None;
         for (idx, route) in self.routes.iter().enumerate() {

@@ -255,6 +255,12 @@ const MAX_SYNC_FILES: u32 = 16;
 const MAX_FILE_KB: u32 = 256;
 /// Sync mutation rounds each rerun the full rsync pipeline.
 const MAX_SYNC_ROUNDS: u32 = 16;
+/// Link rates (core and access), Mbps. The engine times a drain to the
+/// nanosecond, and at 100 Gbps one nanosecond moves 12.5 B, inside the
+/// byte-conservation oracle's 64 B floor. At 10⁶ Mbps a drain's rounding
+/// alone exceeds it, and the oracle reports a violation the engine did not
+/// commit. Generated specs stay at or below 1,000 Mbps.
+const MAX_MBPS: u32 = 100_000;
 
 impl ScenarioSpec {
     /// Generate the spec for one fuzz case, fully determined by `case_seed`.
@@ -765,14 +771,14 @@ impl ScenarioSpec {
                 transit: req_u32(topo_v, "transit", MAX_NODES)?,
                 stubs: req_u32(topo_v, "stubs", MAX_NODES)?,
                 hosts: req_u32(topo_v, "hosts", MAX_NODES)?,
-                core_mbps: req_u32(topo_v, "core_mbps", ANY)?,
-                access_lo_mbps: req_u32(topo_v, "access_lo_mbps", ANY)?,
-                access_hi_mbps: req_u32(topo_v, "access_hi_mbps", ANY)?,
+                core_mbps: req_u32(topo_v, "core_mbps", MAX_MBPS)?,
+                access_lo_mbps: req_u32(topo_v, "access_lo_mbps", MAX_MBPS)?,
+                access_hi_mbps: req_u32(topo_v, "access_hi_mbps", MAX_MBPS)?,
                 topo_seed: req_u64(topo_v, "topo_seed", u64::MAX)?,
             },
             Some("star") => TopoSpec::Star {
                 hosts: req_u32(topo_v, "hosts", MAX_NODES)?,
-                access_mbps: req_u32(topo_v, "access_mbps", ANY)?,
+                access_mbps: req_u32(topo_v, "access_mbps", MAX_MBPS)?,
             },
             other => return Err(format!("unknown topo kind {other:?}")),
         };
@@ -1235,9 +1241,9 @@ mod tests {
             transit: MAX_NODES,
             stubs: MAX_NODES,
             hosts: MAX_NODES,
-            core_mbps: 500,
-            access_lo_mbps: 5,
-            access_hi_mbps: 50,
+            core_mbps: MAX_MBPS,
+            access_lo_mbps: MAX_MBPS,
+            access_hi_mbps: MAX_MBPS,
             topo_seed: u64::MAX,
         };
         spec.jobs[0].bytes = MAX_BYTES;
@@ -1299,6 +1305,60 @@ mod tests {
         assert_rejected("faults[0]: field \"at_ms\"", |s| {
             s.faults[0].at_ms = u64::MAX
         });
+    }
+
+    #[test]
+    fn link_rates_past_their_bound_are_rejected() {
+        assert_rejected("field \"access_mbps\" is 1000000", |s| {
+            s.topo = TopoSpec::Star {
+                hosts: 3,
+                access_mbps: 1_000_000,
+            }
+        });
+        let synth = |core_mbps, access_lo_mbps, access_hi_mbps| TopoSpec::Synth {
+            transit: 2,
+            stubs: 1,
+            hosts: 2,
+            core_mbps,
+            access_lo_mbps,
+            access_hi_mbps,
+            topo_seed: 1,
+        };
+        assert_rejected("field \"core_mbps\" is 1000000", |s| {
+            s.topo = synth(1_000_000, 10, 10)
+        });
+        assert_rejected("field \"access_lo_mbps\" is 1000000", |s| {
+            s.topo = synth(10, 1_000_000, 1_000_000)
+        });
+        assert_rejected("field \"access_hi_mbps\" is 1000000", |s| {
+            s.topo = synth(10, 10, 1_000_000)
+        });
+    }
+
+    /// The first six std specs of seed 7, every link rate at the bound,
+    /// replay and check clean. At 10⁶ Mbps four of them report false
+    /// byte-conservation violations.
+    #[test]
+    fn specs_at_the_link_rate_bound_check_clean() {
+        for i in 0..6 {
+            let mut spec = ScenarioSpec::generate(case_seed(7, i));
+            match &mut spec.topo {
+                TopoSpec::Synth {
+                    core_mbps,
+                    access_lo_mbps,
+                    access_hi_mbps,
+                    ..
+                } => {
+                    *core_mbps = MAX_MBPS;
+                    *access_lo_mbps = MAX_MBPS;
+                    *access_hi_mbps = MAX_MBPS;
+                }
+                TopoSpec::Star { access_mbps, .. } => *access_mbps = MAX_MBPS,
+            }
+            let spec = ScenarioSpec::from_json(&spec.to_json()).expect("inside every bound");
+            let res = crate::check_case(&spec, crate::RunOptions::default());
+            assert!(res.ok(), "case {i}: {:?}", res.violations);
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 use routing_detours::netsim::audit::AuditHook;
 use routing_detours::netsim::engine::AuditView;
 use routing_detours::netsim::prelude::*;
+use routing_detours::netsim::synth::SynthGlobe;
 use routing_detours::netsim::units::MB;
 use routing_detours::simcheck::{case_seed, run_once, RunOptions, ScenarioSpec};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// What the index-stability hook observed over a whole run.
@@ -201,4 +203,143 @@ fn allocator_modes_are_bit_identical_end_to_end() {
         assert_eq!(inc.events, reference.events, "case {i}");
         assert_eq!(inc.bytes_delivered, reference.bytes_delivered, "case {i}");
     }
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A closed-loop upload crowd, like perfbench's `crowd`: every client keeps
+/// one upload in flight to its region's frontend of a randomly drawn cloud
+/// and starts the next when one lands, until `target` uploads have landed.
+struct Crowd {
+    /// (host, region) per client.
+    clients: Vec<(NodeId, usize)>,
+    /// `frontends[cloud][region]`.
+    frontends: Vec<Vec<NodeId>>,
+    rng: u64,
+    inflight: HashMap<u64, usize>,
+    /// (flow id, sim ns) of every landing, in order.
+    landed: Rc<RefCell<Vec<(u64, u64)>>>,
+    target: usize,
+}
+
+impl Crowd {
+    fn start(&mut self, ctx: &mut Ctx<'_>, c: usize) {
+        let r = splitmix(&mut self.rng);
+        let (host, region) = self.clients[c];
+        let dst = self.frontends[(r >> 40) as usize % self.frontends.len()][region];
+        let spec = FlowSpec::new(host, dst, 4 * MB + r % (4 * MB), FlowClass::Commodity);
+        let flow = ctx
+            .start_flow(spec)
+            .expect("globe hosts reach every frontend");
+        self.inflight.insert(flow.0, c);
+    }
+}
+
+impl Process for Crowd {
+    fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Started => {
+                for c in 0..self.clients.len() {
+                    self.start(ctx, c);
+                }
+            }
+            Event::FlowCompleted { flow, .. } => {
+                let c = self.inflight.remove(&flow.0).expect("a crowd flow");
+                let mut landed = self.landed.borrow_mut();
+                landed.push((flow.0, ctx.now_ns()));
+                if landed.len() == self.target {
+                    ctx.finish(Value::U64(landed.len() as u64));
+                } else {
+                    drop(landed);
+                    self.start(ctx, c);
+                }
+            }
+            ev => panic!("unexpected crowd event {ev:?}"),
+        }
+    }
+}
+
+/// What one crowd run left behind.
+#[derive(Debug, PartialEq)]
+struct CrowdRun {
+    state_digest: u64,
+    landed: Vec<(u64, u64)>,
+    events: u64,
+    reallocations: u64,
+    largest_component: usize,
+}
+
+/// 64 clients on a ~500-node globe, 256 landings of 4–8 MB, under the
+/// given allocator. Two regions, one cloud and two routers per region
+/// funnel each region's uploads through few frontend uplinks, so the
+/// max-min components grow to tens of flows, each held back by its own
+/// access link.
+fn crowd_run(mode: AllocMode) -> CrowdRun {
+    let cfg = SynthGlobe {
+        seed: 5,
+        regions: 2,
+        clouds: 1,
+        routers_per_region: 2,
+        ..SynthGlobe::default()
+    }
+    .with_target_nodes(500);
+    let world = cfg.build();
+    let mut rng = 0x5EED;
+    let clients = (0..64)
+        .map(|c| {
+            let region = c % cfg.regions;
+            let pick = splitmix(&mut rng) as usize % cfg.hosts_per_region;
+            (world.hosts[region * cfg.hosts_per_region + pick], region)
+        })
+        .collect();
+    let mut sim = Sim::new(world.topo, 5);
+    sim.set_allocator_mode(mode);
+    let landed = Rc::new(RefCell::new(Vec::new()));
+    let crowd = Crowd {
+        clients,
+        frontends: world.frontends,
+        rng: 0xC0FFEE,
+        inflight: HashMap::new(),
+        landed: Rc::clone(&landed),
+        target: 256,
+    };
+    let done = sim.run_process(Box::new(crowd)).expect("crowd run");
+    assert!(matches!(done, Value::U64(256)), "crowd ended with {done:?}");
+    let stats = sim.stats();
+    let largest_component = sim
+        .flow_components()
+        .iter()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0);
+    CrowdRun {
+        state_digest: sim.state_digest(),
+        landed: landed.take(),
+        events: stats.events,
+        reallocations: stats.reallocations,
+        largest_component,
+    }
+}
+
+/// The allocator modes stay bit-identical on a crowd-shaped run, where a
+/// max-min component holds tens of flows and one waterfill runs about as
+/// many rounds as its component has flows. simcheck's generated specs
+/// average 1.5 flows per waterfill, so its reference-allocator run never
+/// reaches this regime.
+#[test]
+fn allocator_modes_are_bit_identical_on_a_closed_loop_crowd() {
+    let inc = crowd_run(AllocMode::Incremental);
+    let reference = crowd_run(AllocMode::Reference);
+    assert!(
+        inc.largest_component >= 16,
+        "largest component holds only {} flows",
+        inc.largest_component
+    );
+    assert_eq!(inc, reference, "allocator modes diverged on the crowd");
 }

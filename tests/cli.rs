@@ -200,9 +200,8 @@ fn detour_fails_cleanly(args: &[&str]) -> String {
 
 #[test]
 fn out_of_range_replay_spec_exits_1_naming_the_field() {
-    let mut spec = routing_detours::simcheck::ScenarioSpec::generate(
-        routing_detours::simcheck::case_seed(7, 0),
-    );
+    use routing_detours::simcheck::{case_seed, ScenarioSpec, TopoSpec};
+    let mut spec = ScenarioSpec::generate(case_seed(7, 0));
     spec.jitter_pct = 150;
     let dir = std::env::temp_dir().join("detour-check-cli-bounds");
     std::fs::create_dir_all(&dir).unwrap();
@@ -211,6 +210,23 @@ fn out_of_range_replay_spec_exits_1_naming_the_field() {
     let err = detour_fails_cleanly(&["check", "--replay", path.to_str().unwrap()]);
     assert!(err.contains("bad scenario spec"), "{err}");
     assert!(err.contains("\"jitter_pct\" is 150"), "{err}");
+
+    // A link rate above 100,000 Mbps, where a nanosecond of drain-time
+    // rounding would trip the byte-conservation oracle, is refused too.
+    let mut spec = ScenarioSpec::generate(case_seed(7, 0));
+    let field = match &mut spec.topo {
+        TopoSpec::Synth { core_mbps, .. } => {
+            *core_mbps = 1_000_000;
+            "core_mbps"
+        }
+        TopoSpec::Star { access_mbps, .. } => {
+            *access_mbps = 1_000_000;
+            "access_mbps"
+        }
+    };
+    std::fs::write(&path, spec.to_json()).unwrap();
+    let err = detour_fails_cleanly(&["check", "--replay", path.to_str().unwrap()]);
+    assert!(err.contains(&format!("\"{field}\" is 1000000")), "{err}");
 }
 
 #[test]

@@ -39,20 +39,20 @@ fn json_args(args: &[(&'static str, ArgValue)], out: &mut String) {
     out.push('}');
 }
 
+/// One line of the JSONL log: a span's begin or end, or an event, with
+/// the index of its span or event in the [`Recording`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum LineKind {
+pub(crate) enum LineKind {
     SpanBegin,
     SpanEnd,
     Event,
 }
 
-/// The deterministic JSONL event log: one JSON object per line, in
-/// simulated-time order (sequence numbers break ties), interleaving
-/// `span_begin` / `span_end` / `event` records.
-pub fn jsonl_log(rec: &Recording) -> String {
-    // (t, seq, kind, index) — seq for begins/events is the record's own;
-    // span ends don't carry one, so they sort by time then after
-    // same-instant begins/events via the kind discriminant and span id.
+/// The JSONL log's lines in file order: simulated time, then sequence
+/// number. Span ends carry no sequence number of their own, so they sort
+/// after same-instant begins and events, then by kind and index.
+/// [`crate::Trace::from_recording`] walks the same order.
+pub(crate) fn line_order(rec: &Recording) -> impl Iterator<Item = (LineKind, usize)> {
     let mut lines: Vec<(u64, u64, LineKind, usize)> = Vec::new();
     for (i, s) in rec.spans.iter().enumerate() {
         lines.push((s.start_ns, s.begin_seq, LineKind::SpanBegin, i));
@@ -63,10 +63,16 @@ pub fn jsonl_log(rec: &Recording) -> String {
     for (i, e) in rec.events.iter().enumerate() {
         lines.push((e.t_ns, e.seq, LineKind::Event, i));
     }
-    lines.sort_by_key(|&(t, seq, kind, idx)| (t, seq, kind, idx));
+    lines.sort_unstable();
+    lines.into_iter().map(|(_, _, kind, idx)| (kind, idx))
+}
 
+/// The deterministic JSONL event log: one JSON object per line, in
+/// simulated-time order (sequence numbers break ties), interleaving
+/// `span_begin` / `span_end` / `event` records.
+pub fn jsonl_log(rec: &Recording) -> String {
     let mut out = String::new();
-    for (_, _, kind, idx) in lines {
+    for (kind, idx) in line_order(rec) {
         match kind {
             LineKind::SpanBegin => {
                 let s = &rec.spans[idx];

@@ -9,19 +9,22 @@
 //! `segment id → global index` map that is simply overwritten whenever an
 //! id is re-begun; a multi-run file therefore parses without any framing.
 //!
-//! Live and recorded paths converge by construction:
-//! [`Trace::from_recording`] serializes the in-memory [`Recording`]
-//! through the same JSONL bytes and re-parses them, so a scoreboard built
-//! from a live run is structurally identical to one built from the file
-//! that run recorded.
+//! Live and recorded paths converge: [`Trace::from_recording`] builds the
+//! trace straight from the in-memory [`Recording`], walking the exporter's
+//! line order and mapping every value the way its JSONL text parses back,
+//! so it equals `parse_jsonl(&jsonl_log(rec))` without writing or parsing
+//! a byte. A scoreboard built from a live run is therefore identical to one
+//! built from the file that run recorded. The equality is not free by
+//! construction; `simcheck` checks it on every checked case, and the tests
+//! here check it on hand-built recordings.
 //!
 //! Errors are typed and actionable: every [`TraceError`] carries the
 //! source path, the 1-based line number where parsing failed, and a
 //! remediation hint (see [`TraceError::hint`]).
 
-use crate::export::jsonl_log;
+use crate::export::{line_order, LineKind};
 use crate::json::{Json, JsonError, JsonErrorKind};
-use crate::telemetry::Recording;
+use crate::telemetry::{ArgValue, Recording, SpanId};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -63,7 +66,7 @@ impl TraceValue {
 }
 
 /// One span reconstructed from a trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpan {
     /// Global index of the parent span in [`Trace::spans`], if any.
     pub parent: Option<usize>,
@@ -94,7 +97,7 @@ impl TraceSpan {
 }
 
 /// One instant event reconstructed from a trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Global index of the parent span in [`Trace::spans`], if any.
     pub parent: Option<usize>,
@@ -117,7 +120,7 @@ impl TraceEvent {
 
 /// A parsed trace: spans and events in file order, with parent links
 /// resolved to global span indices (stable across run concatenation).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// All spans, in begin order.
     pub spans: Vec<TraceSpan>,
@@ -126,12 +129,57 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Parse a live [`Recording`] by round-tripping it through the JSONL
-    /// exporter — the recorded-file and live paths share every byte of
-    /// the pipeline, which is what makes `detour health` reproduce the
-    /// same scoreboard from a run and from its recording.
+    /// The trace of a live [`Recording`]: equal to parsing its JSONL export,
+    /// `parse_jsonl(&jsonl_log(rec), _)`, which is what makes `detour
+    /// health` reproduce the same scoreboard from a run and from its
+    /// recording. Spans and events come in the exporter's line order, and
+    /// a parent resolves only if its span began on an earlier line.
+    /// Argument values map as their JSON text reads back: a non-negative
+    /// `I64` and an integral `F64` that prints as a `u64` become `U64`, a
+    /// negative integral `F64` that prints as an `i64` becomes `I64`, and
+    /// a non-finite `F64` becomes `Null`.
     pub fn from_recording(rec: &Recording) -> Trace {
-        parse_jsonl(&jsonl_log(rec), "<live>").expect("round-trip of a live recording")
+        let mut trace = Trace::default();
+        let mut id_map: HashMap<u64, usize> = HashMap::new();
+        let parent_of = |id: SpanId, id_map: &HashMap<u64, usize>| {
+            id.is_some().then(|| id_map.get(&id.0).copied()).flatten()
+        };
+        for (kind, idx) in line_order(rec) {
+            match kind {
+                LineKind::SpanBegin => {
+                    let s = &rec.spans[idx];
+                    trace.spans.push(TraceSpan {
+                        parent: parent_of(s.parent, &id_map),
+                        cat: s.cat.label().to_string(),
+                        name: s.name.to_string(),
+                        start_ns: s.start_ns,
+                        end_ns: None,
+                        args: trace_args(&s.args),
+                    });
+                    id_map.insert(s.id.0, trace.spans.len() - 1);
+                }
+                LineKind::SpanEnd => {
+                    let s = &rec.spans[idx];
+                    // Only a span that ends before it starts has its end
+                    // line first; the parser rejects that, and it is
+                    // skipped here.
+                    if let Some(&i) = id_map.get(&s.id.0) {
+                        trace.spans[i].end_ns = s.end_ns;
+                    }
+                }
+                LineKind::Event => {
+                    let e = &rec.events[idx];
+                    trace.events.push(TraceEvent {
+                        parent: parent_of(e.parent, &id_map),
+                        cat: e.cat.label().to_string(),
+                        name: e.name.to_string(),
+                        t_ns: e.t_ns,
+                        args: trace_args(&e.args),
+                    });
+                }
+            }
+        }
+        trace
     }
 
     /// Walk parent links from `idx` (exclusive) up to the root.
@@ -376,31 +424,61 @@ fn str_field(v: Option<Json>, key: &'static str) -> Result<String, TraceErrorKin
 }
 
 fn args_field(v: Option<Json>) -> Result<Vec<(String, TraceValue)>, TraceErrorKind> {
-    let kv = match v {
-        Some(Json::Obj(kv)) => kv,
-        Some(_) => return Err(TraceErrorKind::BadField("args")),
-        None => return Ok(Vec::new()),
-    };
-    Ok(kv
-        .into_iter()
-        .map(|(k, v)| {
-            let v = match v {
-                Json::Int(n) => TraceValue::U64(n),
-                Json::NegInt(n) => TraceValue::I64(n),
-                Json::Num(f) => TraceValue::F64(f),
-                Json::Str(s) => TraceValue::Str(s),
-                Json::Bool(b) => TraceValue::Bool(b),
-                Json::Null | Json::Arr(_) | Json::Obj(_) => TraceValue::Null,
-            };
-            (k, v)
-        })
-        .collect())
+    match v {
+        Some(Json::Obj(kv)) => Ok(kv.into_iter().map(|(k, v)| (k, json_value(v))).collect()),
+        Some(_) => Err(TraceErrorKind::BadField("args")),
+        None => Ok(Vec::new()),
+    }
+}
+
+fn json_value(v: Json) -> TraceValue {
+    match v {
+        Json::Int(n) => TraceValue::U64(n),
+        Json::NegInt(n) => TraceValue::I64(n),
+        Json::Num(f) => TraceValue::F64(f),
+        Json::Str(s) => TraceValue::Str(s),
+        Json::Bool(b) => TraceValue::Bool(b),
+        Json::Null | Json::Arr(_) | Json::Obj(_) => TraceValue::Null,
+    }
+}
+
+fn trace_args(args: &[(&'static str, ArgValue)]) -> Vec<(String, TraceValue)> {
+    args.iter()
+        .map(|(k, v)| (k.to_string(), arg_value(v)))
+        .collect()
+}
+
+/// What an argument reads back as from its JSONL text. The exporter prints
+/// a float in Rust's shortest round-trip form, which has no exponent, so an
+/// integral float prints as an integer and the parser keeps it exact when
+/// it fits a `u64` or a negative `i64`. Below 2^53 that integer is the
+/// float's own value; above, the shortest form may round it, so the text
+/// is parsed as the reader would.
+fn arg_value(v: &ArgValue) -> TraceValue {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match *v {
+        ArgValue::U64(n) => TraceValue::U64(n),
+        ArgValue::I64(n) => u64::try_from(n).map_or(TraceValue::I64(n), TraceValue::U64),
+        ArgValue::F64(f) if !f.is_finite() => TraceValue::Null,
+        // "-0" parses as the float -0.0, not as an integer.
+        ArgValue::F64(f) if f.fract() != 0.0 || (f == 0.0 && f.is_sign_negative()) => {
+            TraceValue::F64(f)
+        }
+        ArgValue::F64(f) if (0.0..EXACT).contains(&f) => TraceValue::U64(f as u64),
+        ArgValue::F64(f) if (-EXACT..0.0).contains(&f) => TraceValue::I64(f as i64),
+        ArgValue::F64(f) => {
+            json_value(Json::parse(&f.to_string()).expect("a finite float prints as JSON"))
+        }
+        ArgValue::Str(ref s) => TraceValue::Str(s.clone()),
+        ArgValue::Bool(b) => TraceValue::Bool(b),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{Category, SpanId, Telemetry};
+    use crate::export::jsonl_log;
+    use crate::telemetry::{Category, Telemetry};
 
     fn sample_recording() -> Recording {
         let mut tele = Telemetry::enabled();
@@ -497,6 +575,101 @@ mod tests {
         let e = load_trace(Path::new("/nonexistent/definitely/not/here.jsonl")).unwrap_err();
         assert!(matches!(e.kind, TraceErrorKind::Unreadable(_)));
         assert!(e.to_string().contains("detour trace"));
+    }
+
+    /// The direct builder and the JSONL round trip agree bit for bit
+    /// (Debug tells -0.0 from 0.0 where `==` does not).
+    fn assert_round_trip(rec: &Recording) -> Trace {
+        let direct = Trace::from_recording(rec);
+        let parsed = parse_jsonl(&jsonl_log(rec), "<test>").unwrap();
+        assert_eq!(direct, parsed);
+        assert_eq!(format!("{direct:?}"), format!("{parsed:?}"));
+        direct
+    }
+
+    #[test]
+    fn direct_trace_equals_the_jsonl_round_trip() {
+        assert_round_trip(&sample_recording());
+        let mut tele = Telemetry::enabled();
+        let root = tele.span_begin_with(10, Category::Control, "job", SpanId::NONE, |a| {
+            a.set("whole", 3.0f64)
+                .set("neg_whole", -2.0f64)
+                .set("neg_zero", -0.0f64)
+                .set("pos_zero", 0.0f64)
+                .set("frac", -1.25f64)
+                .set("big", 1e19f64)
+                .set("bigger", 1e20f64)
+                .set("neg_big", -9_223_372_036_854_775_808.0f64)
+                .set("nan", f64::NAN)
+                .set("inf", f64::INFINITY)
+                .set("ninf", f64::NEG_INFINITY)
+                .set("i", -5i64)
+                .set("i_pos", 5i64)
+                .set("i_min", i64::MIN)
+                .set("u", u64::MAX)
+                .set("yes", true)
+                .set("text", "q\"b\\s\n\r\t\u{0}\u{1f}\u{7f} é — 🚀");
+        });
+        // Same instant as the root's begin: a child, an event and a
+        // zero-length span, ordered by sequence number then kind.
+        let child = tele.span_begin(10, Category::Session, "child", root);
+        tele.event(10, Category::Chunk, "tick", child, |a| {
+            a.set("attempt", 1u64);
+        });
+        let blip = tele.span_begin(10, Category::Rpc, "blip", child);
+        tele.span_end(10, blip);
+        tele.event(10, Category::Chunk, "after-end", blip, |_| {});
+        // A span and an event stamped before their parent began: the
+        // parent's line comes later, so neither resolves it.
+        let early = tele.span_begin(5, Category::Flow, "early", child);
+        tele.event(4, Category::Flow, "earlier", root, |_| {});
+        tele.span_end(7, early);
+        tele.span_end(20, child);
+        // Left open: no span_end line, no end time.
+        let open = tele.span_begin(30, Category::Relay, "open", root);
+        tele.event(31, Category::Relay, "inside-open", open, |_| {});
+        // A parent that was never recorded.
+        tele.event(32, Category::Control, "orphan", SpanId(99), |_| {});
+        let trace = assert_round_trip(&tele.take().unwrap());
+
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["early", "job", "child", "blip", "open"]);
+        assert_eq!(trace.spans[0].parent, None);
+        assert_eq!(trace.spans[2].parent, Some(1));
+        assert_eq!(trace.spans[4].end_ns, None);
+        let events: Vec<(&str, Option<usize>)> = trace
+            .events
+            .iter()
+            .map(|e| (e.name.as_str(), e.parent))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                ("earlier", None),
+                ("tick", Some(2)),
+                ("after-end", Some(3)),
+                ("inside-open", Some(4)),
+                ("orphan", None),
+            ]
+        );
+        let job = &trace.spans[1];
+        assert_eq!(job.arg("whole"), Some(&TraceValue::U64(3)));
+        assert_eq!(job.arg("neg_whole"), Some(&TraceValue::I64(-2)));
+        assert!(matches!(job.arg("neg_zero"), Some(TraceValue::F64(z)) if z.is_sign_negative()));
+        assert_eq!(job.arg("pos_zero"), Some(&TraceValue::U64(0)));
+        assert_eq!(
+            job.arg("big"),
+            Some(&TraceValue::U64(10_000_000_000_000_000_000))
+        );
+        assert_eq!(job.arg("bigger"), Some(&TraceValue::F64(1e20)));
+        assert_eq!(
+            job.arg("neg_big"),
+            Some(&TraceValue::F64(-9.223372036854776e18))
+        );
+        assert_eq!(job.arg("i_pos"), Some(&TraceValue::U64(5)));
+        for k in ["nan", "inf", "ninf"] {
+            assert_eq!(job.arg(k), Some(&TraceValue::Null), "{k}");
+        }
     }
 
     #[test]

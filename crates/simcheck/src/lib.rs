@@ -25,6 +25,9 @@
 //!   ([`Violation::ShardDivergence`] fires if parallel execution is not
 //!   bit-identical to sequential). That is six executions per case, seven
 //!   for a sync case, which re-runs with the relay chunk store bypassed.
+//!   The first execution and the bypass run check every invariant; the
+//!   five re-executions compared by chain digest alone fold that digest
+//!   and check nothing else.
 //! * [`mod@shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`
@@ -122,6 +125,10 @@ pub struct CheckReport {
     pub failures: Vec<CaseFailure>,
     /// Total engine events audited across all first executions.
     pub events: u64,
+    /// Every case's first-execution chain digest, folded in case order by
+    /// [`netsim::shard::fold_digests`]: it pins the state after every
+    /// audited event, where `events` pins only their count.
+    pub chain: u64,
 }
 
 impl CheckReport {
@@ -160,6 +167,7 @@ impl CheckReport {
             ("passed".into(), Json::Int(self.passed as u64)),
             ("failed".into(), Json::Int(self.failures.len() as u64)),
             ("events".into(), Json::Int(self.events)),
+            ("chain".into(), Json::Str(format!("{:016x}", self.chain))),
             ("failures".into(), Json::Arr(failures)),
         ])
         .render()
@@ -174,6 +182,7 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
         ..Default::default()
     };
     let mut report = CheckReport::default();
+    let mut chains = Vec::with_capacity(config.cases as usize);
     for i in 0..config.cases {
         let seed = case_seed(config.seed, i);
         let spec = match config.class {
@@ -183,6 +192,7 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
         };
         let res = check_case(&spec, opts);
         report.events += res.events;
+        chains.push(res.chain_digest);
         if res.ok() {
             report.passed += 1;
             continue;
@@ -197,6 +207,7 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
             shrink_steps: shrunk.steps,
         });
     }
+    report.chain = netsim::shard::fold_digests(&chains);
     report
 }
 
@@ -214,6 +225,7 @@ pub fn replay(spec_json: &str, rate_inflation: Option<f64>) -> Result<CheckRepor
         passed: 0,
         failures: vec![],
         events: res.events,
+        chain: res.chain_digest,
     };
     if res.ok() {
         report.passed = 1;
@@ -246,6 +258,19 @@ mod tests {
         let v = Json::parse(&report.to_json()).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("passed").and_then(Json::as_u64), Some(4));
+        // "chain" folds each case's first-execution chain digest in order.
+        let chains: Vec<u64> = (0..4)
+            .map(|i| {
+                let spec = ScenarioSpec::generate(case_seed(7, i));
+                check_case(&spec, RunOptions::default()).chain_digest
+            })
+            .collect();
+        assert_eq!(report.chain, netsim::shard::fold_digests(&chains));
+        let chain = format!("{:016x}", report.chain);
+        assert_eq!(v.get("chain").and_then(Json::as_str), Some(chain.as_str()));
+        // A replayed case's chain is that case's own digest.
+        let spec = ScenarioSpec::generate(case_seed(7, 2));
+        assert_eq!(replay(&spec.to_json(), None).unwrap().chain, chains[2]);
     }
 
     #[test]

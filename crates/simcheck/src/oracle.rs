@@ -16,7 +16,10 @@
 //!
 //! It also folds every post-event state digest into a running *chain
 //! digest*; two same-seed executions of the same scenario must produce the
-//! same chain, which is how [`crate::runner`] checks determinism.
+//! same chain, which is how [`crate::runner`] checks determinism. The
+//! oracle's digest-only form folds the identical chain and checks nothing
+//! else: the runner installs it in re-executions whose only compared output
+//! is the chain digest.
 
 use netsim::audit::{AuditHook, Digest};
 use netsim::engine::AuditView;
@@ -169,6 +172,15 @@ pub enum Violation {
         /// Sync pass (0 = initial replication, then mutation rounds).
         round: u32,
     },
+    /// The health trace built directly from an execution's telemetry
+    /// recording ([`obs::Trace::from_recording`]) differs from the trace
+    /// parsed back from that recording's JSONL export. The two must be
+    /// equal, so a scoreboard built live matches one built from the file.
+    TraceRoundTrip {
+        /// Where the two traces first differ, or why the export did not
+        /// parse.
+        detail: String,
+    },
     /// The cache-enabled and cache-bypass executions of a sync scenario
     /// delivered different final file bytes at the relay. The chunk store
     /// only re-prices the forward leg — it must never change *what* is
@@ -198,6 +210,7 @@ impl Violation {
             Violation::EngineError { .. } => "engine_error",
             Violation::DeadlineOverrun { .. } => "deadline_overrun",
             Violation::SyncIntegrity { .. } => "sync_integrity",
+            Violation::TraceRoundTrip { .. } => "trace_round_trip",
             Violation::ChunkDivergence { .. } => "chunk_divergence",
         }
     }
@@ -289,6 +302,10 @@ impl std::fmt::Display for Violation {
                 f,
                 "sync session {session} file {file} round {round}: applied delta does not reconstruct the source bytes"
             ),
+            Violation::TraceRoundTrip { detail } => write!(
+                f,
+                "direct health trace differs from its JSONL round trip: {detail}"
+            ),
             Violation::ChunkDivergence { cached, bypass } => write!(
                 f,
                 "cache-enabled vs cache-bypass sync delivered different bytes: {cached:#018x} vs {bypass:#018x}"
@@ -365,15 +382,30 @@ impl OracleHandle {
 /// The audit hook: install with `sim.set_audit_hook(Box::new(oracle))`.
 pub struct InvariantOracle {
     state: Rc<RefCell<OracleState>>,
+    /// Check the four invariants; when false, only fold the chain digest.
+    checks: bool,
 }
 
 impl InvariantOracle {
     /// Create an oracle and the handle used to read its findings back.
     pub fn new() -> (InvariantOracle, OracleHandle) {
+        Self::with_checks(true)
+    }
+
+    /// The digest-only form of the oracle: it folds the identical chain
+    /// digest and counts events, but checks none of the four invariants.
+    /// For a re-execution whose only compared output is the chain digest.
+    /// Violations pushed through the handle are still kept.
+    pub(crate) fn digest_only() -> (InvariantOracle, OracleHandle) {
+        Self::with_checks(false)
+    }
+
+    fn with_checks(checks: bool) -> (InvariantOracle, OracleHandle) {
         let state = Rc::new(RefCell::new(OracleState::default()));
         (
             InvariantOracle {
                 state: Rc::clone(&state),
+                checks,
             },
             OracleHandle { state },
         )
@@ -384,98 +416,9 @@ impl AuditHook for InvariantOracle {
     fn after_event(&mut self, view: &AuditView<'_>) {
         let mut st = self.state.borrow_mut();
         let st = &mut *st;
-        let now_ns = view.now().as_nanos();
-
-        // 1. Monotonicity.
-        if now_ns < st.prev_now_ns {
-            st.push(Violation::TimeRegression {
-                prev_ns: st.prev_now_ns,
-                now_ns,
-            });
+        if self.checks {
+            check_invariants(st, view);
         }
-
-        // 4a. Advance the shadow ledger across the elapsed interval using
-        // the rates that held *before* this event — the same
-        // piecewise-constant fluid model the engine integrates.
-        let dt = (now_ns.saturating_sub(st.prev_now_ns)) as f64 * 1e-9;
-        if dt > 0.0 {
-            for s in st.shadow.values_mut() {
-                s.integrated += s.rate * dt;
-            }
-        }
-        st.prev_now_ns = now_ns;
-
-        // 4b. Settle flows the engine reported delivered during this event.
-        for (flow, bytes, at) in st.delivered.drain(..) {
-            let integrated = st.shadow.remove(&flow).map(|s| s.integrated).unwrap_or(0.0);
-            let tol = (bytes as f64 * 1e-6).max(64.0);
-            if (integrated - bytes as f64).abs() > tol && st.violations.len() < MAX_VIOLATIONS {
-                st.violations.push(Violation::ByteConservation {
-                    flow,
-                    reported: bytes,
-                    integrated,
-                    at_ns: at.as_nanos(),
-                });
-            }
-        }
-
-        let flows = view.flows();
-        let caps = view.resource_capacities();
-
-        // 2. Capacity: sum active rates per resource.
-        let mut used = vec![0.0_f64; caps.len()];
-        for f in flows.iter().filter(|f| f.active) {
-            for &r in f.resources {
-                if let Some(u) = used.get_mut(r as usize) {
-                    *u += f.rate;
-                }
-            }
-        }
-        for (r, (&u, &cap)) in used.iter().zip(caps.iter()).enumerate() {
-            // Absolute slack of 1 byte/sec plus a relative term: the engine
-            // sums the same f64s, so genuine bugs overshoot by far more.
-            if u > cap + cap.abs() * REL_TOL + 1.0 {
-                st.push(Violation::OverAllocation {
-                    resource: r,
-                    used: u,
-                    cap,
-                    at_ns: now_ns,
-                });
-            }
-        }
-
-        // 3. Fairness: recompute the allocation from the same inputs in the
-        // same (sorted-by-id) order the engine uses.
-        let active: Vec<_> = flows.iter().filter(|f| f.active).collect();
-        let entries: Vec<AllocEntry> = active
-            .iter()
-            .map(|f| AllocEntry {
-                resources: f.resources.to_vec(),
-                cap: f.cap,
-                weight: f.weight,
-            })
-            .collect();
-        let want = max_min_allocate(&caps, &entries);
-        for (f, &w) in active.iter().zip(want.iter()) {
-            if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
-                st.push(Violation::UnfairAllocation {
-                    flow: f.id,
-                    got: f.rate,
-                    want: w,
-                    at_ns: now_ns,
-                });
-            }
-        }
-
-        // 4c. Refresh the shadow rates for the next interval. Inactive flows
-        // (drained, awaiting their Delivered event) keep a stale engine-side
-        // rate; they no longer move bytes, so shadow at 0.
-        for f in &flows {
-            let entry = st.shadow.entry(f.id).or_default();
-            entry.rate = if f.active { f.rate } else { 0.0 };
-        }
-        st.shadow.retain(|id, _| flows.iter().any(|f| f.id == *id));
-
         // Determinism chain: fold this event's digest into the running hash.
         let mut d = Digest::new();
         d.write_u64(st.chain);
@@ -486,8 +429,105 @@ impl AuditHook for InvariantOracle {
     }
 
     fn flow_delivered(&mut self, flow: u64, bytes: u64, now: SimTime) {
-        self.state.borrow_mut().delivered.push((flow, bytes, now));
+        if self.checks {
+            self.state.borrow_mut().delivered.push((flow, bytes, now));
+        }
     }
+}
+
+/// The four invariants over the state after one event.
+fn check_invariants(st: &mut OracleState, view: &AuditView<'_>) {
+    let now_ns = view.now().as_nanos();
+
+    // 1. Monotonicity.
+    if now_ns < st.prev_now_ns {
+        st.push(Violation::TimeRegression {
+            prev_ns: st.prev_now_ns,
+            now_ns,
+        });
+    }
+
+    // 4a. Advance the shadow ledger across the elapsed interval using
+    // the rates that held *before* this event — the same
+    // piecewise-constant fluid model the engine integrates.
+    let dt = (now_ns.saturating_sub(st.prev_now_ns)) as f64 * 1e-9;
+    if dt > 0.0 {
+        for s in st.shadow.values_mut() {
+            s.integrated += s.rate * dt;
+        }
+    }
+    st.prev_now_ns = now_ns;
+
+    // 4b. Settle flows the engine reported delivered during this event.
+    for (flow, bytes, at) in st.delivered.drain(..) {
+        let integrated = st.shadow.remove(&flow).map(|s| s.integrated).unwrap_or(0.0);
+        let tol = (bytes as f64 * 1e-6).max(64.0);
+        if (integrated - bytes as f64).abs() > tol && st.violations.len() < MAX_VIOLATIONS {
+            st.violations.push(Violation::ByteConservation {
+                flow,
+                reported: bytes,
+                integrated,
+                at_ns: at.as_nanos(),
+            });
+        }
+    }
+
+    let flows = view.flows();
+    let caps = view.resource_capacities();
+
+    // 2. Capacity: sum active rates per resource.
+    let mut used = vec![0.0_f64; caps.len()];
+    for f in flows.iter().filter(|f| f.active) {
+        for &r in f.resources {
+            if let Some(u) = used.get_mut(r as usize) {
+                *u += f.rate;
+            }
+        }
+    }
+    for (r, (&u, &cap)) in used.iter().zip(caps.iter()).enumerate() {
+        // Absolute slack of 1 byte/sec plus a relative term: the engine
+        // sums the same f64s, so genuine bugs overshoot by far more.
+        if u > cap + cap.abs() * REL_TOL + 1.0 {
+            st.push(Violation::OverAllocation {
+                resource: r,
+                used: u,
+                cap,
+                at_ns: now_ns,
+            });
+        }
+    }
+
+    // 3. Fairness: recompute the allocation from the same inputs in the
+    // same (sorted-by-id) order the engine uses.
+    let active: Vec<_> = flows.iter().filter(|f| f.active).collect();
+    let entries: Vec<AllocEntry> = active
+        .iter()
+        .map(|f| AllocEntry {
+            resources: f.resources.to_vec(),
+            cap: f.cap,
+            weight: f.weight,
+        })
+        .collect();
+    let want = max_min_allocate(&caps, &entries);
+    for (f, &w) in active.iter().zip(want.iter()) {
+        if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
+            st.push(Violation::UnfairAllocation {
+                flow: f.id,
+                got: f.rate,
+                want: w,
+                at_ns: now_ns,
+            });
+        }
+    }
+
+    // 4c. Refresh the shadow rates for the next interval. Inactive flows
+    // (drained, awaiting their Delivered event) keep a stale engine-side
+    // rate; they no longer move bytes, so shadow at 0.
+    for f in &flows {
+        let entry = st.shadow.entry(f.id).or_default();
+        entry.rate = if f.active { f.rate } else { 0.0 };
+    }
+    st.shadow.retain(|id, _| flows.iter().any(|f| f.id == *id));
 }
 
 #[cfg(test)]

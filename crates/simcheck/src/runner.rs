@@ -7,6 +7,19 @@
 //! adds a chunk-store bypass run. Every differential execution must be
 //! bit-identical to the first.
 //!
+//! Each execution does only the work its verdict reads. The first
+//! execution and the chunk-bypass run are *full audits*: every per-event
+//! invariant, and a check that the health trace built directly from the
+//! telemetry recording equals the one its JSONL export parses back to
+//! ([`Violation::TraceRoundTrip`]). The five re-executions whose only
+//! compared output is the chain digest (same-seed replay, reference
+//! allocator, eager progress, reference routing, sharded) are
+//! *digest-only*: they fold the identical chain — the same per-event state
+//! digests and the same directly built health trace — and skip the
+//! capacity, fairness, ledger and monotonicity checks and the JSONL round
+//! trip, whose findings [`check_case`] would not read. The public
+//! [`run_once`] and [`run_sharded`] always run the full audit.
+//!
 //! A scenario is a list of independent *cells* ([`ScenarioSpec::cells`]):
 //! single-replica scenarios are one cell, replicated ones are several.
 //! [`run_once`] folds the cells sequentially; [`run_sharded`] runs the same
@@ -126,9 +139,11 @@ pub struct CaseResult {
     /// The scenario that was run.
     pub spec: ScenarioSpec,
     /// All violations: the first execution's, plus one for each later
-    /// execution whose digest diverged from it, plus the plane-coherence
-    /// check's.
+    /// execution whose digest diverged from it, plus the chunk-bypass
+    /// run's own and the plane-coherence check's.
     pub violations: Vec<Violation>,
+    /// Chained state digest of the first execution.
+    pub chain_digest: u64,
     /// Events processed by the first execution.
     pub events: u64,
     /// Jobs completed by the first execution.
@@ -742,12 +757,30 @@ impl ChurnGen {
     }
 }
 
+/// How much checking an execution does besides folding its chain digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Audit {
+    /// Every per-event invariant, plus the health trace round trip.
+    Full,
+    /// The chain digest and outcome only, for a re-execution whose
+    /// verdict reads nothing else.
+    DigestOnly,
+}
+
 /// Execute a scenario once under the oracle: its cells run sequentially
 /// in cell order and fold via `merge_outcomes`. For the overwhelmingly
 /// common single-cell scenario the fold is the identity, so this is
 /// byte-for-byte the pre-sharding behavior.
 pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
-    let outs = spec.cells().iter().map(|c| run_cell(c, opts)).collect();
+    run_once_with(spec, opts, Audit::Full)
+}
+
+fn run_once_with(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
+    let outs = spec
+        .cells()
+        .iter()
+        .map(|c| run_cell(c, opts, audit))
+        .collect();
     merge_outcomes(outs)
 }
 
@@ -757,10 +790,19 @@ pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
 /// to [`run_once`] for every scenario and worker count — [`check_case`]
 /// proves it per case and flags [`Violation::ShardDivergence`] otherwise.
 pub fn run_sharded(spec: &ScenarioSpec, opts: RunOptions, workers: usize) -> RunOutcome {
+    run_sharded_with(spec, opts, workers, Audit::Full)
+}
+
+fn run_sharded_with(
+    spec: &ScenarioSpec,
+    opts: RunOptions,
+    workers: usize,
+    audit: Audit,
+) -> RunOutcome {
     let caller = std::thread::current().id();
     let thread_fault = cfg!(feature = "failpoints") && opts.thread_dependent_cells;
     let outs = netsim::shard::run_shards(spec.cells(), workers, |_, cell| {
-        let mut out = run_cell(&cell, opts);
+        let mut out = run_cell(&cell, opts, audit);
         if thread_fault && std::thread::current().id() != caller {
             out.chain_digest = !out.chain_digest;
         }
@@ -809,7 +851,7 @@ fn merge_outcomes(outs: Vec<RunOutcome>) -> RunOutcome {
 }
 
 /// Execute one cell (a single-replica world) under the oracle.
-fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
+fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
     let world = build_world(&spec.topo);
     let mut sim = Sim::new(world.topo.clone(), spec.seed);
     if opts.health {
@@ -876,7 +918,10 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
     #[cfg(not(feature = "failpoints"))]
     let _ = opts.rate_inflation;
 
-    let (oracle, handle) = InvariantOracle::new();
+    let (oracle, handle) = match audit {
+        Audit::Full => InvariantOracle::new(),
+        Audit::DigestOnly => InvariantOracle::digest_only(),
+    };
     sim.set_audit_hook(Box::new(oracle));
 
     let jobs = resolve_hosts(spec, &world.hosts);
@@ -904,7 +949,16 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
             0
         }
     };
-    let health = opts.health.then(|| health_plane_digest(&mut sim));
+    let health = opts.health.then(|| {
+        let rec = sim.take_telemetry().expect("telemetry was enabled");
+        let trace = obs::Trace::from_recording(&rec);
+        if audit == Audit::Full {
+            if let Some(v) = trace_round_trip(&rec, &trace) {
+                handle.push(v);
+            }
+        }
+        health_plane_digest(&rec, &trace)
+    });
     // Content digest of everything the sync sessions delivered, folded in
     // session-index order (sessions may *complete* in any order — cached
     // and bypass executions pace their legs differently).
@@ -941,17 +995,56 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
     )
 }
 
+/// The health trace round trip: `direct`, the trace built from `rec`,
+/// must equal the trace its JSONL export parses back to. `None` when it
+/// does; otherwise a [`Violation::TraceRoundTrip`] naming the first
+/// difference.
+fn trace_round_trip(rec: &obs::Recording, direct: &obs::Trace) -> Option<Violation> {
+    let detail = match obs::parse_jsonl(&obs::jsonl_log(rec), "<live>") {
+        Ok(parsed) if parsed == *direct => return None,
+        Ok(parsed) => {
+            let span = direct
+                .spans
+                .iter()
+                .zip(&parsed.spans)
+                .position(|(a, b)| a != b);
+            let event = direct
+                .events
+                .iter()
+                .zip(&parsed.events)
+                .position(|(a, b)| a != b);
+            match (span, event) {
+                (Some(i), _) => format!(
+                    "span {i}: {:?} vs parsed {:?}",
+                    direct.spans[i], parsed.spans[i]
+                ),
+                (None, Some(i)) => format!(
+                    "event {i}: {:?} vs parsed {:?}",
+                    direct.events[i], parsed.events[i]
+                ),
+                (None, None) => format!(
+                    "{} spans, {} events vs {} spans, {} events parsed",
+                    direct.spans.len(),
+                    direct.events.len(),
+                    parsed.spans.len(),
+                    parsed.events.len()
+                ),
+            }
+        }
+        Err(e) => format!("the export does not parse: {e}"),
+    };
+    Some(Violation::TraceRoundTrip { detail })
+}
+
 /// Digest the run's derived health-plane state: the route scoreboard built
 /// from the recorded trace, plus every sim-time window flush (name, bounds,
 /// counter value or full sketch state). Purely sim-time-derived, so it is
 /// identical across same-seed and differential executions. Also returns the
 /// merged flow-delivery duration sketch, the per-cell telemetry summary the
 /// sharded reduction combines via the commutative monoid.
-fn health_plane_digest(sim: &mut Sim) -> (u64, obs::QuantileSketch) {
-    let rec = sim.take_telemetry().expect("telemetry was enabled");
-    let trace = obs::Trace::from_recording(&rec);
+fn health_plane_digest(rec: &obs::Recording, trace: &obs::Trace) -> (u64, obs::QuantileSketch) {
     let mut board = obs::HealthBoard::new(obs::SloPolicy::default());
-    board.ingest(&trace);
+    board.ingest(trace);
     let mut d = netsim::audit::Digest::new();
     board.fold_into(&mut |v| d.write_u64(v));
     for f in &rec.window_flushes {
@@ -1125,6 +1218,14 @@ fn plane_coherence_with(seed: u64, gen_skew: u64) -> Vec<Violation> {
 /// per entry of [`SHARD_WORKER_COUNTS`] under the sharded executor. Every
 /// differential execution's chained digest must be identical to the
 /// incremental/lazy/sequential execution's (same seed ⇒ bit-identical).
+///
+/// The first execution is a full audit. The same-seed replay and the
+/// reference-allocator, eager, reference-routing and sharded runs are
+/// digest-only: the chain digest is all this function reads from them, and
+/// it covers every per-event state, so their invariant checks could only
+/// repeat the first execution's. A sync case adds a chunk-bypass run; it is
+/// a different simulation (cold-cache wire bytes give different flows and
+/// timings), so it is a full audit too and its violations are reported.
 pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
     // Health folding is forced on so every determinism and differential
     // comparison also covers the aggregation/health plane.
@@ -1133,66 +1234,58 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
         ..opts
     };
     let first = run_once(spec, opts);
-    let second = run_once(spec, opts);
+    let rerun = |o: RunOptions| run_once_with(spec, o, Audit::DigestOnly).chain_digest;
     let mut violations = first.violations.clone();
-    if first.chain_digest != second.chain_digest {
+    let second = rerun(opts);
+    if first.chain_digest != second {
         violations.push(Violation::Determinism {
             first: first.chain_digest,
-            second: second.chain_digest,
+            second,
         });
     }
     if !opts.reference_allocator {
-        let reference = run_once(
-            spec,
-            RunOptions {
-                reference_allocator: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != reference.chain_digest {
+        let reference = rerun(RunOptions {
+            reference_allocator: true,
+            ..opts
+        });
+        if first.chain_digest != reference {
             violations.push(Violation::AllocatorDivergence {
                 incremental: first.chain_digest,
-                reference: reference.chain_digest,
+                reference,
             });
         }
     }
     if !opts.eager_progress {
-        let eager = run_once(
-            spec,
-            RunOptions {
-                eager_progress: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != eager.chain_digest {
+        let eager = rerun(RunOptions {
+            eager_progress: true,
+            ..opts
+        });
+        if first.chain_digest != eager {
             violations.push(Violation::ProgressDivergence {
                 lazy: first.chain_digest,
-                eager: eager.chain_digest,
+                eager,
             });
         }
     }
     if !opts.reference_routing {
-        let reference = run_once(
-            spec,
-            RunOptions {
-                reference_routing: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != reference.chain_digest {
+        let reference = rerun(RunOptions {
+            reference_routing: true,
+            ..opts
+        });
+        if first.chain_digest != reference {
             violations.push(Violation::RoutingDivergence {
                 oracle: first.chain_digest,
-                reference: reference.chain_digest,
+                reference,
             });
         }
     }
     for workers in SHARD_WORKER_COUNTS {
-        let sharded = run_sharded(spec, opts, workers);
-        if first.chain_digest != sharded.chain_digest {
+        let sharded = run_sharded_with(spec, opts, workers, Audit::DigestOnly).chain_digest;
+        if first.chain_digest != sharded {
             violations.push(Violation::ShardDivergence {
                 workers: workers as u32,
                 sequential: first.chain_digest,
-                sharded: sharded.chain_digest,
+                sharded,
             });
         }
     }
@@ -1208,6 +1301,7 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
                 ..opts
             },
         );
+        violations.extend(bypass.violations);
         if first.sync_digest != bypass.sync_digest {
             violations.push(Violation::ChunkDivergence {
                 cached: first.sync_digest.unwrap_or(0),
@@ -1219,6 +1313,7 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
     CaseResult {
         spec: spec.clone(),
         violations,
+        chain_digest: first.chain_digest,
         events: first.events,
         jobs_completed: first.jobs_completed,
     }
@@ -1719,6 +1814,86 @@ mod tests {
             assert_eq!(seq.chain_digest, sharded.chain_digest, "{workers} workers");
             assert_eq!(seq.sync_digest, sharded.sync_digest, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn digest_only_executions_match_the_full_audit() {
+        // Digest-only re-executions fold exactly the chain, health and sync
+        // digests a full audit does, sequentially and on four workers, for
+        // every class and for single- and multi-cell specs.
+        let opts = RunOptions {
+            health: true,
+            ..Default::default()
+        };
+        let generators: [fn(u64) -> ScenarioSpec; 3] = [
+            ScenarioSpec::generate,
+            ScenarioSpec::generate_chaos,
+            ScenarioSpec::generate_sync,
+        ];
+        for (class, generate) in generators.into_iter().enumerate() {
+            for i in 0..30 {
+                let mut spec = generate(case_seed(71 + class as u64, i));
+                spec.replicas = 1 + i % 3;
+                let full = run_once(&spec, opts);
+                assert_eq!(full.violations, vec![], "class {class} case {i}");
+                for (what, out) in [
+                    ("sequential", run_once_with(&spec, opts, Audit::DigestOnly)),
+                    (
+                        "4 workers",
+                        run_sharded_with(&spec, opts, 4, Audit::DigestOnly),
+                    ),
+                ] {
+                    let ctx = format!("class {class} case {i} x{}, {what}", spec.replicas);
+                    assert_eq!(out.chain_digest, full.chain_digest, "{ctx}");
+                    assert_eq!(out.health_digest, full.health_digest, "{ctx}");
+                    assert_eq!(out.sync_digest, full.sync_digest, "{ctx}");
+                    assert_eq!(out.events, full.events, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trace_round_trip_fires_on_a_perturbed_trace() {
+        let world = build_world(&TopoSpec::Star {
+            hosts: 3,
+            access_mbps: 20,
+        });
+        let mut sim = Sim::new(world.topo, 5);
+        sim.enable_telemetry();
+        for (src, bytes) in [(0, 2_000_000), (2, 3_000_000)] {
+            let req = netsim::engine::TransferRequest::new(world.hosts[src], world.hosts[1], bytes);
+            sim.run_transfer(req).expect("star hosts are connected");
+        }
+        let mut rec = sim.take_telemetry().expect("telemetry was enabled");
+        let trace = obs::Trace::from_recording(&rec);
+        assert!(trace.spans.len() > 1 && !trace.events.is_empty());
+        assert_eq!(trace_round_trip(&rec, &trace), None);
+
+        let fires =
+            |rec: &obs::Recording, t: &obs::Trace, want: &str| match trace_round_trip(rec, t) {
+                Some(Violation::TraceRoundTrip { detail }) => {
+                    assert!(detail.contains(want), "{detail}")
+                }
+                other => panic!("expected a trace round-trip violation, got {other:?}"),
+            };
+        let mut ended_late = trace.clone();
+        ended_late.spans[1].end_ns = ended_late.spans[1].end_ns.map(|t| t + 1);
+        fires(&rec, &ended_late, "span 1:");
+        let mut retagged = trace.clone();
+        let last = retagged.events.len() - 1;
+        retagged.events[last]
+            .args
+            .push(("x".into(), obs::trace::TraceValue::Null));
+        fires(&rec, &retagged, &format!("event {last}:"));
+        let mut lost = trace.clone();
+        lost.events.pop();
+        fires(&rec, &lost, "events vs");
+        // A span that ends before it begins exports a span_end line ahead
+        // of its span_begin, which the reader rejects.
+        rec.spans[0].end_ns = Some(0);
+        rec.spans[0].start_ns = 1;
+        fires(&rec, &obs::Trace::from_recording(&rec), "does not parse");
     }
 
     #[test]

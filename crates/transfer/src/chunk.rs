@@ -50,8 +50,9 @@ impl ChunkManifest {
         assert!(chunk_size > 0, "chunk size must be positive");
         let chunks = data
             .chunks(chunk_size)
-            .map(|c| ChunkRef {
-                hash: Md5::digest(c),
+            .zip(Md5::digest_chunks(data, chunk_size))
+            .map(|(c, hash)| ChunkRef {
+                hash,
                 len: c.len() as u32,
             })
             .collect();
@@ -105,6 +106,25 @@ mod tests {
         let m = ChunkManifest::of(&data, 4096);
         assert_eq!(m.chunks[0].hash, Md5::digest(&data[..4096]));
         assert_eq!(m.chunks[2].hash, Md5::digest(&data[8192..]));
+    }
+
+    #[test]
+    fn chunks_match_a_scalar_reference() {
+        let data = FileGen::new(6).random_file(80_000);
+        for cs in [1024, 2048, 8192] {
+            for len in [1, cs - 1, cs, 4 * cs, 5 * cs + 3, 8 * cs + cs / 2] {
+                let content = &data[..len];
+                let m = ChunkManifest::of(content, cs);
+                let want: Vec<ChunkRef> = content
+                    .chunks(cs)
+                    .map(|c| ChunkRef {
+                        hash: Md5::digest(c),
+                        len: c.len() as u32,
+                    })
+                    .collect();
+                assert_eq!(m.chunks, want, "chunk size {cs}, {len} bytes");
+            }
+        }
     }
 
     #[test]

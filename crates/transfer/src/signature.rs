@@ -63,9 +63,9 @@ impl Signature {
         let mut blocks = Vec::with_capacity(basis.len() / block_size + 1);
         let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut tags = vec![0u64; TAG_WORDS];
-        for (i, chunk) in basis.chunks(block_size).enumerate() {
+        let strongs = Md5::digest_chunks(basis, block_size);
+        for (i, (chunk, strong)) in basis.chunks(block_size).zip(strongs).enumerate() {
             let rolling = rolling::checksum(chunk);
-            let strong = Md5::digest(chunk);
             blocks.push(BlockSignature {
                 index: i as u32,
                 len: chunk.len() as u32,
@@ -287,6 +287,40 @@ mod tests {
                 copy(2),
             ]
         );
+    }
+
+    #[test]
+    fn blocks_match_a_scalar_reference() {
+        // Four-lane hashing covers runs of four full blocks; the rest and
+        // the short tail are hashed one at a time. Every split must agree
+        // with hashing each block on its own.
+        let data = FileGen::new(5).random_file(40_000);
+        for bs in [1024, 2048, 8192] {
+            for len in [
+                0,
+                1,
+                bs - 1,
+                bs,
+                3 * bs + 17,
+                4 * bs,
+                4 * bs + 1,
+                9 * bs + bs / 2,
+            ] {
+                let basis = &data[..len.min(data.len())];
+                let sig = Signature::compute(basis, bs);
+                let want: Vec<BlockSignature> = basis
+                    .chunks(bs)
+                    .enumerate()
+                    .map(|(i, c)| BlockSignature {
+                        index: i as u32,
+                        len: c.len() as u32,
+                        rolling: rolling::checksum(c),
+                        strong: Md5::digest(c),
+                    })
+                    .collect();
+                assert_eq!(sig.blocks, want, "block size {bs}, {len} bytes");
+            }
+        }
     }
 
     #[test]

@@ -213,21 +213,56 @@ fn extreme_integers_round_trip_exactly() {
     }
 }
 
+/// Trace args read back as their JSONL text parses, whether the trace is
+/// built from the recording directly or parsed from its export.
 #[test]
 fn signed_and_unsigned_trace_args_read_back_as_recorded() {
     let mut tele = obs::Telemetry::enabled();
     let span = tele.span_begin_with(0, obs::Category::Control, "job", obs::SpanId::NONE, |a| {
         a.set("min", i64::MIN)
             .set("neg", -7i64)
+            .set("pos", 7i64)
             .set("max", u64::MAX)
-            .set("rate", 0.5f64);
+            .set("rate", 0.5f64)
+            .set("whole", 5_500_000.0f64)
+            .set("neg_whole", -3.0f64)
+            .set("neg_zero", -0.0f64)
+            .set("two_pow_63", 9_223_372_036_854_775_808.0f64)
+            .set("huge", 1e300f64)
+            .set("nan", f64::NAN)
+            .set("inf", f64::INFINITY)
+            .set("note", "5xx \"retry\"\n\t\u{1}\\ — é");
     });
     tele.span_end(1, span);
-    let trace = obs::Trace::from_recording(&tele.take().unwrap());
+    let rec = tele.take().unwrap();
+    let trace = obs::Trace::from_recording(&rec);
+    let parsed = obs::parse_jsonl(&obs::jsonl_log(&rec), "<test>").unwrap();
+    assert_eq!(trace, parsed);
+    // Debug tells -0.0 from 0.0, which `==` does not.
+    assert_eq!(format!("{trace:?}"), format!("{parsed:?}"));
     let arg = |k| trace.spans[0].arg(k).cloned();
     use routing_detours::obs::trace::TraceValue;
     assert_eq!(arg("min"), Some(TraceValue::I64(i64::MIN)));
     assert_eq!(arg("neg"), Some(TraceValue::I64(-7)));
+    assert_eq!(arg("pos"), Some(TraceValue::U64(7)));
     assert_eq!(arg("max"), Some(TraceValue::U64(u64::MAX)));
     assert_eq!(arg("rate"), Some(TraceValue::F64(0.5)));
+    assert_eq!(arg("whole"), Some(TraceValue::U64(5_500_000)));
+    assert_eq!(arg("neg_whole"), Some(TraceValue::I64(-3)));
+    assert!(
+        matches!(arg("neg_zero"), Some(TraceValue::F64(z)) if z == 0.0 && z.is_sign_negative())
+    );
+    // 2^63 prints in its shortest round-trip form, which reads back as a
+    // nearby integer rather than 2^63 itself.
+    assert_eq!(
+        arg("two_pow_63"),
+        Some(TraceValue::U64(9_223_372_036_854_776_000))
+    );
+    assert_eq!(arg("huge"), Some(TraceValue::F64(1e300)));
+    assert_eq!(arg("nan"), Some(TraceValue::Null));
+    assert_eq!(arg("inf"), Some(TraceValue::Null));
+    assert_eq!(
+        arg("note").as_ref().and_then(TraceValue::as_str),
+        Some("5xx \"retry\"\n\t\u{1}\\ — é")
+    );
 }

@@ -180,6 +180,43 @@ fn corrupted_sync_delta_is_caught_and_shrunk() {
     assert!(check_case(&round, RunOptions::default()).ok());
 }
 
+/// The chunk-bypass run is a simulation of its own (cold-cache wire bytes
+/// give different flows and timings), so its violations are the case's
+/// too: under a corrupted delta, the case reports the first execution's
+/// sync-integrity violations and the bypass run's.
+#[test]
+fn corrupted_sync_delta_is_reported_by_the_bypass_run_too() {
+    let opts = RunOptions {
+        corrupt_sync_literal: true,
+        health: true,
+        ..Default::default()
+    };
+    let integrity = |violations: &[Violation]| {
+        violations
+            .iter()
+            .filter(|v| matches!(v, Violation::SyncIntegrity { .. }))
+            .count()
+    };
+    let spec = ScenarioSpec::generate_sync(case_seed(13, 0));
+    let first = integrity(&run_once(&spec, opts).violations);
+    let bypass = run_once(
+        &spec,
+        RunOptions {
+            chunk_bypass: true,
+            ..opts
+        },
+    );
+    let bypass = integrity(&bypass.violations);
+    assert!(first > 0 && bypass > 0, "first {first}, bypass {bypass}");
+    let case = check_case(&spec, opts);
+    assert_eq!(
+        integrity(&case.violations),
+        first + bypass,
+        "{:?}",
+        case.violations
+    );
+}
+
 /// Fault injection on the sharded executor: a cell whose outcome depends
 /// on the thread it runs on. The one sharded re-execution per case, at four
 /// workers, must report it as a shard divergence and nothing else may fire;

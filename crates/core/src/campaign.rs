@@ -324,6 +324,7 @@ mod tests {
     use netsim::geo::GeoPoint;
     use netsim::prelude::*;
     use netsim::units::MB;
+    use std::sync::Arc;
 
     struct TinyWorld;
 
@@ -451,5 +452,68 @@ mod tests {
             threads: 1,
         };
         assert_eq!(c.run().unwrap().cells.len(), 1);
+    }
+
+    /// Every sim shares one topology, and with it the topology's trees;
+    /// per-run capacity jitter and background traffic make each seed's
+    /// run distinct.
+    struct SharedWorld(Arc<netsim::topology::Topology>, NodeId, NodeId);
+
+    impl SimFactory for SharedWorld {
+        fn build(&self, seed: u64) -> Sim {
+            use netsim::background::{BackgroundProfile, BackgroundTraffic};
+            let mut sim = Sim::new(Arc::clone(&self.0), seed);
+            sim.set_capacity_jitter(0.1);
+            let profile = BackgroundProfile::moderate(self.1, self.2);
+            sim.spawn_detached(Box::new(BackgroundTraffic::new(profile)));
+            sim
+        }
+    }
+
+    /// Four workers start on a cold topology and fill its shortest-path
+    /// trees concurrently; the campaign still equals a one-thread run over
+    /// another cold copy, bit for bit.
+    #[test]
+    fn threaded_campaign_over_one_cold_topology_matches_one_thread() {
+        let wan = netsim::synth::SynthWan {
+            seed: 4,
+            ..Default::default()
+        }
+        .build();
+        let h = &wan.hosts;
+        let run = |threads: usize| {
+            // `wan.topo` is never queried, so each clone starts cold.
+            let world = SharedWorld(Arc::new(wan.topo.clone()), h[5], h[11]);
+            Campaign {
+                factory: &world,
+                client: Cow::Owned(ClientSpec::new(h[0], FlowClass::PlanetLab, "C")),
+                provider: Cow::Owned(Provider::new(ProviderKind::GoogleDrive, h[11])),
+                routes: Cow::Owned(vec![
+                    Route::Direct,
+                    Route::via(Hop::new(h[5], FlowClass::Research, "A")),
+                    Route::via(Hop::new(h[17], FlowClass::Research, "B")),
+                ]),
+                sizes: vec![5 * MB, 20 * MB],
+                protocol: RunProtocol::quick(),
+                label: "shared".into(),
+                threads,
+            }
+            .run()
+            .unwrap()
+        };
+        let (four, one) = (run(4), run(1));
+        for (r4, r1) in four.cells.iter().zip(&one.cells) {
+            for (a, b) in r4.iter().zip(r1) {
+                assert_eq!(a.n, b.n);
+                for (x, y) in [
+                    (a.mean, b.mean),
+                    (a.std_dev, b.std_dev),
+                    (a.min, b.min),
+                    (a.max, b.max),
+                ] {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 }

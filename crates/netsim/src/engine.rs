@@ -1,10 +1,11 @@
 //! The discrete-event engine.
 //!
-//! A [`Sim`] owns a topology, a routing table, the set of active fluid flows
-//! and a queue of timestamped events. Protocol logic (cloud-storage upload
-//! sessions, rsync exchanges, relays, background generators) is written as
-//! [`Process`] state machines that react to events and issue commands through
-//! a [`Ctx`].
+//! A [`Sim`] shares a topology with the other sims over the same network,
+//! and owns a routing table, the set of active fluid flows and a queue of
+//! timestamped events. Protocol logic (cloud-storage upload sessions, rsync
+//! exchanges, relays, background generators) is written as [`Process`]
+//! state machines that react to events and issue commands through a
+//! [`Ctx`].
 //!
 //! Determinism: the event queue orders by `(time, sequence)`, all randomness
 //! flows from one seeded PRNG, and floating-point rate arithmetic is
@@ -25,6 +26,7 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an active (or completed) flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -338,7 +340,8 @@ pub struct SimStats {
 /// Everything in the simulator except the process table (split so processes
 /// can be polled while holding `&mut Core`).
 pub struct Core {
-    topo: Topology,
+    /// Shared with every other sim over the same network, trees included.
+    topo: Arc<Topology>,
     routing: RoutingTable,
     tcp: TcpParams,
     policers: Vec<Policer>,
@@ -357,9 +360,6 @@ pub struct Core {
     /// flow id → (time, rate bytes/sec) change points.
     traces: HashMap<u64, Vec<(SimTime, f64)>>,
     flows: FlowSlab,
-    /// flow id → slab slot, for the cold id-addressed paths (cancellation);
-    /// the hot event paths index the slab directly.
-    flow_index: HashMap<u64, u32>,
     /// Queued `Drained` events that can no longer fire (superseded by a
     /// rate change, or their flow was cancelled). Drives heap compaction.
     stale_drains: usize,
@@ -449,8 +449,8 @@ impl Core {
 
     /// Round-trip time along the routed path between two nodes.
     pub fn rtt(&mut self, src: NodeId, dst: NodeId) -> NetResult<SimTime> {
-        let fwd = self.resolve_path(src, dst)?;
-        let back = self.resolve_path(dst, src)?;
+        let fwd = self.routing.links(&self.topo, src, dst)?;
+        let back = self.routing.links(&self.topo, dst, src)?;
         Ok(self.topo.path_delay(&fwd) + self.topo.path_delay(&back))
     }
 
@@ -466,15 +466,14 @@ impl Core {
         dst: NodeId,
         class: FlowClass,
     ) -> NetResult<Bandwidth> {
-        let path = self.resolve_path(src, dst)?;
-        let links = self.topo.links_on_path(&path)?;
+        let links = self.routing.links(&self.topo, src, dst)?;
         let mut rate = self.topo.path_capacity(&links);
         for p in &self.policers {
             if links.iter().any(|&l| p.applies(l, class)) {
                 rate = rate.min(p.rate);
             }
         }
-        let rtt = self.topo.path_delay(&path) * 2;
+        let rtt = self.topo.path_delay(&links) * 2;
         let loss = self.topo.path_loss(&links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
             rate = rate.min(ceiling);
@@ -492,8 +491,7 @@ impl Core {
         dst: NodeId,
         class: FlowClass,
     ) -> NetResult<Bottleneck> {
-        let path = self.resolve_path(src, dst)?;
-        let links = self.topo.links_on_path(&path)?;
+        let links = self.routing.links(&self.topo, src, dst)?;
         // Narrowest link.
         let (mut best_rate, mut cause) = (f64::INFINITY, BottleneckCause::Unconstrained);
         for &l in &links {
@@ -518,7 +516,7 @@ impl Core {
                 }
             }
         }
-        let rtt = self.topo.path_delay(&path) * 2;
+        let rtt = self.topo.path_delay(&links) * 2;
         let loss = self.topo.path_loss(&links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
             if ceiling.bytes_per_sec() < best_rate {
@@ -532,14 +530,14 @@ impl Core {
         })
     }
 
-    /// Remove a flow before delivery: release its capacity, emit
-    /// `flow.cancelled` and close the flow span. Shared by
+    /// Remove the flow in slab slot `slot` before delivery: release its
+    /// capacity, emit `flow.cancelled` and close the flow span. Shared by
     /// [`Ctx::cancel_flow`] and the orphan reap in [`Sim::run_process`].
-    fn cancel_flow_inner(&mut self, id: u64) {
-        let Some(slot) = self.flow_index.remove(&id) else {
-            return;
-        };
-        let f = self.flows.remove(slot).expect("indexed flow exists");
+    fn cancel_flow_at(&mut self, slot: u32) {
+        let f = self
+            .flows
+            .remove(slot)
+            .expect("cancelled slot holds a flow");
         let now_ns = self.now.as_nanos();
         self.tele
             .event(now_ns, Category::Flow, "flow.cancelled", f.span, |_| {});
@@ -557,14 +555,12 @@ impl Core {
         if spec.bytes == 0 {
             return Err(NetError::EmptyTransfer);
         }
-        let path = match &spec.path {
-            Some(p) => {
-                self.topo.links_on_path(p)?; // validate adjacency
-                p.clone()
-            }
-            None => self.routing.path(&self.topo, spec.src, spec.dst)?,
+        // One resolution: an explicit path is validated as it is walked,
+        // a routed one is read off the tree's link chain.
+        let links = match &spec.path {
+            Some(p) => self.topo.links_on_path(p)?,
+            None => self.routing.links(&self.topo, spec.src, spec.dst)?,
         };
-        let links = self.topo.links_on_path(&path)?;
 
         // Firewalls drop the flow outright.
         for fw in &self.firewalls {
@@ -593,7 +589,7 @@ impl Core {
         if let Some(c) = spec.cap {
             cap = cap.min(c.bytes_per_sec());
         }
-        let one_way = self.topo.path_delay(&path);
+        let one_way = self.topo.path_delay(&links);
         let rtt = one_way * 2;
         let loss = self.topo.path_loss(&links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
@@ -651,7 +647,6 @@ impl Core {
             span,
         };
         let slot = self.flows.insert(flow);
-        self.flow_index.insert(id, slot);
         self.push(self.now + startup, EventKind::Activate { flow: id, slot });
         Ok(FlowId(id))
     }
@@ -1106,9 +1101,13 @@ impl<'a> Ctx<'a> {
 
     /// Cancel a flow this process started. The flow's capacity is released
     /// immediately; an [`Event::FlowFailed`] is *not* delivered (the caller
-    /// already knows).
+    /// already knows). A flow already delivered or cancelled, or an unknown
+    /// id, is a no-op. Finds the flow by a scan of the live flows.
     pub fn cancel_flow(&mut self, id: FlowId) {
-        self.core.cancel_flow_inner(id.0);
+        let slot = self.core.flows.iter().find(|(_, f)| f.id == id.0);
+        if let Some((slot, _)) = slot {
+            self.core.cancel_flow_at(slot);
+        }
     }
 
     /// The telemetry sink (see [`Core::telemetry`]).
@@ -1302,7 +1301,15 @@ impl Process for OneShotTransfer {
 
 impl Sim {
     /// Build a simulator over a topology with a deterministic seed.
-    pub fn new(topo: Topology, seed: u64) -> Self {
+    ///
+    /// Pass a `Topology` to give the sim its own, or an `Arc<Topology>`
+    /// clone to share one network among many sims: the topology's
+    /// shortest-path trees are built once, by whichever sim first routes
+    /// from a node, and read by all of them, on any thread. Sharing never
+    /// changes a run — the trees are a pure function of the topology and
+    /// stay out of every digest.
+    pub fn new(topo: impl Into<Arc<Topology>>, seed: u64) -> Self {
+        let topo: Arc<Topology> = topo.into();
         let link_caps: Vec<f64> = topo
             .links()
             .iter()
@@ -1320,7 +1327,6 @@ impl Sim {
                 policers: Vec::new(),
                 firewalls: Vec::new(),
                 flows: FlowSlab::default(),
-                flow_index: HashMap::new(),
                 stale_drains: 0,
                 progress_mode: ProgressMode::default(),
                 stepped: Vec::new(),
@@ -1652,15 +1658,15 @@ impl Sim {
             }
             self.processes[idx].alive = false;
         }
-        let orphaned: Vec<u64> = self
+        let orphaned: Vec<u32> = self
             .core
             .flows
             .iter()
             .filter(|(_, f)| f.owner.is_some_and(|o| dead[o.0 as usize]))
-            .map(|(_, f)| f.id)
+            .map(|(slot, _)| slot)
             .collect();
-        for id in orphaned {
-            self.core.cancel_flow_inner(id);
+        for slot in orphaned {
+            self.core.cancel_flow_at(slot);
         }
     }
 
@@ -1742,7 +1748,6 @@ impl Sim {
                 let known = matches!(self.core.flows.get(slot), Some(f) if f.id == flow);
                 if known {
                     let f = self.core.flows.remove(slot).expect("checked above");
-                    self.core.flow_index.remove(&flow);
                     self.core.stats.flows_completed += 1;
                     self.core.stats.bytes_delivered += f.total_bytes;
                     if let Some(hook) = self.audit.as_mut() {
@@ -2436,5 +2441,122 @@ mod tests {
         let s = v.expect_time().as_secs_f64();
         assert!(s < 1.9, "completion {s}");
         assert_eq!(sim.stats().flows_completed, 1);
+    }
+
+    /// Cancelling an id that is unknown, already cancelled or already
+    /// delivered changes nothing: the run, its counters, its telemetry and
+    /// its final state match a run that cancels the victim once.
+    #[test]
+    fn cancel_flow_of_a_stale_or_unknown_id_is_a_noop() {
+        struct Canceller {
+            a: NodeId,
+            c: NodeId,
+            victim: Option<FlowId>,
+            redundant: bool,
+        }
+        impl Process for Canceller {
+            fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                match ev {
+                    Event::Started => {
+                        let spec = FlowSpec::new(self.a, self.c, 100 * MB, FlowClass::Commodity);
+                        self.victim = Some(ctx.start_flow(spec).unwrap());
+                        let spec = FlowSpec::new(self.a, self.c, 10 * MB, FlowClass::Commodity);
+                        ctx.start_flow(spec).unwrap();
+                        ctx.set_timer(SimTime::from_millis(500), 7);
+                    }
+                    Event::Timer { tag: 7 } => {
+                        let victim = self.victim.unwrap();
+                        ctx.cancel_flow(victim);
+                        if self.redundant {
+                            ctx.cancel_flow(victim);
+                            ctx.cancel_flow(FlowId(u64::MAX));
+                        }
+                    }
+                    Event::FlowCompleted { flow, elapsed, .. } => {
+                        if self.redundant {
+                            ctx.cancel_flow(flow);
+                        }
+                        ctx.finish(Value::Time(elapsed));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let run = |redundant: bool| {
+            let (t, a, c) = line_topo(80.0);
+            let mut sim = Sim::new(t, 1);
+            sim.enable_telemetry();
+            let v = sim
+                .run_process(Box::new(Canceller {
+                    a,
+                    c,
+                    victim: None,
+                    redundant,
+                }))
+                .unwrap();
+            let digest = sim.state_digest();
+            let stats = format!("{:?}", sim.stats());
+            let live = sim.live_flows();
+            let log = obs::jsonl_log(&sim.take_telemetry().unwrap());
+            (v, digest, stats, live, log)
+        };
+        let once = run(false);
+        assert_eq!(once.3, 0, "both flows are gone");
+        assert_eq!(once.4.matches("flow.cancelled").count(), 1);
+        assert_eq!(run(true), once);
+    }
+
+    /// A root that finishes early leaves only the flows of processes
+    /// outside its tree live: its descendants' flows are cancelled and
+    /// their capacity released, while a detached background flow keeps
+    /// running.
+    #[test]
+    fn an_aborted_root_leaves_only_background_flows_live() {
+        /// Starts one long flow and never finishes.
+        struct Holder {
+            a: NodeId,
+            c: NodeId,
+        }
+        impl Process for Holder {
+            fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                if let Event::Started = ev {
+                    let spec = FlowSpec::new(self.a, self.c, 100 * MB, FlowClass::Commodity);
+                    ctx.start_flow(spec).unwrap();
+                }
+            }
+        }
+        /// Spawns two flow-holding children, then aborts at a timer.
+        struct Job {
+            a: NodeId,
+            c: NodeId,
+        }
+        impl Process for Job {
+            fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                match ev {
+                    Event::Started => {
+                        for _ in 0..2 {
+                            ctx.spawn(Box::new(Holder {
+                                a: self.a,
+                                c: self.c,
+                            }));
+                        }
+                        ctx.set_timer(SimTime::from_millis(500), 0);
+                    }
+                    Event::Timer { .. } => ctx.finish(Value::Error(NetError::NoResult)),
+                    _ => {}
+                }
+            }
+        }
+        let (t, a, c) = line_topo(80.0);
+        let mut sim = Sim::new(t, 1);
+        let background = sim.spawn_detached(Box::new(Holder { a, c }));
+        let v = sim.run_process(Box::new(Job { a, c })).unwrap();
+        assert_eq!(v, Value::Error(NetError::NoResult));
+        assert_eq!(sim.live_flows(), 1);
+        let owners: Vec<_> = sim.core.flows.iter().map(|(_, f)| f.owner).collect();
+        assert_eq!(owners, vec![Some(background)]);
+        // The reaped flows left the allocator: only the background flow
+        // still shares the link.
+        assert_eq!(sim.flow_components().concat().len(), 1);
     }
 }

@@ -13,9 +13,10 @@
 //!   costs, plus explicit route overrides that pin idiosyncratic paths (the
 //!   paper's PlanetLab-to-Google egress through the `pacificwave` policer).
 //! * **Route oracle** ([`oracle`]): precomputed per-source shortest-path
-//!   trees over the flat CSR adjacency, giving zero-allocation warm path
-//!   queries and k-detour enumeration at 100k-node scale; the per-query
-//!   Dijkstra survives as a bit-identical differential reference.
+//!   trees over the flat CSR adjacency, kept on the topology and shared by
+//!   every sim over it, giving zero-allocation warm path queries and
+//!   k-detour enumeration at 100k-node scale; the per-query Dijkstra
+//!   survives as a bit-identical differential reference.
 //! * **Fluid flows** ([`flow`]): active transfers share links max-min fairly;
 //!   each flow is additionally capped by a TCP (Mathis) ceiling derived from
 //!   path RTT and loss ([`tcp`]), by per-flow policers ([`middlebox`]) and by

@@ -3,8 +3,8 @@
 //! [`crate::routing::RoutingTable`] answers every query by running Dijkstra
 //! from scratch — fine at the paper's ~40-node North America map, wrong at
 //! the 100k-node multi-region scale the synthetic globe reaches. The oracle
-//! instead precomputes one **shortest-path tree per queried source** (and,
-//! for detour enumeration, one reverse tree per queried destination), so:
+//! instead reads **one shortest-path tree per queried source** (and, for
+//! detour enumeration, one reverse tree per queried destination), so:
 //!
 //! * `path` / `links` are near-O(path length): walk the tree's predecessor
 //!   chain. With a caller-provided buffer ([`RouteOracle::path_into`] /
@@ -16,10 +16,15 @@
 //!   plus O(k · path length) for materialisation, instead of one Dijkstra
 //!   per candidate via.
 //!
-//! Trees are built lazily on first use of a source (or destination, for the
-//! reverse direction) and cached; the cache is a pure function of the
-//! topology, never of query history, so it is **excluded from the audit
-//! digest** — only the override map (actual routing policy) is folded in.
+//! The trees are a pure function of the topology, so they live with it:
+//! [`Topology`] holds one lazily filled slot per node and direction, built
+//! on the first query of that root from any oracle and then read by every
+//! oracle over the same topology — every [`Sim`] sharing one
+//! `Arc<Topology>`, on any thread. A `RouteOracle` itself holds only the
+//! override map and query scratch. Which trees exist records which queries
+//! ran, not what the simulation is, so the trees are **excluded from the
+//! audit digest** — only the override map (actual routing policy) is
+//! folded in.
 //!
 //! Route overrides layer on top exactly as in [`crate::routing`]: an
 //! override pins the (src, dst) pair before any tree is consulted, and is
@@ -30,12 +35,15 @@
 //! a node's predecessor is the smallest-id settled neighbour that achieves
 //! its final distance. The simcheck differential plane re-runs whole
 //! scenarios under the reference and flags any digest divergence.
+//!
+//! [`Sim`]: crate::engine::Sim
 
 use crate::error::{NetError, NetResult};
 use crate::routing::RouteOverride;
 use crate::topology::{Csr, LinkId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
 /// A shortest-path tree rooted at one node.
 ///
@@ -53,6 +61,36 @@ struct Spt {
 
 const NONE: u32 = u32::MAX;
 const UNREACHABLE: u64 = u64::MAX;
+
+/// The shortest-path trees of one topology: a slot per node for the
+/// forward tree rooted there and one for the reverse tree, each filled on
+/// first use and never changed after. A `OnceLock` makes the fill
+/// race-free when shard threads share the topology: one thread builds, a
+/// racing one waits for it, and both read the same tree. An empty slot is
+/// a pointer plus the lock word.
+#[derive(Debug, Clone)]
+pub(crate) struct TreeCache {
+    forward: Box<[OnceLock<Box<Spt>>]>,
+    reverse: Box<[OnceLock<Box<Spt>>]>,
+}
+
+impl TreeCache {
+    /// Empty slots for a topology of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        TreeCache {
+            forward: (0..nodes).map(|_| OnceLock::new()).collect(),
+            reverse: (0..nodes).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Trees built so far, forward plus reverse.
+    #[cfg(test)]
+    fn built(&self) -> usize {
+        let filled =
+            |slots: &[OnceLock<Box<Spt>>]| slots.iter().filter(|s| s.get().is_some()).count();
+        filled(&self.forward) + filled(&self.reverse)
+    }
+}
 
 /// Reusable scratch so warm queries and tree builds allocate nothing.
 #[derive(Debug, Clone, Default)]
@@ -79,12 +117,12 @@ pub struct DetourPath {
     pub path: Vec<NodeId>,
 }
 
-/// Precomputed shortest-path oracle with override layering.
+/// Shortest-path oracle with override layering. The trees it reads live on
+/// the [`Topology`] (see the module docs); the oracle owns only the
+/// overrides and its scratch.
 #[derive(Debug, Clone, Default)]
 pub struct RouteOracle {
     overrides: HashMap<(NodeId, NodeId), Vec<NodeId>>,
-    forward: HashMap<u32, Spt>,
-    reverse: HashMap<u32, Spt>,
     scratch: Scratch,
 }
 
@@ -109,22 +147,10 @@ impl RouteOracle {
         self.overrides.get(&(src, dst)).map(|p| p.as_slice())
     }
 
-    /// Number of cached trees (forward + reverse); test introspection.
-    pub fn tree_count(&self) -> usize {
-        self.forward.len() + self.reverse.len()
-    }
-
-    /// Drop all cached trees (call after the topology they were built over
-    /// is replaced). Overrides are kept: they are policy, not cache.
-    pub fn clear_trees(&mut self) {
-        self.forward.clear();
-        self.reverse.clear();
-    }
-
     /// The path from `src` to `dst` into a caller-owned buffer: the
     /// installed override if present, otherwise the canonical minimum-cost
-    /// path. Warm queries (tree already built) perform no heap allocation
-    /// beyond what `out` needs.
+    /// path. Warm queries (the topology's tree for `src` already built)
+    /// perform no heap allocation beyond what `out` needs.
     pub fn path_into(
         &mut self,
         topo: &Topology,
@@ -149,7 +175,7 @@ impl RouteOracle {
             out.extend_from_slice(p);
             return Ok(());
         }
-        let tree = ensure_tree(&mut self.forward, &mut self.scratch, topo.csr(), src.0);
+        let tree = forward_tree(topo, &mut self.scratch, src.0);
         if tree.dist[dst.0 as usize] == UNREACHABLE {
             return Err(NetError::NoRoute { src, dst });
         }
@@ -204,7 +230,7 @@ impl RouteOracle {
             }
             return Ok(());
         }
-        let tree = ensure_tree(&mut self.forward, &mut self.scratch, topo.csr(), src.0);
+        let tree = forward_tree(topo, &mut self.scratch, src.0);
         if tree.dist[dst.0 as usize] == UNREACHABLE {
             return Err(NetError::NoRoute { src, dst });
         }
@@ -230,7 +256,7 @@ impl RouteOracle {
         if !topo.contains(src) || !topo.contains(dst) {
             return None;
         }
-        let tree = ensure_tree(&mut self.forward, &mut self.scratch, topo.csr(), src.0);
+        let tree = forward_tree(topo, &mut self.scratch, src.0);
         match tree.dist[dst.0 as usize] {
             UNREACHABLE => None,
             d => Some(d),
@@ -266,15 +292,8 @@ impl RouteOracle {
             return Ok(Vec::new());
         }
         let n = topo.nodes().len();
-        ensure_tree(&mut self.forward, &mut self.scratch, topo.csr(), src.0);
-        ensure_tree(
-            &mut self.reverse,
-            &mut self.scratch,
-            topo.reverse_csr(),
-            dst.0,
-        );
-        let fwd = &self.forward[&src.0];
-        let rev = &self.reverse[&dst.0];
+        let fwd = forward_tree(topo, &mut self.scratch, src.0);
+        let rev = reverse_tree(topo, &mut self.scratch, dst.0);
         if fwd.dist[dst.0 as usize] == UNREACHABLE {
             return Err(NetError::NoRoute { src, dst });
         }
@@ -355,10 +374,10 @@ impl RouteOracle {
     }
 
     /// Fold the oracle's canonical routing state — the override map, sorted
-    /// — into an audit digest. Cached trees are deliberately excluded: they
-    /// are a pure function of the topology populated by query history, and
-    /// two state-identical sims must digest identically no matter which
-    /// diagnostic lookups each happened to run.
+    /// — into an audit digest. The topology's trees are deliberately
+    /// excluded: they are a pure function of the topology filled in by
+    /// query history (any sim's, on any thread), and two state-identical
+    /// sims must digest identically no matter which lookups ran before.
     pub fn digest_into(&self, d: &mut crate::audit::Digest) {
         let mut entries: Vec<_> = self.overrides.iter().collect();
         entries.sort_unstable_by_key(|((s, t), _)| (s.0, t.0));
@@ -388,16 +407,16 @@ fn validate_path(topo: &Topology, path: &[NodeId]) -> NetResult<()> {
     Ok(())
 }
 
-/// Get or build the tree rooted at `root` over `csr`.
-fn ensure_tree<'a>(
-    trees: &'a mut HashMap<u32, Spt>,
-    scratch: &mut Scratch,
-    csr: &Csr,
-    root: u32,
-) -> &'a Spt {
-    trees
-        .entry(root)
-        .or_insert_with(|| build_tree(scratch, csr, root))
+/// The topology's forward tree rooted at `root`, built on first use.
+fn forward_tree<'t>(topo: &'t Topology, scratch: &mut Scratch, root: u32) -> &'t Spt {
+    topo.trees().forward[root as usize]
+        .get_or_init(|| Box::new(build_tree(scratch, topo.csr(), root)))
+}
+
+/// The topology's reverse tree rooted at `root`, built on first use.
+fn reverse_tree<'t>(topo: &'t Topology, scratch: &mut Scratch, root: u32) -> &'t Spt {
+    topo.trees().reverse[root as usize]
+        .get_or_init(|| Box::new(build_tree(scratch, topo.reverse_csr(), root)))
 }
 
 /// Canonical Dijkstra over a CSR, producing a full shortest-path tree.
@@ -453,6 +472,7 @@ fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
 mod tests {
     use super::*;
     use crate::geo::GeoPoint;
+    use crate::routing::RoutingTable;
     use crate::time::SimTime;
     use crate::topology::{LinkParams, TopologyBuilder};
     use crate::units::Bandwidth;
@@ -514,16 +534,28 @@ mod tests {
         assert!(matches!(o.path(&t, d, a), Err(NetError::BrokenPath { .. })));
     }
 
+    /// The trees live on the topology: two routing tables over one
+    /// topology build each root's tree once and read that same tree.
     #[test]
-    fn warm_queries_reuse_one_tree() {
+    fn tables_over_one_topology_build_each_tree_once() {
         let (t, a, _x, y, d) = diamond();
-        let mut o = RouteOracle::new();
-        o.path(&t, a, d).unwrap();
-        o.path(&t, a, y).unwrap();
-        o.path(&t, a, d).unwrap();
-        assert_eq!(o.tree_count(), 1);
-        o.clear_trees();
-        assert_eq!(o.tree_count(), 0);
+        let tree_of = |slot: &OnceLock<Box<Spt>>| slot.get().map(|b| &**b as *const Spt);
+        let mut first = RoutingTable::new();
+        let mut second = RoutingTable::new();
+        assert_eq!(t.trees().built(), 0);
+        first.path(&t, a, d).unwrap();
+        let built = tree_of(&t.trees().forward[a.0 as usize]);
+        assert!(built.is_some());
+        second.path(&t, a, y).unwrap();
+        second.links(&t, a, d).unwrap();
+        first.path(&t, a, d).unwrap();
+        assert_eq!(t.trees().built(), 1);
+        assert_eq!(tree_of(&t.trees().forward[a.0 as usize]), built);
+        // Detours add the reverse tree rooted at `d`, once.
+        first.k_detours(&t, a, d, 2).unwrap();
+        second.k_detours(&t, a, d, 2).unwrap();
+        assert_eq!(t.trees().built(), 2);
+        assert!(tree_of(&t.trees().reverse[d.0 as usize]).is_some());
     }
 
     #[test]

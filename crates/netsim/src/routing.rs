@@ -44,7 +44,8 @@ impl RouteOverride {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
     /// The precomputed [`RouteOracle`]: per-source shortest-path trees over
-    /// the CSR topology, near-O(path length) per query. The default.
+    /// the CSR topology, kept on the topology and shared by every sim over
+    /// it, near-O(path length) per query. The default.
     #[default]
     Oracle,
     /// Per-query [`dijkstra`], kept as a bit-identical differential
@@ -61,8 +62,8 @@ pub enum RoutingMode {
 pub struct RoutingTable {
     mode: RoutingMode,
     oracle: RouteOracle,
-    /// Reference-mode per-pair memo. Like the oracle's trees this is query
-    /// history, not state, and is excluded from the audit digest.
+    /// Reference-mode per-pair memo. Like the topology's trees this is
+    /// query history, not state, and is excluded from the audit digest.
     ref_cache: HashMap<(NodeId, NodeId), Vec<NodeId>>,
 }
 
@@ -123,7 +124,8 @@ impl RoutingTable {
         }
     }
 
-    /// Resolve a path into its links.
+    /// Resolve a path into its links. The oracle backend reads them off the
+    /// tree's `prev_link` chain, with no node path and no adjacency lookup.
     pub fn links(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<LinkId>> {
         match self.mode {
             RoutingMode::Oracle => self.oracle.links(topo, src, dst),
@@ -147,19 +149,12 @@ impl RoutingTable {
         self.oracle.k_detours(topo, src, dst, k)
     }
 
-    /// Drop cached trees and memoised paths (call after mutating costs in
-    /// tests). Overrides are kept.
-    pub fn clear_cache(&mut self) {
-        self.oracle.clear_trees();
-        self.ref_cache.clear();
-    }
-
     /// Fold the canonical routing state — overrides only, in sorted order —
-    /// into an audit digest. Query caches (oracle trees, the reference
-    /// memo) are deliberately excluded: they record which pairs happened to
-    /// be looked up, not what the simulation state is, and folding them
-    /// made two state-identical sims digest differently after a diagnostic
-    /// path query. The backend mode is likewise excluded so oracle and
+    /// into an audit digest. Query caches (the topology's trees, the
+    /// reference memo) are deliberately excluded: they record which pairs
+    /// happened to be looked up, not what the simulation state is, and
+    /// folding them made two state-identical sims digest differently after
+    /// a diagnostic path query. The backend mode is likewise excluded so oracle and
     /// reference executions can be compared digest-for-digest.
     pub fn digest_into(&self, d: &mut crate::audit::Digest) {
         self.oracle.digest_into(d);
@@ -353,8 +348,8 @@ mod tests {
         let p2 = rt.path(&t, a, d).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(p1, vec![a, x, d]);
-        rt.clear_cache();
-        assert_eq!(rt.path(&t, a, d).unwrap(), p1);
+        // A fresh table over the warm topology reads the same tree.
+        assert_eq!(RoutingTable::new().path(&t, a, d).unwrap(), p1);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Network topology: nodes, directed links and the builder API.
 //!
-//! A topology is immutable once built; the simulator shares it read-only
-//! between runs (a measurement campaign constructs one topology and many
-//! [`crate::engine::Sim`] instances over it).
+//! A topology is immutable once built. Simulations share it read-only
+//! through an `Arc`: a measurement campaign builds one topology and many
+//! [`crate::engine::Sim`] instances over it, on one thread or several.
+//! What is derived from it alone travels with it: the shortest-path tree
+//! of each root, built the first time any sim routes from (or, for detour
+//! enumeration, to) that node and then read by every sim over the same
+//! topology (see [`crate::oracle`]).
 
 use crate::geo::GeoPoint;
+use crate::oracle::TreeCache;
 use crate::time::SimTime;
 use crate::units::Bandwidth;
 use std::collections::HashMap;
@@ -231,7 +236,8 @@ impl Csr {
     }
 }
 
-/// An immutable network topology.
+/// An immutable network topology, with the shortest-path trees routed
+/// over it so far. A clone copies the trees built before it.
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<Node>,
@@ -244,6 +250,10 @@ pub struct Topology {
     /// (from, to) -> link id for O(1) lookup when validating explicit paths.
     edge_index: HashMap<(NodeId, NodeId), LinkId>,
     name_index: HashMap<String, NodeId>,
+    /// Forward and reverse shortest-path trees, one lazily filled slot per
+    /// node and direction; shared by every sim and thread over this
+    /// topology.
+    trees: TreeCache,
 }
 
 impl Topology {
@@ -293,6 +303,11 @@ impl Topology {
         &self.rcsr
     }
 
+    /// The shortest-path tree slots (see [`crate::oracle`]).
+    pub(crate) fn trees(&self) -> &TreeCache {
+        &self.trees
+    }
+
     /// The directed link between two adjacent nodes, if any.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         self.edge_index.get(&(from, to)).copied()
@@ -316,14 +331,12 @@ impl Topology {
         Ok(out)
     }
 
-    /// Sum of propagation delays along a node path (one way).
-    pub fn path_delay(&self, path: &[NodeId]) -> SimTime {
-        self.links_on_path(path)
-            .map(|ls| ls.iter().map(|&l| self.link(l).delay).sum())
-            .unwrap_or(SimTime::ZERO)
+    /// Sum of propagation delays along a path of links (one way).
+    pub fn path_delay(&self, links: &[LinkId]) -> SimTime {
+        links.iter().map(|&l| self.link(l).delay).sum()
     }
 
-    /// Combined loss probability along a node path.
+    /// Combined loss probability along a path of links.
     pub fn path_loss(&self, links: &[LinkId]) -> f64 {
         1.0 - links
             .iter()
@@ -479,6 +492,7 @@ impl TopologyBuilder {
         );
         let name_index = self.nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
         Topology {
+            trees: TreeCache::new(self.nodes.len()),
             nodes: self.nodes,
             links: self.links,
             csr,
@@ -565,7 +579,9 @@ mod tests {
     fn path_metrics() {
         let (t, a, r, c) = three_node();
         let links = t.links_on_path(&[a, r, c]).unwrap();
-        assert_eq!(t.path_delay(&[a, r, c]), SimTime::from_millis(17));
+        assert_eq!(t.path_delay(&links), SimTime::from_millis(17));
+        assert_eq!(t.path_delay(&links[..1]), SimTime::from_millis(5));
+        assert_eq!(t.path_delay(&[]), SimTime::ZERO);
         assert!((t.path_capacity(&links).mbps() - 50.0).abs() < 1e-9);
         assert_eq!(t.path_loss(&links), 0.0);
     }

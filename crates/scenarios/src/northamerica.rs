@@ -34,6 +34,7 @@ use netsim::middlebox::Policer;
 use netsim::prelude::*;
 use netsim::routing::RouteOverride;
 use netsim::units::MB;
+use std::sync::Arc;
 
 /// Calibration constants (Mbps unless noted) — see the module docs.
 pub mod calibration {
@@ -161,9 +162,11 @@ pub struct Nodes {
     pub google_pop_seattle: Option<NodeId>,
 }
 
-/// The assembled scenario: build once, then mint one [`Sim`] per run.
+/// The assembled scenario: build once, then mint one [`Sim`] per run. Every
+/// sim shares the one topology, and with it the shortest-path trees the
+/// first sims built.
 pub struct NorthAmerica {
-    topo: Topology,
+    topo: Arc<Topology>,
     nodes: Nodes,
     overrides: Vec<RouteOverride>,
     policers: Vec<Policer>,
@@ -425,7 +428,7 @@ impl NorthAmerica {
             google_pop_seattle,
         };
         NorthAmerica {
-            topo,
+            topo: Arc::new(topo),
             nodes,
             overrides,
             policers,
@@ -452,7 +455,7 @@ impl NorthAmerica {
     /// Mint one simulator: topology + pins + policers + fresh background
     /// processes, all seeded by `seed`.
     pub fn build_sim(&self, seed: u64) -> Sim {
-        let mut sim = Sim::new(self.topo.clone(), seed);
+        let mut sim = Sim::new(Arc::clone(&self.topo), seed);
         if self.options.capacity_jitter > 0.0 {
             sim.set_capacity_jitter(self.options.capacity_jitter);
         }

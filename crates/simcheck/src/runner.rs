@@ -42,6 +42,7 @@ use relay::ChunkStore;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use transfer::chunk::ChunkManifest;
 use transfer::delta::{compute_delta, Delta, DeltaOp};
 use transfer::patch::apply_delta;
@@ -158,8 +159,9 @@ impl CaseResult {
 }
 
 /// The built world: topology plus the host list scenario indices refer to.
+/// The sim shares the topology rather than copying it.
 struct World {
-    topo: Topology,
+    topo: Arc<Topology>,
     hosts: Vec<NodeId>,
 }
 
@@ -184,7 +186,7 @@ fn build_world(topo: &TopoSpec) -> World {
             }
             .build();
             World {
-                topo: w.topo,
+                topo: Arc::new(w.topo),
                 hosts: w.hosts,
             }
         }
@@ -209,7 +211,7 @@ fn build_world(topo: &TopoSpec) -> World {
                 })
                 .collect();
             World {
-                topo: b.build(),
+                topo: Arc::new(b.build()),
                 hosts: spokes,
             }
         }
@@ -853,7 +855,7 @@ fn merge_outcomes(outs: Vec<RunOutcome>) -> RunOutcome {
 /// Execute one cell (a single-replica world) under the oracle.
 fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
     let world = build_world(&spec.topo);
-    let mut sim = Sim::new(world.topo.clone(), spec.seed);
+    let mut sim = Sim::new(Arc::clone(&world.topo), spec.seed);
     if opts.health {
         sim.enable_telemetry();
     }

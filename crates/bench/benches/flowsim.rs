@@ -27,8 +27,8 @@ use std::time::Instant;
 // study models a fleet of mostly independent transfer sites (each site: two
 // resources, `FLOWS_PER_SITE` flows) and measures the per-event cost of
 //
-//   * incremental: `FlowCore::remove` + `FlowCore::insert` of one flow,
-//     which recomputes only the touched connected component, vs
+//   * incremental: `FlowCore::remove_slot` + `FlowCore::insert` of one
+//     flow, which recomputes only the touched connected component, vs
 //   * reference:   one full `max_min_allocate` over every live flow —
 //     what the engine did before the rewrite.
 // ---------------------------------------------------------------------------
@@ -84,9 +84,11 @@ fn scaling_point(n: usize, warmup: usize, samples: usize) -> Json {
     let (caps, entries) = scaling_world(n, 42);
 
     let mut core = FlowCore::new(caps.clone());
-    for (j, e) in entries.iter().enumerate() {
-        core.insert(j as u64, j as u64, &e.resources, e.cap, 1.0);
-    }
+    let mut slots: Vec<u32> = entries
+        .iter()
+        .enumerate()
+        .map(|(j, e)| core.insert(j as u64, j as u64, &e.resources, e.cap, 1.0))
+        .collect();
     // Cycle the churned flow so successive iterations touch different
     // components (defeats any single-component cache warmth). Each sample
     // batches many remove+insert pairs: one pair is sub-microsecond, well
@@ -96,8 +98,8 @@ fn scaling_point(n: usize, warmup: usize, samples: usize) -> Json {
     let incremental_ns = median_ns(warmup, samples, || {
         for _ in 0..BATCH {
             let e = &entries[victim];
-            core.remove(victim as u64);
-            core.insert(victim as u64, victim as u64, &e.resources, e.cap, 1.0);
+            core.remove_slot(slots[victim]);
+            slots[victim] = core.insert(victim as u64, victim as u64, &e.resources, e.cap, 1.0);
             victim = (victim + 1) % entries.len();
         }
     }) / (2 * BATCH) as f64; // each pair = two reallocation events

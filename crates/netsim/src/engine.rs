@@ -1386,6 +1386,16 @@ impl Sim {
         self.core.overalloc = factor;
     }
 
+    /// Test-only fault injection: the reference routing backend breaks
+    /// equal-cost ties by the largest predecessor id (see
+    /// [`crate::routing::RoutingTable::inject_largest_predecessor`]). The
+    /// simcheck harness uses this to prove its routing differential fires.
+    /// Compiled only with the `failpoints` feature.
+    #[cfg(feature = "failpoints")]
+    pub fn inject_largest_predecessor(&mut self) {
+        self.core.routing.inject_largest_predecessor();
+    }
+
     fn audit_after_event(&mut self) {
         if let Some(mut hook) = self.audit.take() {
             hook.after_event(&AuditView { core: &self.core });

@@ -31,18 +31,35 @@
 //! validated lazily so a broken override fails loudly at use.
 //!
 //! Tie-breaking is canonical and identical to the reference Dijkstra in
-//! [`crate::routing::dijkstra`]: nodes settle in `(dist, node id)` order and
-//! a node's predecessor is the smallest-id settled neighbour that achieves
-//! its final distance. The simcheck differential plane re-runs whole
-//! scenarios under the reference and flags any digest divergence.
+//! [`crate::routing::dijkstra`]: a node's predecessor is the smallest-id
+//! neighbour that settled before it and achieves its final distance. The
+//! simcheck differential plane re-runs whole scenarios under the reference
+//! and flags any digest divergence.
+//!
+//! A tree is built by Dijkstra over a **monotone radix queue** rather than
+//! the reference's binary heap. Link costs are `u32` and distances are
+//! integers that never decrease from one pop to the next, so a queued
+//! distance is filed in one of 65 buckets by the highest bit in which it
+//! differs from the distance last popped, and each entry moves down a
+//! bucket only when its bucket is the lowest one left: at most 64 moves
+//! per entry, none of them a sift. The nodes at the distance being
+//! settled sit in one flat list. When every link costs at least 1, the
+//! order they come off that list cannot matter: each of them has its whole
+//! final set of tight predecessors settled at smaller distances already,
+//! so the smallest-id rule picks the same predecessor whatever the order.
+//! A zero-cost arc breaks that argument — a node can then be reached, at
+//! the distance being settled, from a node that settles at the same
+//! distance — so when the graph has one ([`Csr`] records whether it does)
+//! the list is kept in node-id order and the tree settles in exactly the
+//! reference's `(dist, node id)` order. A bucket array indexed by distance
+//! (Dial's algorithm) would need one bucket per distance up to the largest
+//! arc cost, which arbitrary `u32` costs do not bound.
 //!
 //! [`Sim`]: crate::engine::Sim
 
 use crate::error::{NetError, NetResult};
 use crate::routing::RouteOverride;
 use crate::topology::{Csr, LinkId, NodeId, Topology};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 /// A shortest-path tree rooted at one node.
@@ -92,10 +109,78 @@ impl TreeCache {
     }
 }
 
+/// Monotone radix queue of `(distance, node)` entries (see the module
+/// docs). Every queued distance is at least `last`, the distance last
+/// popped; bucket 0 holds the entries at `last` and bucket `b ≥ 1` those
+/// whose highest bit differing from `last` is bit `b - 1`, so every
+/// distance in a bucket exceeds every distance in the buckets below it.
+/// Raising `last` to the smallest distance of the lowest non-empty bucket
+/// keeps that true for the buckets above it.
+#[derive(Debug, Clone, Default)]
+struct RadixQueue {
+    last: u64,
+    buckets: Vec<Vec<(u64, u32)>>,
+}
+
+impl RadixQueue {
+    /// Empty the queue, keeping the buckets' allocations.
+    fn clear(&mut self) {
+        self.last = 0;
+        self.buckets.resize_with(65, Vec::new);
+        for b in &mut self.buckets {
+            b.clear();
+        }
+    }
+
+    fn bucket_of(&self, dist: u64) -> usize {
+        (u64::BITS - (dist ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Queue `node` at `dist ≥ last`. Apart from the root, an entry at
+    /// `last` itself can only come through a zero-cost arc, so it goes into
+    /// bucket 0 at its node-id place (the bucket is kept in descending id
+    /// order then).
+    fn push(&mut self, dist: u64, node: u32) {
+        debug_assert!(dist >= self.last, "radix queue is monotone");
+        let b = self.bucket_of(dist);
+        if b == 0 {
+            let level = &mut self.buckets[0];
+            let at = level.partition_point(|&(_, v)| v > node);
+            level.insert(at, (dist, node));
+        } else {
+            self.buckets[b].push((dist, node));
+        }
+    }
+
+    /// Pop an entry at the smallest queued distance. With `ordered`, the
+    /// smallest node id among them; otherwise any.
+    fn pop(&mut self, ordered: bool) -> Option<(u64, u32)> {
+        if self.buckets[0].is_empty() {
+            // Refill bucket 0 from the lowest non-empty bucket: its
+            // smallest distance becomes `last`, and every entry in it
+            // differs from that below the bucket's bit, so each lands in a
+            // lower bucket.
+            let b = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moving = std::mem::take(&mut self.buckets[b]);
+            self.last = moving.iter().map(|&(d, _)| d).min().expect("non-empty");
+            for &(d, v) in &moving {
+                let to = self.bucket_of(d);
+                self.buckets[to].push((d, v));
+            }
+            moving.clear();
+            self.buckets[b] = moving;
+            if ordered {
+                self.buckets[0].sort_unstable_by_key(|&(_, v)| std::cmp::Reverse(v));
+            }
+        }
+        self.buckets[0].pop()
+    }
+}
+
 /// Reusable scratch so warm queries and tree builds allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    queue: RadixQueue,
     settled: Vec<bool>,
     /// `(combined cost, via)` candidates for `k_detours`.
     ranked: Vec<(u64, u32)>,
@@ -122,7 +207,8 @@ pub struct DetourPath {
 /// overrides and its scratch.
 #[derive(Debug, Clone, Default)]
 pub struct RouteOracle {
-    overrides: HashMap<(NodeId, NodeId), Vec<NodeId>>,
+    /// Installed overrides, sorted by `(src, dst)`, one per pair.
+    overrides: Vec<RouteOverride>,
     scratch: Scratch,
 }
 
@@ -134,7 +220,10 @@ impl RouteOracle {
 
     /// Install an override; replaces any previous override for the pair.
     pub fn add_override(&mut self, ov: RouteOverride) {
-        self.overrides.insert((ov.src, ov.dst), ov.path);
+        match self.find_override(ov.src, ov.dst) {
+            Ok(i) => self.overrides[i] = ov,
+            Err(i) => self.overrides.insert(i, ov),
+        }
     }
 
     /// Number of installed overrides.
@@ -144,7 +233,14 @@ impl RouteOracle {
 
     /// The pinned path for a pair, if any (unvalidated).
     pub fn override_for(&self, src: NodeId, dst: NodeId) -> Option<&[NodeId]> {
-        self.overrides.get(&(src, dst)).map(|p| p.as_slice())
+        let i = self.find_override(src, dst).ok()?;
+        Some(&self.overrides[i].path)
+    }
+
+    /// Where the pair's override is, or would go, in the sorted list.
+    fn find_override(&self, src: NodeId, dst: NodeId) -> Result<usize, usize> {
+        self.overrides
+            .binary_search_by_key(&(src, dst), |ov| (ov.src, ov.dst))
     }
 
     /// The path from `src` to `dst` into a caller-owned buffer: the
@@ -169,7 +265,7 @@ impl RouteOracle {
             out.push(src);
             return Ok(());
         }
-        if let Some(p) = self.overrides.get(&(src, dst)) {
+        if let Some(p) = self.override_for(src, dst) {
             // Validate lazily so a bad override fails loudly at use.
             validate_path(topo, p)?;
             out.extend_from_slice(p);
@@ -216,7 +312,7 @@ impl RouteOracle {
         if src == dst {
             return Ok(());
         }
-        if let Some(p) = self.overrides.get(&(src, dst)) {
+        if let Some(p) = self.override_for(src, dst) {
             for w in p.windows(2) {
                 match topo.link_between(w[0], w[1]) {
                     Some(l) => out.push(l),
@@ -373,20 +469,55 @@ impl RouteOracle {
         Ok(accepted)
     }
 
-    /// Fold the oracle's canonical routing state — the override map, sorted
-    /// — into an audit digest. The topology's trees are deliberately
-    /// excluded: they are a pure function of the topology filled in by
-    /// query history (any sim's, on any thread), and two state-identical
-    /// sims must digest identically no matter which lookups ran before.
+    /// Failpoint: the `src → dst` path on which every node takes its
+    /// largest-id tight predecessor strictly closer to `src` in place of
+    /// the canonical smallest-id one, keeping the canonical predecessor
+    /// where only a zero-cost arc is tight (so the walk back to `src`
+    /// cannot loop). Overrides are not consulted; `None` if unreachable.
+    #[cfg(feature = "failpoints")]
+    pub(crate) fn largest_predecessor_path(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let tree = forward_tree(topo, &mut self.scratch, src.0);
+        if tree.dist[dst.0 as usize] == UNREACHABLE {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = dst.0;
+        while cur != src.0 {
+            let dv = tree.dist[cur as usize];
+            let largest = topo
+                .reverse_csr()
+                .arcs(cur)
+                .filter(|&(u, cost, _)| {
+                    let du = tree.dist[u as usize];
+                    du < dv && du + cost as u64 == dv
+                })
+                .map(|(u, ..)| u)
+                .max();
+            cur = largest.unwrap_or(tree.prev_node[cur as usize]);
+            path.push(NodeId(cur));
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Fold the oracle's canonical routing state — the overrides, in
+    /// `(src, dst)` order — into an audit digest. The topology's trees are
+    /// deliberately excluded: they are a pure function of the topology
+    /// filled in by query history (any sim's, on any thread), and two
+    /// state-identical sims must digest identically no matter which lookups
+    /// ran before.
     pub fn digest_into(&self, d: &mut crate::audit::Digest) {
-        let mut entries: Vec<_> = self.overrides.iter().collect();
-        entries.sort_unstable_by_key(|((s, t), _)| (s.0, t.0));
-        d.write_u64(entries.len() as u64);
-        for ((s, t), path) in entries {
-            d.write_u64(s.0 as u64);
-            d.write_u64(t.0 as u64);
-            d.write_u64(path.len() as u64);
-            for n in path {
+        d.write_u64(self.overrides.len() as u64);
+        for ov in &self.overrides {
+            d.write_u64(ov.src.0 as u64);
+            d.write_u64(ov.dst.0 as u64);
+            d.write_u64(ov.path.len() as u64);
+            for n in &ov.path {
                 d.write_u64(n.0 as u64);
             }
         }
@@ -422,13 +553,23 @@ fn reverse_tree<'t>(topo: &'t Topology, scratch: &mut Scratch, root: u32) -> &'t
 /// Canonical Dijkstra over a CSR, producing a full shortest-path tree.
 ///
 /// Determinism contract (shared bit-for-bit with the reference
-/// [`crate::routing::dijkstra`]): nodes settle in `(dist, node id)` heap
-/// order; `prev_node[v]` is the smallest-id node `u` that (a) settled before
-/// `v` and (b) achieves `dist[v] = dist[u] + cost(u→v)`. Once a node is
-/// settled its predecessor is frozen — equal-cost relaxations arriving later
-/// may not rewrite it (the historical bug class: a post-settlement rewrite
-/// made answers depend on which destination was queried first, and with
-/// zero-cost edges could even knot the predecessor chain into a cycle).
+/// [`crate::routing::dijkstra`]): `prev_node[v]` is the smallest-id node `u`
+/// that (a) settled before `v` and (b) achieves
+/// `dist[v] = dist[u] + cost(u→v)`. Once a node is settled its predecessor
+/// is frozen — equal-cost relaxations arriving later may not rewrite it
+/// (the historical bug class: a post-settlement rewrite made answers depend
+/// on which destination was queried first, and with zero-cost edges could
+/// even knot the predecessor chain into a cycle).
+///
+/// Nodes settle in nondecreasing distance off the [`RadixQueue`]. Within one
+/// distance the order is free when every arc costs at least 1: every tight
+/// predecessor of `v` then lies at a strictly smaller distance, so all of
+/// them have settled, and relaxed `v`, before any node at `v`'s distance
+/// pops; (a) holds for each of them in any order, and the smallest id
+/// among them is `prev_node[v]`. With a zero-cost arc a tight predecessor
+/// can share `v`'s distance and (a) depends on the order, so the nodes at
+/// each distance then settle in node-id order — the reference heap's
+/// `(dist, node id)` order exactly.
 fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
     let n = csr.node_count();
     let mut dist = vec![UNREACHABLE; n];
@@ -436,11 +577,13 @@ fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
     let mut prev_link = vec![NONE; n];
     scratch.settled.clear();
     scratch.settled.resize(n, false);
-    scratch.heap.clear();
+    let queue = &mut scratch.queue;
+    queue.clear();
+    let ordered = csr.has_zero_cost();
 
     dist[root as usize] = 0;
-    scratch.heap.push(Reverse((0, root)));
-    while let Some(Reverse((d, u))) = scratch.heap.pop() {
+    queue.push(0, root);
+    while let Some((d, u)) = queue.pop(ordered) {
         if scratch.settled[u as usize] {
             continue;
         }
@@ -452,10 +595,10 @@ fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
                 dist[vi] = nd;
                 prev_node[vi] = u;
                 prev_link[vi] = lid.0;
-                scratch.heap.push(Reverse((nd, v)));
+                queue.push(nd, v);
             } else if nd == dist[vi] && !scratch.settled[vi] && u < prev_node[vi] {
                 // Same distance via a smaller settled predecessor: adopt it.
-                // No re-push needed — an equal-key heap entry already exists.
+                // No re-push needed — an equal-distance entry already exists.
                 prev_node[vi] = u;
                 prev_link[vi] = lid.0;
             }
@@ -603,6 +746,35 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             assert!(dt.path.iter().all(|n| seen.insert(*n)), "{:?}", dt.path);
         }
+    }
+
+    /// Overrides are kept one per pair, a later one replacing an earlier,
+    /// and digest in `(src, dst)` order whatever order they arrived in.
+    #[test]
+    fn overrides_replace_per_pair_and_digest_in_pair_order() {
+        let (t, a, x, y, d) = diamond();
+        let mut o = RouteOracle::new();
+        o.add_override(RouteOverride::new(d, a, vec![d, y, a]));
+        o.add_override(RouteOverride::new(a, d, vec![a, x, d]));
+        o.add_override(RouteOverride::new(a, d, vec![a, y, d]));
+        o.add_override(RouteOverride::new(a, y, vec![a, y]));
+        assert_eq!(o.override_count(), 3);
+        assert_eq!(o.override_for(a, d), Some(&[a, y, d][..]));
+        assert_eq!(o.path(&t, a, d).unwrap(), vec![a, y, d]);
+        assert_eq!(o.override_for(y, a), None);
+        let mut want = crate::audit::Digest::new();
+        want.write_u64(3);
+        for path in [vec![a, y], vec![a, y, d], vec![d, y, a]] {
+            want.write_u64(path[0].0 as u64);
+            want.write_u64(path[path.len() - 1].0 as u64);
+            want.write_u64(path.len() as u64);
+            for n in path {
+                want.write_u64(n.0 as u64);
+            }
+        }
+        let mut got = crate::audit::Digest::new();
+        o.digest_into(&mut got);
+        assert_eq!(got.finish(), want.finish());
     }
 
     #[test]

@@ -65,6 +65,10 @@ pub struct RoutingTable {
     /// Reference-mode per-pair memo. Like the topology's trees this is
     /// query history, not state, and is excluded from the audit digest.
     ref_cache: HashMap<(NodeId, NodeId), Vec<NodeId>>,
+    /// Fault injection: the reference backend breaks ties by the largest
+    /// predecessor id; compiled only with the `failpoints` feature.
+    #[cfg(feature = "failpoints")]
+    largest_predecessor: bool,
 }
 
 impl RoutingTable {
@@ -94,6 +98,16 @@ impl RoutingTable {
         self.oracle.override_count()
     }
 
+    /// Test-only fault injection: from now on the reference backend routes
+    /// each pair through every node's largest-id tight predecessor rather
+    /// than the smallest, so it disagrees with the oracle wherever an
+    /// equal-cost tie decides a path. Compiled only with the `failpoints`
+    /// feature.
+    #[cfg(feature = "failpoints")]
+    pub fn inject_largest_predecessor(&mut self) {
+        self.largest_predecessor = true;
+    }
+
     /// The path from `src` to `dst`: the installed override if present,
     /// otherwise the canonical minimum-cost path (ties broken
     /// deterministically by smaller predecessor id at settlement).
@@ -101,26 +115,6 @@ impl RoutingTable {
         match self.mode {
             RoutingMode::Oracle => self.oracle.path(topo, src, dst),
             RoutingMode::Reference => self.reference_path(topo, src, dst),
-        }
-    }
-
-    /// Non-allocating variant of [`RoutingTable::path`] on the oracle
-    /// backend; the reference backend simply clones into `out`.
-    pub fn path_into(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        out: &mut Vec<NodeId>,
-    ) -> NetResult<()> {
-        match self.mode {
-            RoutingMode::Oracle => self.oracle.path_into(topo, src, dst, out),
-            RoutingMode::Reference => {
-                let p = self.reference_path(topo, src, dst)?;
-                out.clear();
-                out.extend_from_slice(&p);
-                Ok(())
-            }
         }
     }
 
@@ -183,7 +177,15 @@ impl RoutingTable {
         if let Some(p) = self.ref_cache.get(&(src, dst)) {
             return Ok(p.clone());
         }
-        let p = dijkstra(topo, src, dst).ok_or(NetError::NoRoute { src, dst })?;
+        #[cfg(feature = "failpoints")]
+        let found = if self.largest_predecessor {
+            self.oracle.largest_predecessor_path(topo, src, dst)
+        } else {
+            dijkstra(topo, src, dst)
+        };
+        #[cfg(not(feature = "failpoints"))]
+        let found = dijkstra(topo, src, dst);
+        let p = found.ok_or(NetError::NoRoute { src, dst })?;
         self.ref_cache.insert((src, dst), p.clone());
         Ok(p)
     }

@@ -157,6 +157,9 @@ pub struct Csr {
     targets: Vec<u32>,
     costs: Vec<u32>,
     link_ids: Vec<LinkId>,
+    /// Some arc costs 0, so a shortest-path sweep can reach a node at the
+    /// distance it is settling (see [`crate::oracle`]).
+    zero_cost: bool,
 }
 
 impl Csr {
@@ -183,6 +186,7 @@ impl Csr {
             cursor[bucket as usize] += 1;
         }
         Csr {
+            zero_cost: costs.contains(&0),
             offsets,
             targets,
             costs,
@@ -198,6 +202,11 @@ impl Csr {
     /// Number of arcs.
     pub fn arc_count(&self) -> usize {
         self.targets.len()
+    }
+
+    /// Does some arc cost 0?
+    pub(crate) fn has_zero_cost(&self) -> bool {
+        self.zero_cost
     }
 
     /// The arc index range of node `u`.

@@ -1,14 +1,118 @@
 //! Differential property tests for the precomputed route oracle: on
-//! randomized WAN and globe topologies every oracle answer must be
-//! bit-identical to the legacy per-query Dijkstra (`netsim::routing::dijkstra`),
-//! overrides must layer the same way, and detour enumeration must be
-//! deterministic, distinct, and loop-free.
+//! randomized WAN, globe and dense small-cost topologies (zero-cost arcs
+//! and equal-cost parallel routes included) every oracle answer must be
+//! bit-identical to the legacy per-query Dijkstra
+//! (`netsim::routing::dijkstra`), overrides must layer the same way, and
+//! detour enumeration must be deterministic, distinct, and loop-free. A pin
+//! folds every answer from 16 sources on a fixed set of worlds into one
+//! digest, so a tree builder that changes any tree cannot pass.
 
+use netsim::audit::Digest;
+use netsim::geo::GeoPoint;
 use netsim::oracle::RouteOracle;
 use netsim::routing::{dijkstra, RouteOverride};
 use netsim::synth::{SynthGlobe, SynthWan};
-use netsim::topology::{NodeId, Topology};
+use netsim::time::SimTime;
+use netsim::topology::{LinkParams, NodeId, Topology, TopologyBuilder};
+use netsim::units::Bandwidth;
 use proptest::prelude::*;
+
+fn link(cost: u32) -> LinkParams {
+    LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(1)).with_cost(cost)
+}
+
+/// A random directed graph of `n` routers: each ordered pair is linked
+/// with probability `density_pct`%, at a cost drawn from `0..=max_cost`.
+/// Small cost ranges make zero-cost arcs (and zero-cost cycles) and
+/// equal-cost parallel routes common; the two directions of a pair are
+/// drawn independently, so anti-parallel links often differ in cost.
+fn random_graph(seed: u64, n: usize, density_pct: u64, max_cost: u32) -> Topology {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut b = TopologyBuilder::new();
+    let nodes: Vec<NodeId> = (0..n)
+        .map(|i| b.router(&format!("r{i}"), GeoPoint::new(0.0, i as f64 * 0.01)))
+        .collect();
+    for &from in &nodes {
+        for &to in &nodes {
+            if from != to && next() % 100 < density_pct {
+                let cost = (next() % (max_cost as u64 + 1)) as u32;
+                b.simplex(from, to, link(cost));
+            }
+        }
+    }
+    b.build()
+}
+
+/// Two gadgets, one per component, in which a zero-cost arc `u → v` joins
+/// two nodes at the same distance with `v < u < p`, where `p` is `v`'s
+/// canonical predecessor. Settling the distance in id order settles `v`
+/// (via `p`) before `u` relaxes the zero-cost arc; settling `u` first
+/// would adopt `u`, the smaller id. The gadgets differ in the order their
+/// distance-10 nodes are discovered — `u` first in the first, `v` first in
+/// the second — so neither first-in-first-out nor last-in-first-out order
+/// within a distance matches both. Returns the topology and each gadget's
+/// `(root, v, p)`.
+fn zero_cost_gadgets() -> (Topology, [(NodeId, NodeId, NodeId); 2]) {
+    let mut b = TopologyBuilder::new();
+    let mut node = |name: &str| b.router(name, GeoPoint::new(0.0, 0.0));
+    let (r1, v1, u1, p1) = (node("r1"), node("v1"), node("u1"), node("p1"));
+    let (r2, v2, u2, p2, w2) = (node("r2"), node("v2"), node("u2"), node("p2"), node("w2"));
+    // r1 discovers u1 (10) before p1 (5) discovers v1 (10).
+    b.simplex(r1, p1, link(5));
+    b.simplex(p1, v1, link(5));
+    b.simplex(r1, u1, link(10));
+    b.simplex(u1, v1, link(0));
+    // p2 (1) discovers v2 (10) before w2 (2) discovers u2 (10).
+    b.simplex(r2, p2, link(1));
+    b.simplex(p2, v2, link(9));
+    b.simplex(r2, w2, link(2));
+    b.simplex(w2, u2, link(8));
+    b.simplex(u2, v2, link(0));
+    (b.build(), [(r1, v1, p1), (r2, v2, p2)])
+}
+
+/// One u64 over everything the trees answer: from up to 16 sources spread
+/// over the node ids, every destination's cost, link path and up to three
+/// detours (which read the reverse trees).
+fn tree_pin(topo: &Topology) -> u64 {
+    let n = topo.nodes().len();
+    let mut oracle = RouteOracle::new();
+    let mut d = Digest::new();
+    for s in (0..n).step_by(n.div_ceil(16)) {
+        let s = NodeId(s as u32);
+        for t in 0..n as u32 {
+            let t = NodeId(t);
+            d.write_u64(oracle.cost(topo, s, t).unwrap_or(u64::MAX));
+            match oracle.links(topo, s, t) {
+                Ok(links) => {
+                    d.write_u64(links.len() as u64);
+                    for l in links {
+                        d.write_u64(l.0 as u64);
+                    }
+                }
+                Err(_) => d.write_u64(u64::MAX),
+            }
+            let detours = oracle.k_detours(topo, s, t, 3).unwrap_or_default();
+            d.write_u64(detours.len() as u64);
+            for det in detours {
+                d.write_u64(det.via.0 as u64);
+                d.write_u64(det.cost);
+                d.write_u64(det.path.len() as u64);
+                for hop in det.path {
+                    d.write_u64(hop.0 as u64);
+                }
+            }
+        }
+    }
+    d.finish()
+}
 
 /// Cheap deterministic pair sampler over the node set.
 fn pairs(topo: &Topology, seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
@@ -145,6 +249,84 @@ proptest! {
             assert!(detours.windows(2).all(|w| w[0].cost <= w[1].cost));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Oracle ≡ reference Dijkstra on dense small-cost graphs, where zero-
+    /// cost arcs and equal-cost parallel routes put many nodes at one
+    /// distance and some of them reach each other at no cost.
+    #[test]
+    fn zero_cost_oracle_matches_reference(
+        seed in any::<u64>(),
+        n in 2usize..32,
+        density_pct in 5u64..40,
+        max_cost in 0u32..4,
+    ) {
+        let topo = random_graph(seed, n, density_pct, max_cost);
+        let mut oracle = RouteOracle::new();
+        for s in 0..n as u32 {
+            for t in 0..n as u32 {
+                let (s, t) = (NodeId(s), NodeId(t));
+                prop_assert_eq!(oracle.path(&topo, s, t).ok(), dijkstra(&topo, s, t), "{}->{}", s, t);
+            }
+        }
+    }
+}
+
+/// A zero-cost arc into a smaller id at the same distance leaves the
+/// canonical predecessor in place, whichever order the distance's nodes
+/// were discovered in (see [`zero_cost_gadgets`]).
+#[test]
+fn zero_cost_arc_into_a_smaller_id_keeps_the_canonical_predecessor() {
+    let (topo, gadgets) = zero_cost_gadgets();
+    for (root, v, p) in gadgets {
+        let want = vec![root, p, v];
+        assert_eq!(dijkstra(&topo, root, v).unwrap(), want);
+        assert_eq!(RouteOracle::new().path(&topo, root, v).unwrap(), want);
+        assert_eq!(RouteOracle::new().cost(&topo, root, v), Some(10));
+    }
+}
+
+/// Every tree answer on a fixed set of worlds, pinned: SynthWan and
+/// SynthGlobe worlds (uniform and tiered costs, many ties), the zero-cost
+/// gadgets and a dense zero-cost graph. A tree builder must reproduce the
+/// canonical trees exactly, not merely agree with the reference on samples.
+#[test]
+fn tree_pin_is_unchanged() {
+    let wan = |seed| {
+        SynthWan {
+            seed,
+            ..SynthWan::default()
+        }
+        .build()
+        .topo
+    };
+    let globe = |seed| SynthGlobe {
+        seed,
+        ..SynthGlobe::default()
+    };
+    let worlds = [
+        wan(1),
+        wan(2),
+        wan(3),
+        globe(1).build().topo,
+        globe(2).build().topo,
+        globe(3).with_target_nodes(300).build().topo,
+        zero_cost_gadgets().0,
+        random_graph(0x5eed, 40, 12, 2),
+    ];
+    let mut d = Digest::new();
+    for topo in &worlds {
+        d.write_u64(tree_pin(topo));
+    }
+    assert_eq!(
+        d.finish(),
+        0xcad5_a40e_8c94_1bcf,
+        "tree pin moved: {:016x}",
+        d.finish()
+    );
 }
 
 /// Two disconnected islands: both backends must report "no route" the

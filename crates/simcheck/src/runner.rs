@@ -65,6 +65,13 @@ pub struct RunOptions {
     /// the oracles catch a broken allocator. `None` = faithful engine.
     /// Requires the `failpoints` feature; silently ignored without it.
     pub rate_inflation: Option<f64>,
+    /// Make the reference routing backend break equal-cost ties by the
+    /// largest predecessor id instead of the smallest, to prove the
+    /// [`Violation::RoutingDivergence`] oracle catches backends that
+    /// disagree. Inert unless `reference_routing` is set too, so only
+    /// [`check_case`]'s reference-routing execution changes. Requires the
+    /// `failpoints` feature; silently ignored without it.
+    pub largest_predecessor: bool,
     /// Run under the reference (full-recompute) allocator instead of the
     /// incremental one. [`check_case`] uses this for its differential
     /// execution; both must produce identical chained digests.
@@ -917,8 +924,12 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
     if let Some(factor) = opts.rate_inflation {
         sim.inject_rate_inflation(factor);
     }
+    #[cfg(feature = "failpoints")]
+    if opts.largest_predecessor {
+        sim.inject_largest_predecessor();
+    }
     #[cfg(not(feature = "failpoints"))]
-    let _ = opts.rate_inflation;
+    let _ = (opts.rate_inflation, opts.largest_predecessor);
 
     let (oracle, handle) = match audit {
         Audit::Full => InvariantOracle::new(),

@@ -4,8 +4,8 @@
 //! the simcheck invariant oracles, proves same-seed re-execution is
 //! bit-identical, and — via the `failpoints` feature, enabled for tests by
 //! the root crate's dev-dependency — proves the oracles catch an
-//! intentionally broken allocator, sync transfer or sharded execution and
-//! shrink the failure to a minimal reproducer.
+//! intentionally broken allocator, sync transfer, sharded execution or
+//! routing backend and shrink the failure to a minimal reproducer.
 
 use routing_detours::simcheck::{
     case_seed, check_case, replay, run_check, run_once, shrink, CheckConfig, RunOptions,
@@ -251,6 +251,59 @@ fn thread_dependent_cell_is_caught_by_the_shard_run_and_shrunk() {
     let replayed = check_case(&round, opts);
     assert!(
         only_shard_divergence(&replayed.violations),
+        "shrunk spec {} reported {:?}",
+        res.spec.to_json(),
+        replayed.violations
+    );
+    assert!(check_case(&round, RunOptions::default()).ok());
+}
+
+/// Fault injection on the routing differential: the reference backend
+/// breaks equal-cost ties by the largest predecessor id instead of the
+/// smallest. Every SynthWan link costs 10, so std worlds are full of
+/// equal-hop ties, and the reference-routing execution must report a
+/// routing divergence on generated cases while nothing else fires; a case
+/// must shrink to a replayable spec that still fails, and that passes once
+/// the fault is off.
+#[test]
+fn flipped_routing_ties_are_caught_by_the_routing_run_and_shrunk() {
+    let opts = RunOptions {
+        largest_predecessor: true,
+        ..Default::default()
+    };
+    let only_routing_divergence = |violations: &[Violation]| {
+        !violations.is_empty()
+            && violations
+                .iter()
+                .all(|v| matches!(v, Violation::RoutingDivergence { .. }))
+    };
+    // Four of the first eight cases at seed 7 route a job or flow through
+    // a tie that the flipped rule decides differently.
+    let specs: Vec<ScenarioSpec> = (0..8)
+        .map(|i| ScenarioSpec::generate(case_seed(7, i)))
+        .collect();
+    let caught: Vec<&ScenarioSpec> = specs
+        .iter()
+        .filter(|s| only_routing_divergence(&check_case(s, opts).violations))
+        .collect();
+    assert!(
+        caught.len() >= 4,
+        "only {} of {} std cases reported a routing divergence",
+        caught.len(),
+        specs.len()
+    );
+    let spec = caught[0];
+    assert!(
+        check_case(spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+
+    let res = shrink(spec, opts, 40);
+    assert!(res.steps > 0, "nothing shrank");
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    let replayed = check_case(&round, opts);
+    assert!(
+        only_routing_divergence(&replayed.violations),
         "shrunk spec {} reported {:?}",
         res.spec.to_json(),
         replayed.violations

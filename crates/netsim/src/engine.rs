@@ -13,7 +13,7 @@
 
 use crate::audit::{AuditHook, Digest};
 use crate::error::{NetError, NetResult};
-use crate::flow::{AllocMode, FlowClass, FlowCore, FlowProgress, FlowSpec};
+use crate::flow::{AllocDivergence, AllocMode, FlowClass, FlowCore, FlowProgress, FlowSpec};
 use crate::middlebox::{FirewallRule, Policer, PolicerScope};
 use crate::routing::RoutingTable;
 use crate::tcp::TcpParams;
@@ -309,12 +309,43 @@ pub enum ProgressMode {
     Lazy,
     /// The legacy per-event sweep, kept as a differential oracle: every
     /// clock step advances a stepped shadow ledger for every active flow
-    /// (the pre-lazy `remaining -= rate*dt` arithmetic) and asserts it
-    /// agrees with the lazy closed form within float tolerance. All
-    /// engine-visible state (drain times, digests) uses the same anchored
-    /// arithmetic as [`ProgressMode::Lazy`], so the two modes produce
-    /// bit-identical executions — property tests and simcheck rely on this.
+    /// (the pre-lazy `remaining -= rate*dt` arithmetic) and checks it
+    /// against the lazy closed form within float tolerance, recording the
+    /// first disagreement ([`Divergences::progress`]). All engine-visible
+    /// state (drain times, digests) uses the same anchored arithmetic as
+    /// [`ProgressMode::Lazy`], so the two modes produce bit-identical
+    /// executions — property tests rely on this, and the lockstep
+    /// ([`Sim::enable_lockstep`]) runs the sweep inside a production run.
     Eager,
+}
+
+/// The first step at which the eager progress sweep's stepped ledger left
+/// the lazy closed form (see [`ProgressMode::Eager`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProgressDivergence {
+    /// Flow id.
+    pub flow: u64,
+    /// The clock step's end.
+    pub at: SimTime,
+    /// The stepped ledger's remaining bytes.
+    pub stepped: f64,
+    /// The lazy closed form's remaining bytes.
+    pub lazy: f64,
+}
+
+/// Where each reference backend run in lockstep with the engine first
+/// parted from the production one (see [`Sim::enable_lockstep`]); `None`
+/// where they agreed throughout.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Divergences {
+    /// The first reallocation whose incremental rates differ from a fresh
+    /// [`crate::flow::max_min_allocate`].
+    pub allocator: Option<AllocDivergence>,
+    /// The first `(src, dst)` route query the oracle and the reference
+    /// Dijkstra answered differently.
+    pub routing: Option<(NodeId, NodeId)>,
+    /// The first flow whose stepped progress left the lazy closed form.
+    pub progress: Option<ProgressDivergence>,
 }
 
 /// Counters maintained by the engine.
@@ -368,6 +399,8 @@ pub struct Core {
     /// with the legacy `remaining -= rate*dt` arithmetic and checked
     /// against the lazy closed form (see [`ProgressMode::Eager`]).
     stepped: Vec<f64>,
+    /// The eager sweep's first disagreement.
+    progress_diverged: Option<ProgressDivergence>,
     /// Scratch for per-link utilization sampling (avoids one allocation
     /// per reallocation when telemetry is on).
     util_scratch: Vec<f64>,
@@ -386,6 +419,11 @@ pub struct Core {
     /// allocator; compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
     overalloc: f64,
+    /// Fault injection: factor on the bytes every flow's lazy closed form
+    /// moves per interval (see [`FlowProgress::with_skew`]). 1.0 =
+    /// faithful; compiled only with the `failpoints` feature.
+    #[cfg(feature = "failpoints")]
+    progress_skew: f64,
 }
 
 impl Core {
@@ -629,12 +667,15 @@ impl Core {
             },
         );
         self.tele.counter_add("netsim.flows_started", 1);
+        let progress = FlowProgress::new(spec.bytes as f64, self.now);
+        #[cfg(feature = "failpoints")]
+        let progress = progress.with_skew(self.progress_skew);
         let flow = ActiveFlow {
             id,
             owner,
             class: spec.class,
             resources,
-            progress: FlowProgress::new(spec.bytes as f64, self.now),
+            progress,
             gen: 0,
             total_bytes: spec.bytes,
             path_delay: one_way,
@@ -818,8 +859,9 @@ impl Core {
     /// The legacy per-event progress sweep ([`ProgressMode::Eager`]): step
     /// the shadow ledger of every active flow with the pre-lazy
     /// `remaining -= rate*dt` arithmetic and check it against the lazy
-    /// closed form. Engine-visible state is untouched — both modes share
-    /// the anchored arithmetic, keeping executions bit-identical.
+    /// closed form, keeping the first disagreement. Engine-visible state is
+    /// untouched — both modes share the anchored arithmetic, keeping
+    /// executions bit-identical.
     fn eager_sweep(&mut self, t: SimTime) {
         let dt = t.saturating_sub(self.now);
         if dt.is_zero() {
@@ -834,13 +876,14 @@ impl Core {
             *s = (*s - f.progress.rate * dt).max(0.0);
             let lazy = f.progress.remaining_at(t);
             let tol = 1e-6 * (f.total_bytes as f64).max(1.0);
-            assert!(
-                (*s - lazy).abs() <= tol,
-                "eager/lazy progress divergence on flow {}: stepped {} vs lazy {}",
-                f.id,
-                *s,
-                lazy
-            );
+            if (*s - lazy).abs() > tol && self.progress_diverged.is_none() {
+                self.progress_diverged = Some(ProgressDivergence {
+                    flow: f.id,
+                    at: t,
+                    stepped: *s,
+                    lazy,
+                });
+            }
         }
     }
 
@@ -1330,6 +1373,7 @@ impl Sim {
                 stale_drains: 0,
                 progress_mode: ProgressMode::default(),
                 stepped: Vec::new(),
+                progress_diverged: None,
                 util_scratch: Vec::new(),
                 next_flow: 1,
                 queue: BinaryHeap::new(),
@@ -1341,6 +1385,8 @@ impl Sim {
                 tele: Telemetry::disabled(),
                 #[cfg(feature = "failpoints")]
                 overalloc: 1.0,
+                #[cfg(feature = "failpoints")]
+                progress_skew: 1.0,
             },
             processes: Vec::new(),
             root_result: None,
@@ -1389,11 +1435,61 @@ impl Sim {
     /// Test-only fault injection: the reference routing backend breaks
     /// equal-cost ties by the largest predecessor id (see
     /// [`crate::routing::RoutingTable::inject_largest_predecessor`]). The
-    /// simcheck harness uses this to prove its routing differential fires.
+    /// simcheck harness uses this to prove the routing lockstep fires.
     /// Compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
     pub fn inject_largest_predecessor(&mut self) {
         self.core.routing.inject_largest_predecessor();
+    }
+
+    /// Test-only fault injection: nudge one rate of every waterfilled
+    /// component of three or more flows by one ulp (see
+    /// [`FlowCore::inject_ulp_nudge`]). The simcheck harness uses this to
+    /// prove the allocator lockstep fires. Compiled only with the
+    /// `failpoints` feature.
+    #[cfg(feature = "failpoints")]
+    pub fn inject_ulp_nudge(&mut self) {
+        self.core.alloc.inject_ulp_nudge();
+    }
+
+    /// Test-only fault injection: every flow started from now on moves
+    /// `factor` times its rate's bytes per interval in the lazy closed form
+    /// of [`FlowProgress::remaining_at`]. The simcheck harness uses this
+    /// to prove the progress lockstep fires. Compiled only with the
+    /// `failpoints` feature.
+    #[cfg(feature = "failpoints")]
+    pub fn inject_progress_skew(&mut self, factor: f64) {
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "invalid progress skew {factor}"
+        );
+        self.core.progress_skew = factor;
+    }
+
+    /// Run every reference backend in lockstep with its production
+    /// counterpart for the rest of the run. After each incremental
+    /// reallocation the allocator compares its rates bit for bit with a
+    /// fresh [`crate::flow::max_min_allocate`]; each route query compares
+    /// the oracle's answer with the memoized reference Dijkstra; and the
+    /// eager progress sweep ([`ProgressMode::Eager`]) steps its ledger at
+    /// every clock advance. Each records its first disagreement
+    /// ([`Sim::divergences`]) rather than panicking. The lockstep only
+    /// reads engine state, so digests and outcomes are the same with it
+    /// on or off. Call before starting transfers.
+    pub fn enable_lockstep(&mut self) {
+        self.core.alloc.enable_lockstep();
+        self.core.routing.enable_lockstep();
+        self.core.progress_mode = ProgressMode::Eager;
+    }
+
+    /// Where each lockstep backend first disagreed (see
+    /// [`Sim::enable_lockstep`]).
+    pub fn divergences(&self) -> Divergences {
+        Divergences {
+            allocator: self.core.alloc.divergence(),
+            routing: self.core.routing.divergence(),
+            progress: self.core.progress_diverged,
+        }
     }
 
     fn audit_after_event(&mut self) {
@@ -1446,16 +1542,16 @@ impl Sim {
 
     /// Select the allocator strategy: the component-scoped incremental
     /// allocator (default) or the full-recompute reference. Both produce
-    /// bitwise-identical executions (see [`FlowCore`]); simcheck runs every
-    /// scenario under both and compares chained state digests.
+    /// bitwise-identical executions (see [`FlowCore`]); simcheck checks
+    /// this inside each audited run ([`Sim::enable_lockstep`]).
     pub fn set_allocator_mode(&mut self, mode: AllocMode) {
         self.core.alloc.set_mode(mode);
     }
 
     /// Select the routing backend: the precomputed route oracle (default)
     /// or the per-query reference Dijkstra. Both produce bit-identical
-    /// executions (see [`crate::routing::RoutingTable`]); simcheck runs
-    /// every scenario under both and compares chained state digests.
+    /// executions (see [`crate::routing::RoutingTable`]); simcheck checks
+    /// this inside each audited run ([`Sim::enable_lockstep`]).
     pub fn set_routing_mode(&mut self, mode: crate::routing::RoutingMode) {
         self.core.routing.set_mode(mode);
     }
@@ -1463,8 +1559,8 @@ impl Sim {
     /// Select the progress-accounting mode (see [`ProgressMode`]). Call
     /// before starting transfers. Both modes produce bit-identical
     /// executions; [`ProgressMode::Eager`] additionally runs the legacy
-    /// per-event sweep as a differential oracle, making every clock step
-    /// O(all flows) again.
+    /// per-event sweep as a differential oracle ([`Sim::divergences`]),
+    /// making every clock step O(all flows) again.
     pub fn set_progress_mode(&mut self, mode: ProgressMode) {
         self.core.progress_mode = mode;
     }

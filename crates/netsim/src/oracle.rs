@@ -32,9 +32,9 @@
 //!
 //! Tie-breaking is canonical and identical to the reference Dijkstra in
 //! [`crate::routing::dijkstra`]: a node's predecessor is the smallest-id
-//! neighbour that settled before it and achieves its final distance. The
-//! simcheck differential plane re-runs whole scenarios under the reference
-//! and flags any digest divergence.
+//! neighbour that settled before it and achieves its final distance.
+//! simcheck's full audit compares every route a scenario resolves with the
+//! reference's answer in lockstep and flags the first pair that differs.
 //!
 //! A tree is built by Dijkstra over a **monotone radix queue** rather than
 //! the reference's binary heap. Link costs are `u32` and distances are

@@ -18,6 +18,7 @@ use crate::error::{NetError, NetResult};
 use crate::oracle::{DetourPath, RouteOracle};
 use crate::topology::{LinkId, NodeId, Topology};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 /// An explicit route pinned for a source/destination pair.
@@ -50,8 +51,8 @@ pub enum RoutingMode {
     Oracle,
     /// Per-query [`dijkstra`], kept as a bit-identical differential
     /// reference (the routing analogue of `AllocMode::Reference`). The
-    /// simcheck plane re-runs scenarios in this mode and flags any digest
-    /// divergence from the oracle.
+    /// lockstep ([`crate::engine::Sim::enable_lockstep`]) consults the same
+    /// memoized answers beside the oracle.
     Reference,
 }
 
@@ -62,9 +63,13 @@ pub enum RoutingMode {
 pub struct RoutingTable {
     mode: RoutingMode,
     oracle: RouteOracle,
-    /// Reference-mode per-pair memo. Like the topology's trees this is
-    /// query history, not state, and is excluded from the audit digest.
+    /// Reference per-pair memo. Like the topology's trees this is query
+    /// history, not state, and is excluded from the audit digest.
     ref_cache: HashMap<(NodeId, NodeId), Vec<NodeId>>,
+    /// Compare every oracle answer with the reference's.
+    lockstep: bool,
+    /// The lockstep's first disagreeing query.
+    diverged: Option<(NodeId, NodeId)>,
     /// Fault injection: the reference backend breaks ties by the largest
     /// predecessor id; compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
@@ -88,6 +93,19 @@ impl RoutingTable {
         self.mode
     }
 
+    /// Compare every later oracle answer from [`RoutingTable::path`] and
+    /// [`RoutingTable::links`] with the memoized reference Dijkstra's and
+    /// keep the first `(src, dst)` they disagree on
+    /// ([`RoutingTable::divergence`]). Answers are the oracle's either way.
+    pub(crate) fn enable_lockstep(&mut self) {
+        self.lockstep = true;
+    }
+
+    /// The lockstep's first disagreeing query, if any.
+    pub(crate) fn divergence(&self) -> Option<(NodeId, NodeId)> {
+        self.diverged
+    }
+
     /// Install an override; replaces any previous override for the pair.
     pub fn add_override(&mut self, ov: RouteOverride) {
         self.oracle.add_override(ov);
@@ -98,11 +116,11 @@ impl RoutingTable {
         self.oracle.override_count()
     }
 
-    /// Test-only fault injection: from now on the reference backend routes
-    /// each pair through every node's largest-id tight predecessor rather
-    /// than the smallest, so it disagrees with the oracle wherever an
-    /// equal-cost tie decides a path. Compiled only with the `failpoints`
-    /// feature.
+    /// Test-only fault injection: from now on the reference backend, and so
+    /// the lockstep's comparison, routes each pair through every node's
+    /// largest-id tight predecessor rather than the smallest, so it
+    /// disagrees with the oracle wherever an equal-cost tie decides a path.
+    /// Compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
     pub fn inject_largest_predecessor(&mut self) {
         self.largest_predecessor = true;
@@ -113,8 +131,22 @@ impl RoutingTable {
     /// deterministically by smaller predecessor id at settlement).
     pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<NodeId>> {
         match self.mode {
-            RoutingMode::Oracle => self.oracle.path(topo, src, dst),
-            RoutingMode::Reference => self.reference_path(topo, src, dst),
+            RoutingMode::Oracle if !self.lockstep || self.diverged.is_some() => {
+                self.oracle.path(topo, src, dst)
+            }
+            RoutingMode::Oracle => {
+                let found = self.oracle.path(topo, src, dst);
+                let same = match (&found, self.reference_path(topo, src, dst)) {
+                    (Ok(p), Ok(want)) => p == want,
+                    (Err(e), Err(want)) => *e == want,
+                    _ => false,
+                };
+                if !same {
+                    self.diverged = Some((src, dst));
+                }
+                found
+            }
+            RoutingMode::Reference => self.reference_path(topo, src, dst).map(<[NodeId]>::to_vec),
         }
     }
 
@@ -122,10 +154,30 @@ impl RoutingTable {
     /// tree's `prev_link` chain, with no node path and no adjacency lookup.
     pub fn links(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<LinkId>> {
         match self.mode {
-            RoutingMode::Oracle => self.oracle.links(topo, src, dst),
+            RoutingMode::Oracle if !self.lockstep || self.diverged.is_some() => {
+                self.oracle.links(topo, src, dst)
+            }
+            RoutingMode::Oracle => {
+                let found = self.oracle.links(topo, src, dst);
+                let same = match (&found, self.reference_path(topo, src, dst)) {
+                    (Ok(links), Ok(want)) => {
+                        links.len() + 1 == want.len()
+                            && want
+                                .windows(2)
+                                .zip(links)
+                                .all(|(w, &l)| topo.link_between(w[0], w[1]) == Some(l))
+                    }
+                    (Err(e), Err(want)) => *e == want,
+                    _ => false,
+                };
+                if !same {
+                    self.diverged = Some((src, dst));
+                }
+                found
+            }
             RoutingMode::Reference => {
                 let p = self.reference_path(topo, src, dst)?;
-                topo.links_on_path(&p)
+                topo.links_on_path(p)
             }
         }
     }
@@ -154,39 +206,45 @@ impl RoutingTable {
         self.oracle.digest_into(d);
     }
 
+    /// The reference backend's answer: the override if one is installed,
+    /// otherwise the memoized per-pair [`dijkstra`] path.
     fn reference_path(
         &mut self,
         topo: &Topology,
         src: NodeId,
         dst: NodeId,
-    ) -> NetResult<Vec<NodeId>> {
+    ) -> NetResult<&[NodeId]> {
         if !topo.contains(src) {
             return Err(NetError::UnknownNode(src));
         }
         if !topo.contains(dst) {
             return Err(NetError::UnknownNode(dst));
         }
-        if src == dst {
-            return Ok(vec![src]);
-        }
-        if let Some(p) = self.oracle.override_for(src, dst) {
+        if src != dst && self.oracle.override_for(src, dst).is_some() {
+            let p = self.oracle.override_for(src, dst).expect("just found");
             // Validate lazily so a bad override fails loudly at use.
             topo.links_on_path(p)?;
-            return Ok(p.to_vec());
+            return Ok(p);
         }
-        if let Some(p) = self.ref_cache.get(&(src, dst)) {
-            return Ok(p.clone());
-        }
-        #[cfg(feature = "failpoints")]
-        let found = if self.largest_predecessor {
-            self.oracle.largest_predecessor_path(topo, src, dst)
-        } else {
-            dijkstra(topo, src, dst)
+        let p = match self.ref_cache.entry((src, dst)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let found = if src == dst {
+                    Some(vec![src])
+                } else {
+                    #[cfg(feature = "failpoints")]
+                    let found = if self.largest_predecessor {
+                        self.oracle.largest_predecessor_path(topo, src, dst)
+                    } else {
+                        dijkstra(topo, src, dst)
+                    };
+                    #[cfg(not(feature = "failpoints"))]
+                    let found = dijkstra(topo, src, dst);
+                    found
+                };
+                e.insert(found.ok_or(NetError::NoRoute { src, dst })?)
+            }
         };
-        #[cfg(not(feature = "failpoints"))]
-        let found = dijkstra(topo, src, dst);
-        let p = found.ok_or(NetError::NoRoute { src, dst })?;
-        self.ref_cache.insert((src, dst), p.clone());
         Ok(p)
     }
 }
@@ -473,19 +531,59 @@ mod tests {
         assert_eq!(rt.path(&t, a, d).unwrap(), want);
     }
 
-    /// Oracle and reference backends agree pairwise on the whole diamond.
+    /// Oracle and reference backends agree pairwise on the whole diamond,
+    /// overrides (a broken one included) and unknown nodes too, and a
+    /// table checking them in lockstep answers as the oracle does and
+    /// records no divergence.
     #[test]
     fn backends_agree_on_every_pair() {
-        let (t, ..) = diamond();
+        let (t, a, _x, y, d) = diamond();
         let mut oracle = RoutingTable::new();
         let mut reference = RoutingTable::new();
         reference.set_mode(RoutingMode::Reference);
-        for s in 0..t.nodes().len() as u32 {
-            for e in 0..t.nodes().len() as u32 {
+        let mut lockstep = RoutingTable::new();
+        lockstep.enable_lockstep();
+        for rt in [&mut oracle, &mut reference, &mut lockstep] {
+            rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
+            rt.add_override(RouteOverride::new(d, a, vec![d, a]));
+        }
+        for s in 0..=t.nodes().len() as u32 {
+            for e in 0..=t.nodes().len() as u32 {
                 let (s, e) = (NodeId(s), NodeId(e));
                 assert_eq!(oracle.path(&t, s, e), reference.path(&t, s, e));
                 assert_eq!(oracle.links(&t, s, e), reference.links(&t, s, e));
+                assert_eq!(lockstep.path(&t, s, e), oracle.path(&t, s, e));
+                assert_eq!(lockstep.links(&t, s, e), oracle.links(&t, s, e));
             }
         }
+        assert_eq!(lockstep.divergence(), None);
+    }
+
+    /// A reference that flips equal-cost ties disagrees with the oracle on
+    /// the tied pair: the lockstep names it and keeps answering with the
+    /// oracle's path.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn lockstep_names_the_first_pair_the_backends_disagree_on() {
+        let mut b = TopologyBuilder::new();
+        let a = b.host("a", GeoPoint::new(0.0, 0.0));
+        let m1 = b.router("m1", GeoPoint::new(1.0, 0.0));
+        let m2 = b.router("m2", GeoPoint::new(-1.0, 0.0));
+        let d = b.host("d", GeoPoint::new(0.0, 1.0));
+        let p = LinkParams::new(Bandwidth::from_mbps(1.0), SimTime::from_millis(1));
+        b.duplex(a, m1, p);
+        b.duplex(m1, d, p);
+        b.duplex(a, m2, p);
+        b.duplex(m2, d, p);
+        let t = b.build();
+        let mut rt = RoutingTable::new();
+        rt.enable_lockstep();
+        rt.inject_largest_predecessor();
+        assert_eq!(rt.links(&t, a, m1).map(|l| l.len()), Ok(1));
+        assert_eq!(rt.divergence(), None);
+        assert_eq!(rt.path(&t, a, d), Ok(vec![a, m1, d]));
+        assert_eq!(rt.divergence(), Some((a, d)));
+        rt.path(&t, d, a).expect("connected");
+        assert_eq!(rt.divergence(), Some((a, d)), "the first pair is kept");
     }
 }

@@ -8,6 +8,11 @@
 //! the same operations must agree *bitwise* (the engine's digest parity
 //! between allocator modes rests on this).
 //!
+//! The lockstep ([`FlowCore::enable_lockstep`]) runs the same bitwise
+//! comparison inside the allocator: it must record nothing on the same
+//! sequences and change no rate, and it must name the reallocation and
+//! flow of an injected one-ulp fault.
+//!
 //! Also here: the single-pass capped-flow freeze is property-tested against
 //! a copy of the previous one-at-a-time (argmin per round) algorithm, and
 //! the degenerate empty-resource branch is pinned to [`MAX_FLOW_RATE`].
@@ -159,6 +164,8 @@ fn crowd_sequence() -> impl Strategy<Value = (Vec<f64>, Vec<OpSpec>)> {
 struct Twin {
     inc: FlowCore,
     refc: FlowCore,
+    /// Incremental, with the lockstep on.
+    lockstep: FlowCore,
     capacities: Vec<f64>,
     entries: HashMap<u64, AllocEntry>,
     live: Vec<u64>,
@@ -169,9 +176,12 @@ impl Twin {
     fn new(caps: &[f64]) -> Self {
         let mut refc = FlowCore::new(caps.to_vec());
         refc.set_mode(AllocMode::Reference);
+        let mut lockstep = FlowCore::new(caps.to_vec());
+        lockstep.enable_lockstep();
         Twin {
             inc: FlowCore::new(caps.to_vec()),
             refc,
+            lockstep,
             capacities: caps.to_vec(),
             entries: HashMap::new(),
             live: Vec::new(),
@@ -190,6 +200,7 @@ impl Twin {
                 self.next_id += 1;
                 self.inc.insert(id, id, resources, *cap, *weight);
                 self.refc.insert(id, id, resources, *cap, *weight);
+                self.lockstep.insert(id, id, resources, *cap, *weight);
                 self.entries.insert(
                     id,
                     AllocEntry {
@@ -207,11 +218,13 @@ impl Twin {
                 let id = self.live.remove(pick % self.live.len());
                 assert!(self.inc.remove(id));
                 assert!(self.refc.remove(id));
+                assert!(self.lockstep.remove(id));
                 self.entries.remove(&id);
             }
             OpSpec::SetCap { resource, capacity } => {
                 self.inc.set_capacity(*resource, *capacity);
                 self.refc.set_capacity(*resource, *capacity);
+                self.lockstep.set_capacity(*resource, *capacity);
                 self.capacities[*resource as usize] = *capacity;
             }
         }
@@ -219,8 +232,10 @@ impl Twin {
 
     /// The incremental allocator matches a fresh full recompute within
     /// 1e-9 relative and the Reference-mode core bitwise, rates and change
-    /// lists alike.
+    /// lists alike; the lockstep core has recorded no divergence and
+    /// matches the plain one bitwise.
     fn check(&self) {
+        prop_assert_eq!(self.lockstep.divergence(), None);
         let flows: Vec<AllocEntry> = self
             .live
             .iter()
@@ -245,6 +260,8 @@ impl Twin {
                 got,
                 got_ref
             );
+            let got_lockstep = self.lockstep.rate(*id).expect("live flow has a rate");
+            prop_assert!(got.to_bits() == got_lockstep.to_bits());
         }
         // Change lists must agree too (the engine schedules completion
         // events from them).
@@ -452,4 +469,26 @@ fn many_capped_flows_single_link() {
             f.cap
         );
     }
+}
+
+/// An injected one-ulp fault is recorded, not panicked on, even in debug
+/// builds: the third flow on a shared link makes the first component of
+/// three, whose largest id is nudged, so reallocation 3 names flow 3.
+#[cfg(feature = "failpoints")]
+#[test]
+fn lockstep_records_an_injected_ulp_nudge() {
+    let mut core = FlowCore::new(vec![300.0, 1000.0]);
+    core.enable_lockstep();
+    core.inject_ulp_nudge();
+    core.insert(1, 1, &[0], f64::INFINITY, 1.0);
+    core.insert(2, 2, &[0, 1], f64::INFINITY, 1.0);
+    assert_eq!(core.divergence(), None);
+    core.insert(3, 3, &[0], f64::INFINITY, 2.0);
+    let d = core.divergence().expect("the nudge must be noticed");
+    assert_eq!((d.realloc, d.flow), (3, 3));
+    assert_eq!(d.got, d.want.next_up());
+    assert_eq!(d.want, 150.0);
+    // Later reallocations keep the first divergence.
+    core.remove(1);
+    assert_eq!(core.divergence(), Some(d));
 }

@@ -2,14 +2,16 @@
 //!
 //! [`ProgressMode::Lazy`] (the default) materializes flow progress only at
 //! rate changes, drains, and audit reads; [`ProgressMode::Eager`] re-runs
-//! the legacy per-event sweep as a shadow oracle and asserts it agrees.
-//! Both modes must produce bit-identical engine-visible state: the same
-//! drain event times, the same per-flow rate timelines, the same byte
-//! ledgers, and the same final state digest. These properties drive random
-//! WAN workloads — staggered starts, shared bottlenecks, mid-flight link
-//! capacity changes — through both modes and compare everything bitwise.
+//! the legacy per-event sweep as a shadow oracle and records where it
+//! disagrees. Both modes must produce bit-identical engine-visible state:
+//! the same drain event times, the same per-flow rate timelines, the same
+//! byte ledgers, and the same final state digest. These properties drive
+//! random WAN workloads — staggered starts, shared bottlenecks, mid-flight
+//! link capacity changes — through both modes, and through the lockstep
+//! that runs every reference backend beside the production one, and
+//! compare everything bitwise.
 
-use netsim::engine::{Ctx, Event, FlowId, Process, ProgressMode, Sim, Value};
+use netsim::engine::{Ctx, Divergences, Event, FlowId, Process, ProgressMode, Sim, Value};
 use netsim::flow::{FlowClass, FlowSpec};
 use netsim::synth::SynthWan;
 use netsim::time::SimTime;
@@ -52,7 +54,7 @@ impl Process for StaggeredFlows {
 
 /// Everything observable about one execution, with floats as bit patterns
 /// so comparison is exact rather than approximate.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 struct Observed {
     state_digest: u64,
     events: u64,
@@ -64,9 +66,18 @@ struct Observed {
     /// final `0.0` entry is the drain event; equal traces mean equal drain
     /// times, not merely equal totals.
     traces: Vec<Vec<(u64, u64)>>,
+    /// What the eager sweep and any lockstep backend recorded.
+    divergences: Divergences,
 }
 
-fn run_world(seed: u64, n_pairs: usize, mb: u64, mode: ProgressMode) -> Observed {
+/// How a run is configured besides its workload.
+#[derive(Debug, Clone, Copy)]
+enum Setup {
+    Mode(ProgressMode),
+    Lockstep,
+}
+
+fn run_world(seed: u64, n_pairs: usize, mb: u64, setup: Setup) -> Observed {
     let world = SynthWan {
         seed,
         ..SynthWan::default()
@@ -86,7 +97,10 @@ fn run_world(seed: u64, n_pairs: usize, mb: u64, mode: ProgressMode) -> Observed
     let n = pairs.len();
 
     let mut sim = Sim::new(world.topo, seed);
-    sim.set_progress_mode(mode);
+    match setup {
+        Setup::Mode(mode) => sim.set_progress_mode(mode),
+        Setup::Lockstep => sim.enable_lockstep(),
+    }
     sim.enable_flow_tracing();
     // Mid-flight bottleneck dynamics: shrink then restore a couple of
     // links while transfers are in progress, forcing rate changes that do
@@ -130,23 +144,29 @@ fn run_world(seed: u64, n_pairs: usize, mb: u64, mode: ProgressMode) -> Observed
         reallocations: stats.reallocations,
         finish,
         traces,
+        divergences: sim.divergences(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The eager shadow sweep asserts agreement internally (panicking on
-    /// divergence); externally, both modes must be bit-identical.
+    /// The eager shadow sweep checks agreement internally and must record
+    /// no divergence; externally, both modes must be bit-identical. So must
+    /// a run with every reference backend in lockstep, which records none
+    /// either.
     #[test]
     fn lazy_and_eager_executions_are_bit_identical(
         seed in 0u64..500,
         n_pairs in 2usize..16,
         mb in 1u64..6,
     ) {
-        let lazy = run_world(seed, n_pairs, mb, ProgressMode::Lazy);
-        let eager = run_world(seed, n_pairs, mb, ProgressMode::Eager);
+        let lazy = run_world(seed, n_pairs, mb, Setup::Mode(ProgressMode::Lazy));
+        let eager = run_world(seed, n_pairs, mb, Setup::Mode(ProgressMode::Eager));
+        let lockstep = run_world(seed, n_pairs, mb, Setup::Lockstep);
+        prop_assert_eq!(eager.divergences, Divergences::default());
         prop_assert_eq!(&lazy, &eager);
+        prop_assert_eq!(&lazy, &lockstep);
         // The workload must actually have exercised mid-flight rate
         // changes, or the comparison proves nothing.
         prop_assert!(lazy.reallocations > n_pairs as u64);
@@ -159,7 +179,7 @@ proptest! {
 #[test]
 fn traces_end_with_drain_points_in_both_modes() {
     for mode in [ProgressMode::Lazy, ProgressMode::Eager] {
-        let obs = run_world(11, 6, 2, mode);
+        let obs = run_world(11, 6, 2, Setup::Mode(mode));
         assert_eq!(obs.traces.len(), 6);
         for t in &obs.traces {
             let &(at, rate_bits) = t.last().expect("non-empty trace");
@@ -167,4 +187,31 @@ fn traces_end_with_drain_points_in_both_modes() {
             assert!(at <= obs.finish.as_nanos());
         }
     }
+}
+
+/// A skewed lazy closed form is recorded, not panicked on: the sweep names
+/// the first flow whose stepped ledger it leaves, at the end of the clock
+/// step where they part.
+#[cfg(feature = "failpoints")]
+#[test]
+fn eager_sweep_records_a_skewed_closed_form() {
+    let world = SynthWan {
+        seed: 3,
+        ..SynthWan::default()
+    }
+    .build();
+    let mut sim = Sim::new(world.topo, 3);
+    sim.set_progress_mode(ProgressMode::Eager);
+    sim.inject_progress_skew(1.01);
+    // An unrelated event mid-transfer: a clock step the flow spans.
+    let link = netsim::topology::LinkId(0);
+    let cap = sim.core().topology().link(link).capacity;
+    sim.schedule_capacity_change(link, SimTime::from_millis(50), cap);
+    let (a, b) = (world.hosts[0], world.hosts[1]);
+    sim.run_transfer(netsim::engine::TransferRequest::new(a, b, 4 * MB))
+        .expect("connected WAN");
+    let d = sim.divergences().progress.expect("the sweep must notice");
+    assert_eq!(d.flow, 1);
+    assert!(d.lazy < d.stepped, "{d:?}");
+    assert!(d.at > SimTime::ZERO);
 }

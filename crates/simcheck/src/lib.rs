@@ -19,15 +19,16 @@
 //!   no link above capacity, max-min fairness, clock monotonicity — and
 //!   chains per-event state digests so two same-seed executions can be
 //!   compared bit-for-bit.
-//! * [`runner`] builds the world a spec describes and executes it — twice
-//!   for the determinism check, under differential allocator, progress and
-//!   routing modes, and once under the sharded executor at four workers
-//!   ([`Violation::ShardDivergence`] fires if parallel execution is not
-//!   bit-identical to sequential). That is six executions per case, seven
-//!   for a sync case, which re-runs with the relay chunk store bypassed.
-//!   The first execution and the bypass run check every invariant; the
-//!   five re-executions compared by chain digest alone fold that digest
-//!   and check nothing else.
+//! * [`runner`] builds the world a spec describes and executes it. The
+//!   first execution is a full audit: every invariant, with the reference
+//!   allocator, routing and progress backends run in lockstep with the
+//!   production ones, each reporting the step where they part
+//!   ([`Violation::AllocatorDivergence`], [`Violation::RoutingDivergence`],
+//!   [`Violation::ProgressDivergence`]). A second execution runs every
+//!   cell again on the sharded executor's worker threads, folds the chain
+//!   digest alone, and must match the first bit for bit — the determinism
+//!   check ([`Violation::ShardDivergence`]). A sync case adds a third,
+//!   fully audited run with the relay chunk store bypassed.
 //! * [`mod@shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`

@@ -15,11 +15,16 @@
 //!    tolerance).
 //!
 //! It also folds every post-event state digest into a running *chain
-//! digest*; two same-seed executions of the same scenario must produce the
-//! same chain, which is how [`crate::runner`] checks determinism. The
-//! oracle's digest-only form folds the identical chain and checks nothing
-//! else: the runner installs it in re-executions whose only compared output
-//! is the chain digest.
+//! digest*; the sequential and the sharded execution of a scenario must
+//! produce the same chain, which is how [`crate::runner`] checks
+//! determinism. The oracle's digest-only form folds the identical chain and
+//! checks nothing else: the runner installs it in the re-execution whose
+//! only compared output is the chain digest.
+//!
+//! The runner adds what the engine's lockstep backends record during a
+//! full audit (`netsim::engine::Sim::enable_lockstep`): the first
+//! reallocation, route query or progress step at which a reference backend
+//! parts from the production one.
 
 use netsim::audit::{AuditHook, Digest};
 use netsim::engine::AuditView;
@@ -79,49 +84,56 @@ pub enum Violation {
         /// When, nanoseconds.
         at_ns: u64,
     },
-    /// Two same-seed executions diverged.
-    Determinism {
-        /// Chain digest of the first execution.
-        first: u64,
-        /// Chain digest of the second execution.
-        second: u64,
-    },
-    /// The incremental and reference allocators produced different
-    /// executions for the same seed. The engine guarantees the two are
-    /// bitwise-identical (see `netsim::flow::FlowCore`), so any divergence
-    /// in the chained state digests is an allocator bug.
+    /// The incremental allocator's rates parted from a fresh reference
+    /// allocation over the same state. A full audit runs the allocator
+    /// lockstep (`netsim::flow::FlowCore::enable_lockstep`), which compares
+    /// every incremental reallocation bit for bit with `max_min_allocate`;
+    /// the engine guarantees the two are bitwise-identical, so any
+    /// disagreement is an allocator bug.
     AllocatorDivergence {
-        /// Chain digest under the incremental allocator.
-        incremental: u64,
-        /// Chain digest under the reference (full-recompute) allocator.
-        reference: u64,
+        /// Reallocations the allocator had made, this one included.
+        realloc: u64,
+        /// The smallest flow id whose rate differs.
+        flow: u64,
+        /// Its incremental rate, bytes/sec.
+        got: f64,
+        /// The reference rate, bytes/sec.
+        want: f64,
     },
-    /// The lazy and eager progress-accounting modes produced different
-    /// executions for the same seed. Both modes share the anchored progress
-    /// arithmetic (see `netsim::engine::ProgressMode`), so any divergence
-    /// in the chained state digests is a progress-accounting bug.
+    /// The eager per-event progress sweep's stepped ledger left the lazy
+    /// closed form by more than 1e-6 of a flow's size. A full audit runs
+    /// the sweep in lockstep (`netsim::engine::ProgressMode::Eager`), so
+    /// any disagreement is a progress-accounting bug.
     ProgressDivergence {
-        /// Chain digest under lazy (materialize-on-demand) accounting.
-        lazy: u64,
-        /// Chain digest under the eager per-event sweep.
-        eager: u64,
+        /// Flow id.
+        flow: u64,
+        /// The clock step at which they parted, nanoseconds.
+        at_ns: u64,
+        /// Remaining bytes by the stepped `remaining -= rate*dt` ledger.
+        stepped: f64,
+        /// Remaining bytes by the lazy closed form.
+        lazy: f64,
     },
     /// The precomputed route oracle and the per-query reference Dijkstra
-    /// produced different executions for the same seed. Both backends
-    /// implement the same canonical smaller-predecessor-at-settlement
-    /// tie-break (see `netsim::oracle`), so any divergence in the chained
-    /// state digests is a routing bug.
+    /// answered a route query differently. A full audit compares every
+    /// query in lockstep (`netsim::engine::Sim::enable_lockstep`);
+    /// both backends implement the same canonical
+    /// smaller-predecessor-at-settlement tie-break (see `netsim::oracle`),
+    /// so any disagreement is a routing bug.
     RoutingDivergence {
-        /// Chain digest under the precomputed route oracle.
-        oracle: u64,
-        /// Chain digest under the per-query reference Dijkstra.
-        reference: u64,
+        /// Source node id of the first query they disagree on.
+        src: u32,
+        /// Destination node id of that query.
+        dst: u32,
     },
     /// The sharded executor produced a different execution from the
     /// sequential fold over the same cells. Both paths run identical cell
-    /// simulations and reduce them in cell-id order, so any divergence
-    /// means a nondeterministic order (thread scheduling, completion
-    /// order, slot assignment) leaked into the merge.
+    /// simulations and reduce them in cell-id order, and the sharded run
+    /// executes every cell again on a fresh worker thread, so any
+    /// divergence means a nondeterministic order (thread scheduling,
+    /// completion order, slot assignment) or state left over from an
+    /// earlier run leaked into the result. This is the same-seed
+    /// determinism check.
     ShardDivergence {
         /// Worker-thread count of the sharded run.
         workers: u32,
@@ -201,7 +213,6 @@ impl Violation {
             Violation::OverAllocation { .. } => "over_allocation",
             Violation::UnfairAllocation { .. } => "unfair_allocation",
             Violation::ByteConservation { .. } => "byte_conservation",
-            Violation::Determinism { .. } => "determinism",
             Violation::AllocatorDivergence { .. } => "allocator_divergence",
             Violation::ProgressDivergence { .. } => "progress_divergence",
             Violation::RoutingDivergence { .. } => "routing_divergence",
@@ -249,24 +260,27 @@ impl std::fmt::Display for Violation {
                 f,
                 "flow {flow} byte conservation at {at_ns}ns: reported {reported} B, integral {integrated:.1} B"
             ),
-            Violation::Determinism { first, second } => write!(
-                f,
-                "same-seed executions diverged: {first:#018x} vs {second:#018x}"
-            ),
             Violation::AllocatorDivergence {
-                incremental,
-                reference,
+                realloc,
+                flow,
+                got,
+                want,
             } => write!(
                 f,
-                "incremental vs reference allocator diverged: {incremental:#018x} vs {reference:#018x}"
+                "reallocation {realloc}: incremental allocator gave flow {flow} {got} B/s, reference allocator {want} B/s"
             ),
-            Violation::ProgressDivergence { lazy, eager } => write!(
+            Violation::ProgressDivergence {
+                flow,
+                at_ns,
+                stepped,
+                lazy,
+            } => write!(
                 f,
-                "lazy vs eager progress accounting diverged: {lazy:#018x} vs {eager:#018x}"
+                "flow {flow} at {at_ns}ns: eager progress ledger has {stepped} B left, lazy closed form {lazy} B"
             ),
-            Violation::RoutingDivergence { oracle, reference } => write!(
+            Violation::RoutingDivergence { src, dst } => write!(
                 f,
-                "route oracle vs reference Dijkstra diverged: {oracle:#018x} vs {reference:#018x}"
+                "route oracle and reference Dijkstra disagree on the route from node {src} to node {dst}"
             ),
             Violation::ShardDivergence {
                 workers,
@@ -363,7 +377,8 @@ impl OracleHandle {
         !self.state.borrow().violations.is_empty()
     }
 
-    /// Record an externally detected violation (determinism, engine error).
+    /// Record an externally detected violation (engine error, lockstep
+    /// divergence, session failures).
     pub fn push(&self, v: Violation) {
         self.state.borrow_mut().push(v);
     }

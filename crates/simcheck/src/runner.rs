@@ -1,24 +1,25 @@
 //! Scenario execution: build the world a [`ScenarioSpec`] describes, run it
-//! under the invariant oracle, and (for checking) run it repeatedly: twice
-//! with the same seed to compare determinism digests, once each under the
-//! reference (full-recompute) allocator, the eager progress sweep and the
-//! reference routing backend, and once under the sharded executor at
-//! [`SHARD_WORKER_COUNTS`] — six executions, seven for a sync case, which
-//! adds a chunk-store bypass run. Every differential execution must be
-//! bit-identical to the first.
+//! under the invariant oracle, and (for checking) run it once more under
+//! the sharded executor at [`SHARD_WORKER_COUNTS`], whose chained digest
+//! must be bit-identical to the first — two executions per case, three for
+//! a sync case, which adds a chunk-store bypass run.
 //!
 //! Each execution does only the work its verdict reads. The first
 //! execution and the chunk-bypass run are *full audits*: every per-event
-//! invariant, and a check that the health trace built directly from the
-//! telemetry recording equals the one its JSONL export parses back to
-//! ([`Violation::TraceRoundTrip`]). The five re-executions whose only
-//! compared output is the chain digest (same-seed replay, reference
-//! allocator, eager progress, reference routing, sharded) are
-//! *digest-only*: they fold the identical chain — the same per-event state
-//! digests and the same directly built health trace — and skip the
-//! capacity, fairness, ledger and monotonicity checks and the JSONL round
-//! trip, whose findings [`check_case`] would not read. The public
-//! [`run_once`] and [`run_sharded`] always run the full audit.
+//! invariant; the reference allocator, routing and progress backends run
+//! in lockstep with the production ones (`Sim::enable_lockstep`), reported
+//! as [`Violation::AllocatorDivergence`], [`Violation::RoutingDivergence`]
+//! and [`Violation::ProgressDivergence`] at the reallocation, route query
+//! or clock step where they part; and a check that the health trace built
+//! directly from the telemetry recording equals the one its JSONL export
+//! parses back to ([`Violation::TraceRoundTrip`]). The lockstep only reads
+//! engine state, so it leaves every digest as it is. The sharded
+//! re-execution is *digest-only*: it folds the identical chain — the same
+//! per-event state digests and the same directly built health trace — and
+//! skips the checks, whose findings [`check_case`] would not read. It runs
+//! every cell again on a fresh worker thread, so it is also the same-seed
+//! determinism check. The public [`run_once`] and [`run_sharded`] always
+//! run the full audit.
 //!
 //! A scenario is a list of independent *cells* ([`ScenarioSpec::cells`]):
 //! single-replica scenarios are one cell, replicated ones are several.
@@ -31,7 +32,7 @@ use crate::oracle::{InvariantOracle, OracleHandle, Violation};
 use crate::scenario::{ScenarioSpec, TopoSpec};
 use cloudstore::{FaultPlan, Provider, ProviderKind, RetryPolicy, UploadOptions, UploadSession};
 use netsim::background::{BackgroundProfile, BackgroundTraffic};
-use netsim::engine::{Ctx, Event, Process, ProcessId, ProgressMode, Sim, Value};
+use netsim::engine::{Ctx, Divergences, Event, Process, ProcessId, ProgressMode, Sim, Value};
 use netsim::flow::{FlowClass, FlowSpec};
 use netsim::geo::GeoPoint;
 use netsim::synth::SynthWan;
@@ -68,28 +69,38 @@ pub struct RunOptions {
     /// Make the reference routing backend break equal-cost ties by the
     /// largest predecessor id instead of the smallest, to prove the
     /// [`Violation::RoutingDivergence`] oracle catches backends that
-    /// disagree. Inert unless `reference_routing` is set too, so only
-    /// [`check_case`]'s reference-routing execution changes. Requires the
+    /// disagree. The production oracle is untouched, so it changes what a
+    /// full audit's routing lockstep compares against, and under
+    /// `reference_routing` the route every flow takes. Requires the
     /// `failpoints` feature; silently ignored without it.
     pub largest_predecessor: bool,
+    /// Nudge one rate of every waterfilled component of three or more
+    /// flows by one ulp, to prove the allocator lockstep
+    /// ([`Violation::AllocatorDivergence`]) catches a bitwise difference
+    /// the 1e-9 fairness tolerance cannot. Requires the `failpoints`
+    /// feature; silently ignored without it.
+    pub nudge_rate_ulp: bool,
+    /// Make every flow's lazy closed form move 1% more bytes per interval
+    /// than its rate allows, to prove the progress lockstep
+    /// ([`Violation::ProgressDivergence`]) catches a progress-accounting
+    /// bug. Requires the `failpoints` feature; silently ignored without it.
+    pub skew_lazy_progress: bool,
     /// Run under the reference (full-recompute) allocator instead of the
-    /// incremental one. [`check_case`] uses this for its differential
-    /// execution; both must produce identical chained digests.
+    /// incremental one; both produce identical chained digests.
+    /// [`check_case`] compares the two inside its full audit instead.
     pub reference_allocator: bool,
     /// Run with the eager per-event progress sweep (the legacy accounting,
-    /// kept as an oracle) instead of lazy materialization. [`check_case`]
-    /// uses this for a further differential execution; both modes must
-    /// produce identical chained digests.
+    /// kept as an oracle) instead of lazy materialization; both produce
+    /// identical chained digests. Every full audit runs the sweep anyway.
     pub eager_progress: bool,
     /// Route with the per-query reference Dijkstra instead of the
-    /// precomputed route oracle. [`check_case`] uses this for a further
-    /// differential execution; both backends must produce identical
-    /// chained digests.
+    /// precomputed route oracle; both produce identical chained digests.
+    /// [`check_case`] compares the two inside its full audit instead.
     pub reference_routing: bool,
     /// Record telemetry and fold the derived health-plane state (route
     /// scoreboard, window flushes) into the chained digest, extending the
-    /// determinism and differential oracles over the aggregation layer.
-    /// [`check_case`] forces this on for every execution.
+    /// determinism oracle over the aggregation layer. [`check_case`]
+    /// forces this on for every execution.
     pub health: bool,
     /// Run sync sessions with the relay chunk store bypassed: every leg is
     /// priced as if the cache were cold and nothing is ever admitted.
@@ -140,15 +151,15 @@ pub struct RunOutcome {
     pub sync_digest: Option<u64>,
 }
 
-/// Result of checking one scenario with [`check_case`]: two same-seed
-/// executions plus the differential executions.
+/// Result of checking one scenario with [`check_case`]: a full audit, a
+/// sharded re-execution, and for sync cases a chunk-bypass run.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
     /// The scenario that was run.
     pub spec: ScenarioSpec,
-    /// All violations: the first execution's, plus one for each later
-    /// execution whose digest diverged from it, plus the chunk-bypass
-    /// run's own and the plane-coherence check's.
+    /// All violations: the first execution's (lockstep divergences
+    /// included), a shard divergence if the sharded digest differs, plus
+    /// the chunk-bypass run's own and the plane-coherence check's.
     pub violations: Vec<Violation>,
     /// Chained state digest of the first execution.
     pub chain_digest: u64,
@@ -769,7 +780,8 @@ impl ChurnGen {
 /// How much checking an execution does besides folding its chain digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Audit {
-    /// Every per-event invariant, plus the health trace round trip.
+    /// Every per-event invariant, the reference backends in lockstep, and
+    /// the health trace round trip.
     Full,
     /// The chain digest and outcome only, for a re-execution whose
     /// verdict reads nothing else.
@@ -879,6 +891,26 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
     if spec.jitter_pct > 0 {
         sim.set_capacity_jitter(spec.jitter_pct as f64 / 100.0);
     }
+    // After the jitter, so the allocator lockstep counts the run's own
+    // reallocations; before any process can start a flow.
+    if audit == Audit::Full {
+        sim.enable_lockstep();
+    }
+    #[cfg(feature = "failpoints")]
+    {
+        if let Some(factor) = opts.rate_inflation {
+            sim.inject_rate_inflation(factor);
+        }
+        if opts.largest_predecessor {
+            sim.inject_largest_predecessor();
+        }
+        if opts.nudge_rate_ulp {
+            sim.inject_ulp_nudge();
+        }
+        if opts.skew_lazy_progress {
+            sim.inject_progress_skew(1.01);
+        }
+    }
     let n_links = world.topo.links().len() as u32;
     for f in &spec.faults {
         let link = LinkId(f.link % n_links);
@@ -920,17 +952,6 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
         }));
     }
 
-    #[cfg(feature = "failpoints")]
-    if let Some(factor) = opts.rate_inflation {
-        sim.inject_rate_inflation(factor);
-    }
-    #[cfg(feature = "failpoints")]
-    if opts.largest_predecessor {
-        sim.inject_largest_predecessor();
-    }
-    #[cfg(not(feature = "failpoints"))]
-    let _ = (opts.rate_inflation, opts.largest_predecessor);
-
     let (oracle, handle) = match audit {
         Audit::Full => InvariantOracle::new(),
         Audit::DigestOnly => InvariantOracle::digest_only(),
@@ -962,6 +983,9 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
             0
         }
     };
+    if audit == Audit::Full {
+        lockstep_violations(sim.divergences()).for_each(|v| handle.push(v));
+    }
     let health = opts.health.then(|| {
         let rec = sim.take_telemetry().expect("telemetry was enabled");
         let trace = obs::Trace::from_recording(&rec);
@@ -987,9 +1011,8 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
         d.finish()
     });
     // Chunk-store state, folded into the chain digest below: residency in
-    // admission order plus counters, per store in first-use order. Every
-    // differential execution (same-seed, reference allocator/routing, eager
-    // progress, sharded) must agree on it bit for bit.
+    // admission order plus counters, per store in first-use order. The
+    // sharded re-execution must agree on it bit for bit.
     let store_digest = has_sync.then(|| {
         let mut d = netsim::audit::Digest::new();
         d.write_u64(stores.len() as u64);
@@ -1006,6 +1029,27 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions, audit: Audit) -> RunOutcome {
         store_digest,
         sync_digest,
     )
+}
+
+/// The lockstep backends' first disagreements as violations.
+fn lockstep_violations(d: Divergences) -> impl Iterator<Item = Violation> {
+    let allocator = d.allocator.map(|a| Violation::AllocatorDivergence {
+        realloc: a.realloc,
+        flow: a.flow,
+        got: a.got,
+        want: a.want,
+    });
+    let routing = d.routing.map(|(src, dst)| Violation::RoutingDivergence {
+        src: src.0,
+        dst: dst.0,
+    });
+    let progress = d.progress.map(|p| Violation::ProgressDivergence {
+        flow: p.flow,
+        at_ns: p.at.as_nanos(),
+        stepped: p.stepped,
+        lazy: p.lazy,
+    });
+    allocator.into_iter().chain(routing).chain(progress)
 }
 
 /// The health trace round trip: `direct`, the trace built from `rec`,
@@ -1052,7 +1096,7 @@ fn trace_round_trip(rec: &obs::Recording, direct: &obs::Trace) -> Option<Violati
 /// Digest the run's derived health-plane state: the route scoreboard built
 /// from the recorded trace, plus every sim-time window flush (name, bounds,
 /// counter value or full sketch state). Purely sim-time-derived, so it is
-/// identical across same-seed and differential executions. Also returns the
+/// identical across same-seed and sharded executions. Also returns the
 /// merged flow-delivery duration sketch, the per-cell telemetry summary the
 /// sharded reduction combines via the commutative monoid.
 fn health_plane_digest(rec: &obs::Recording, trace: &obs::Trace) -> (u64, obs::QuantileSketch) {
@@ -1224,74 +1268,28 @@ fn plane_coherence_with(seed: u64, gen_skew: u64) -> Vec<Violation> {
     violations
 }
 
-/// Check one scenario: run it twice with the same seed and flag invariant
-/// violations plus any determinism divergence; once more under the
-/// reference allocator, once more under the eager progress sweep, and once
-/// more under the per-query reference Dijkstra routing backend; then once
-/// per entry of [`SHARD_WORKER_COUNTS`] under the sharded executor. Every
-/// differential execution's chained digest must be identical to the
-/// incremental/lazy/sequential execution's (same seed ⇒ bit-identical).
+/// Check one scenario in at most three executions:
 ///
-/// The first execution is a full audit. The same-seed replay and the
-/// reference-allocator, eager, reference-routing and sharded runs are
-/// digest-only: the chain digest is all this function reads from them, and
-/// it covers every per-event state, so their invariant checks could only
-/// repeat the first execution's. A sync case adds a chunk-bypass run; it is
-/// a different simulation (cold-cache wire bytes give different flows and
-/// timings), so it is a full audit too and its violations are reported.
+/// 1. A full audit ([`run_once`]): every per-event invariant, with the
+///    reference allocator, routing and progress backends in lockstep.
+/// 2. Once per entry of [`SHARD_WORKER_COUNTS`], a digest-only run under
+///    the sharded executor. It runs every cell again on a fresh worker
+///    thread, and its chained digest must equal the first execution's
+///    (same seed ⇒ bit-identical), which makes it the determinism check
+///    too ([`Violation::ShardDivergence`]).
+/// 3. For a sync case, a chunk-bypass run. It is a different simulation
+///    (cold-cache wire bytes give different flows and timings), so it is a
+///    full audit too and its violations are reported; its delivered bytes
+///    must equal the first execution's ([`Violation::ChunkDivergence`]).
 pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
-    // Health folding is forced on so every determinism and differential
-    // comparison also covers the aggregation/health plane.
+    // Health folding is forced on so the determinism comparison also
+    // covers the aggregation/health plane.
     let opts = RunOptions {
         health: true,
         ..opts
     };
     let first = run_once(spec, opts);
-    let rerun = |o: RunOptions| run_once_with(spec, o, Audit::DigestOnly).chain_digest;
     let mut violations = first.violations.clone();
-    let second = rerun(opts);
-    if first.chain_digest != second {
-        violations.push(Violation::Determinism {
-            first: first.chain_digest,
-            second,
-        });
-    }
-    if !opts.reference_allocator {
-        let reference = rerun(RunOptions {
-            reference_allocator: true,
-            ..opts
-        });
-        if first.chain_digest != reference {
-            violations.push(Violation::AllocatorDivergence {
-                incremental: first.chain_digest,
-                reference,
-            });
-        }
-    }
-    if !opts.eager_progress {
-        let eager = rerun(RunOptions {
-            eager_progress: true,
-            ..opts
-        });
-        if first.chain_digest != eager {
-            violations.push(Violation::ProgressDivergence {
-                lazy: first.chain_digest,
-                eager,
-            });
-        }
-    }
-    if !opts.reference_routing {
-        let reference = rerun(RunOptions {
-            reference_routing: true,
-            ..opts
-        });
-        if first.chain_digest != reference {
-            violations.push(Violation::RoutingDivergence {
-                oracle: first.chain_digest,
-                reference,
-            });
-        }
-    }
     for workers in SHARD_WORKER_COUNTS {
         let sharded = run_sharded_with(spec, opts, workers, Audit::DigestOnly).chain_digest;
         if first.chain_digest != sharded {

@@ -479,7 +479,8 @@ impl ScenarioSpec {
     /// through the chunk store, round by round, while light foreground
     /// traffic contends for the links. File sizes and round counts are kept
     /// small — every checked case runs the real signature/delta/MD5
-    /// machinery across ~9 differential executions plus a cache-bypass run.
+    /// machinery in a full audit, a sharded re-execution and a cache-bypass
+    /// run.
     pub fn generate_sync(case_seed: u64) -> ScenarioSpec {
         let mut rng = SmallRng::seed_from_u64(case_seed);
         let topo = if rng.gen_bool(0.6) {

@@ -21,7 +21,8 @@ pub struct ShrinkResult {
     pub spec: ScenarioSpec,
     /// Accepted shrink steps.
     pub steps: u32,
-    /// Scenario executions spent (each evaluation runs the case twice).
+    /// Candidates evaluated, each one [`check_case`] call: two executions,
+    /// three for a sync case.
     pub evals: u32,
 }
 
@@ -245,8 +246,9 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 
 /// Shrink `spec` to a smaller scenario that still fails under `opts`.
 ///
-/// `budget` bounds the number of candidate evaluations (each one executes
-/// the scenario twice via [`check_case`]). The input spec is assumed to
+/// `budget` bounds the number of candidate evaluations (each one a
+/// [`check_case`] call: two executions, three for a sync case). The input
+/// spec is assumed to
 /// fail; if it does not, it is returned unchanged with `evals == 0`.
 pub fn shrink(spec: &ScenarioSpec, opts: RunOptions, budget: u32) -> ShrinkResult {
     let fails = |s: &ScenarioSpec| !check_case(s, opts).ok();

@@ -311,7 +311,8 @@ fn analyze(args: &Args, world: &NorthAmerica) {
 
 /// Deterministic simulation checking: run randomized scenarios through the
 /// engine under invariant oracles (byte conservation, link capacity,
-/// max-min fairness, clock monotonicity, same-seed determinism). Prints a
+/// max-min fairness, clock monotonicity, same-seed determinism, and the
+/// reference allocator, routing and progress backends in lockstep). Prints a
 /// machine-readable JSON verdict on stdout, a human summary on stderr, and
 /// exits nonzero if any invariant fired. `--replay FILE` re-executes a
 /// scenario spec saved from an earlier failure instead of generating cases.

@@ -4,8 +4,9 @@
 //! the simcheck invariant oracles, proves same-seed re-execution is
 //! bit-identical, and — via the `failpoints` feature, enabled for tests by
 //! the root crate's dev-dependency — proves the oracles catch an
-//! intentionally broken allocator, sync transfer, sharded execution or
-//! routing backend and shrink the failure to a minimal reproducer.
+//! intentionally broken allocator, progress ledger, sync transfer, sharded
+//! execution or routing backend and shrink the failure to a minimal
+//! reproducer.
 
 use routing_detours::simcheck::{
     case_seed, check_case, replay, run_check, run_once, shrink, CheckConfig, RunOptions,
@@ -81,7 +82,8 @@ fn replay_of_serialized_spec_matches_original() {
 /// component. The incremental allocator waterfilled both pieces as one, so
 /// a shared unit share froze one piece's flows one ulp off their own share
 /// and the reference-allocator differential diverged. This is the shrunk
-/// spec `detour check --class std --seed 110 --cases 112` reported.
+/// spec `detour check --class std --seed 110 --cases 112` reported; the
+/// allocator lockstep now checks every one of its reallocations.
 #[test]
 fn split_component_on_departure_matches_reference_allocator() {
     let spec = ScenarioSpec::from_json(
@@ -258,15 +260,15 @@ fn thread_dependent_cell_is_caught_by_the_shard_run_and_shrunk() {
     assert!(check_case(&round, RunOptions::default()).ok());
 }
 
-/// Fault injection on the routing differential: the reference backend
-/// breaks equal-cost ties by the largest predecessor id instead of the
-/// smallest. Every SynthWan link costs 10, so std worlds are full of
-/// equal-hop ties, and the reference-routing execution must report a
-/// routing divergence on generated cases while nothing else fires; a case
-/// must shrink to a replayable spec that still fails, and that passes once
-/// the fault is off.
+/// Fault injection on the routing lockstep: the reference backend breaks
+/// equal-cost ties by the largest predecessor id instead of the smallest.
+/// Every SynthWan link costs 10, so std worlds are full of equal-hop ties,
+/// and the full audit's route-by-route comparison must report a routing
+/// divergence on generated cases while nothing else fires; a case must
+/// shrink to a replayable spec that still fails, and that passes once the
+/// fault is off.
 #[test]
-fn flipped_routing_ties_are_caught_by_the_routing_run_and_shrunk() {
+fn flipped_routing_ties_are_caught_by_the_routing_lockstep_and_shrunk() {
     let opts = RunOptions {
         largest_predecessor: true,
         ..Default::default()
@@ -304,6 +306,135 @@ fn flipped_routing_ties_are_caught_by_the_routing_run_and_shrunk() {
     let replayed = check_case(&round, opts);
     assert!(
         only_routing_divergence(&replayed.violations),
+        "shrunk spec {} reported {:?}",
+        res.spec.to_json(),
+        replayed.violations
+    );
+    assert!(check_case(&round, RunOptions::default()).ok());
+}
+
+/// Fault injection on the allocator lockstep: one rate of every waterfilled
+/// component of three or more flows is nudged up by one ulp. That is far
+/// inside the 1e-9 fairness tolerance, so only the full audit's bitwise
+/// comparison with the reference allocator can see it: generated std cases
+/// must report an allocator divergence that names the reallocation and the
+/// nudged flow, and nothing else; a case must shrink to a replayable spec
+/// that still fails the same way, and that passes once the fault is off.
+#[test]
+fn one_ulp_rate_nudge_is_caught_by_the_allocator_lockstep_and_shrunk() {
+    let opts = RunOptions {
+        nudge_rate_ulp: true,
+        ..Default::default()
+    };
+    let only_allocator_divergence = |violations: &[Violation]| {
+        !violations.is_empty()
+            && violations
+                .iter()
+                .all(|v| matches!(v, Violation::AllocatorDivergence { .. }))
+    };
+    let specs: Vec<ScenarioSpec> = (0..8)
+        .map(|i| ScenarioSpec::generate(case_seed(7, i)))
+        .collect();
+    let caught: Vec<&ScenarioSpec> = specs
+        .iter()
+        .filter(|s| only_allocator_divergence(&check_case(s, opts).violations))
+        .collect();
+    assert!(
+        caught.len() >= 6,
+        "only {} of {} std cases reported an allocator divergence",
+        caught.len(),
+        specs.len()
+    );
+    let spec = caught[0];
+    assert!(
+        check_case(spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+    match check_case(spec, opts).violations[..] {
+        [Violation::AllocatorDivergence {
+            realloc,
+            flow,
+            got,
+            want,
+        }] => {
+            assert!(
+                realloc > 0 && flow > 0,
+                "reallocation {realloc}, flow {flow}"
+            );
+            assert_eq!(got, want.next_up(), "flow {flow} is one ulp off");
+        }
+        ref other => panic!("expected one allocator divergence, got {other:?}"),
+    }
+
+    let res = shrink(spec, opts, 40);
+    assert!(res.steps > 0, "nothing shrank");
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    let replayed = check_case(&round, opts);
+    assert!(
+        only_allocator_divergence(&replayed.violations),
+        "shrunk spec {} reported {:?}",
+        res.spec.to_json(),
+        replayed.violations
+    );
+    assert!(check_case(&round, RunOptions::default()).ok());
+}
+
+/// Fault injection on the progress lockstep: every flow's lazy closed form
+/// moves 1% more bytes per interval than its rate allows. The eager sweep
+/// runs inside the full audit and must report the first flow whose stepped
+/// ledger it leaves, as a violation rather than a panic. Flows whose rate
+/// changes mid-flight settle the skewed bytes into their anchors and drain
+/// early, which the byte-conservation ledger reports too. The case must
+/// shrink to a replayable spec that still reports the progress divergence,
+/// and that passes once the fault is off.
+#[test]
+fn skewed_lazy_progress_is_caught_by_the_progress_lockstep_and_shrunk() {
+    let opts = RunOptions {
+        skew_lazy_progress: true,
+        ..Default::default()
+    };
+    let progress_divergence = |violations: &[Violation]| {
+        violations.iter().find_map(|v| match *v {
+            Violation::ProgressDivergence {
+                flow,
+                stepped,
+                lazy,
+                ..
+            } => Some((flow, stepped, lazy)),
+            _ => None,
+        })
+    };
+    let spec = ScenarioSpec::generate(case_seed(7, 0));
+    assert!(
+        check_case(&spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+    let broken = check_case(&spec, opts);
+    let (flow, stepped, lazy) = progress_divergence(&broken.violations).unwrap_or_else(|| {
+        panic!(
+            "expected a progress divergence, got {:?}",
+            broken.violations
+        )
+    });
+    assert!(
+        flow > 0 && lazy < stepped,
+        "flow {flow}: {stepped} vs {lazy}"
+    );
+    assert!(
+        broken
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::ByteConservation { .. })),
+        "{:?}",
+        broken.violations
+    );
+
+    let res = shrink(&spec, opts, 40);
+    assert!(res.steps > 0, "nothing shrank");
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    let replayed = check_case(&round, opts);
+    assert!(
+        progress_divergence(&replayed.violations).is_some(),
         "shrunk spec {} reported {:?}",
         res.spec.to_json(),
         replayed.violations

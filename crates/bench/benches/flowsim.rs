@@ -4,6 +4,10 @@
 //! sink. `cargo bench -p bench --bench flowsim` writes every measured row to
 //! `BENCH_flowsim.json` and judges it against the gate table in
 //! `bench::gate` (see EXPERIMENTS.md).
+//!
+//! A counting global allocator gives the engine series an exact column,
+//! `allocs_per_event`, which reads 0 only in a build without netsim's
+//! differential check: `cargo bench` (release) without `netsim/diffcheck`.
 
 use bench::gate;
 use netsim::flow::{max_min_allocate, AllocEntry, FlowClass, FlowCore, FlowSpec};
@@ -15,10 +19,56 @@ use netsim::units::{GB, KB, MB};
 use obs::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
+
+/// Counts allocator calls per thread, for the engine series' exact column.
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized and without a
+    /// destructor, so touching it from inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation against the calling thread. `try_with` because a
+/// thread may still allocate after its slot is gone, while it exits.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so each call meets `System`'s contract exactly when the
+// caller meets `GlobalAlloc`'s; counting touches only a thread-local cell.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller's `layout` contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, so from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: `ptr` came from `System`; the caller's contract holds.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static A: Counting = Counting;
 
 // ---------------------------------------------------------------------------
 // Incremental-reallocation scaling study.
@@ -186,6 +236,13 @@ fn engine_world_range(lo: usize, hi: usize) -> (Topology, Vec<EngineSite>) {
     (b.build(), fleet)
 }
 
+/// The churn flow → site map, sized so that replacing a site's entry on
+/// every completion never grows it: at most half full, the map reuses its
+/// deleted entries in place.
+fn churn_map(sites: usize) -> HashMap<u64, usize> {
+    HashMap::with_capacity(2 * sites)
+}
+
 /// Starts every site's resident + churn flows, then keeps each site's churn
 /// slot busy until `remaining` short flows have completed in total.
 struct EngineChurn {
@@ -198,6 +255,9 @@ struct EngineChurn {
     /// Set to `Instant::now()` at the `warmup`-th completion; the caller
     /// reads it back to time the steady-state window only.
     mark: Rc<Cell<Option<Instant>>>,
+    /// The thread's allocator count at the `warmup`-th completion and at
+    /// the last: the steady-state window's allocator calls.
+    alloc_marks: Rc<Cell<(u64, u64)>>,
 }
 
 impl EngineChurn {
@@ -236,9 +296,11 @@ impl Process for EngineChurn {
                 self.seen += 1;
                 if self.seen == self.warmup {
                     self.mark.set(Some(Instant::now()));
+                    self.alloc_marks.set((allocs(), 0));
                 }
                 self.remaining -= 1;
                 if self.remaining == 0 {
+                    self.alloc_marks.set((self.alloc_marks.get().0, allocs()));
                     ctx.finish(Value::None);
                 } else {
                     self.start_churn(ctx, site);
@@ -250,28 +312,42 @@ impl Process for EngineChurn {
     }
 }
 
-/// One full engine run at `n` concurrent flows; returns `(ns/event,
-/// events/sec, peak_queue)`. The first fifth of the churn completions are
-/// warm-up (ramp-up inserts grow the slab, the flow index and the heap
-/// through their reallocation doublings); the timed window covers only
-/// steady-state churn, where each completion is exactly three engine
-/// events (Activate, Drained, Delivered — stale drains sit far in the
-/// future and are compacted away, never popped).
-fn engine_run(n: usize, cycles: u64, mode: ProgressMode) -> (f64, f64, u64) {
+/// One full engine run at `n` concurrent flows.
+struct EngineRun {
+    ns_per_event: f64,
+    events_per_sec: f64,
+    peak_queue: u64,
+    /// Allocator calls per steady-state event (exact, host-independent).
+    allocs_per_event: f64,
+}
+
+/// One full engine run at `n` concurrent flows. The timed window covers the
+/// last four fifths of `cycles` churn completions; warm-up before it is
+/// the first fifth, and at least two completions per site, so that every
+/// site has activated and cycled its churn slot (ramp-up inserts grow the
+/// slab, the allocator's lists and the heap to their high-water marks).
+/// In the window each completion is exactly three engine events (Activate,
+/// Drained, Delivered — stale drains sit far in the future and are
+/// compacted away, never popped). Allocator calls are counted over the
+/// same window, up to the last completion.
+fn engine_run(n: usize, cycles: u64, mode: ProgressMode) -> EngineRun {
     let sites = n / ENGINE_FLOWS_PER_SITE;
     let (topo, fleet) = engine_world(sites);
     let mut sim = Sim::new(topo, 42);
     sim.set_progress_mode(mode);
-    let warmup = (cycles / 5).max(1);
+    let warmup = (cycles / 5).max(2 * sites as u64);
+    let steady = cycles - cycles / 5;
     let mark = Rc::new(Cell::new(None));
+    let alloc_marks = Rc::new(Cell::new((0, 0)));
     let v = sim
         .run_process(Box::new(EngineChurn {
             fleet,
-            site_of: HashMap::new(),
-            remaining: cycles,
+            site_of: churn_map(sites),
+            remaining: warmup + steady,
             warmup,
             seen: 0,
             mark: Rc::clone(&mark),
+            alloc_marks: Rc::clone(&alloc_marks),
         }))
         .expect("engine bench run");
     assert!(matches!(v, Value::None), "bench run failed: {v:?}");
@@ -280,9 +356,15 @@ fn engine_run(n: usize, cycles: u64, mode: ProgressMode) -> (f64, f64, u64) {
     // At finish every site still holds its residents, and every site but
     // the one whose completion ended the run has a churn flow in flight.
     assert_eq!(sim.live_flows(), sites * ENGINE_FLOWS_PER_SITE - 1);
-    let steady_events = 3 * (cycles - warmup);
+    let steady_events = 3 * steady;
     let ns_per_event = wall_ns / steady_events as f64;
-    (ns_per_event, 1e9 / ns_per_event, stats.peak_queue)
+    let (from, to) = alloc_marks.get();
+    EngineRun {
+        ns_per_event,
+        events_per_sec: 1e9 / ns_per_event,
+        peak_queue: stats.peak_queue,
+        allocs_per_event: (to - from) as f64 / steady_events as f64,
+    }
 }
 
 /// One engine scaling point: fastest of `reps` runs per mode (scheduling
@@ -292,29 +374,36 @@ fn engine_point(n: usize, cycles: u64, reps: usize, with_eager: bool) -> Json {
     let fastest = |mode: ProgressMode| {
         (0..reps)
             .map(|_| engine_run(n, cycles, mode))
-            .min_by(|a, b| f64::total_cmp(&a.0, &b.0))
+            .min_by(|a, b| f64::total_cmp(&a.ns_per_event, &b.ns_per_event))
             .expect("at least one rep")
     };
-    let (lazy_ns, events_per_sec, peak_queue) = fastest(ProgressMode::Lazy);
+    let EngineRun {
+        ns_per_event: lazy_ns,
+        events_per_sec,
+        peak_queue,
+        allocs_per_event,
+    } = fastest(ProgressMode::Lazy);
     let mut fields = vec![
         ("flows".into(), Json::Int(n as u64)),
         ("lazy_ns".into(), Json::Num(lazy_ns)),
         ("events_per_sec".into(), Json::Num(events_per_sec)),
         ("peak_queue".into(), Json::Int(peak_queue)),
+        ("allocs_per_event".into(), Json::Num(allocs_per_event)),
     ];
     if with_eager {
-        let (eager_ns, _, _) = fastest(ProgressMode::Eager);
+        let eager_ns = fastest(ProgressMode::Eager).ns_per_event;
         let speedup = eager_ns / lazy_ns;
         println!(
             "flowsim-engine/{n}: lazy {lazy_ns:.0} ns/event ({events_per_sec:.0} ev/s, \
-             peak queue {peak_queue}), eager sweep {eager_ns:.0} ns/event, speedup {speedup:.1}x"
+             peak queue {peak_queue}, {allocs_per_event} allocs/event), eager sweep \
+             {eager_ns:.0} ns/event, speedup {speedup:.1}x"
         );
         fields.push(("eager_ns".into(), Json::Num(eager_ns)));
         fields.push(("sweep_speedup".into(), Json::Num(speedup)));
     } else {
         println!(
             "flowsim-engine/{n}: lazy {lazy_ns:.0} ns/event ({events_per_sec:.0} ev/s, \
-             peak queue {peak_queue})"
+             peak queue {peak_queue}, {allocs_per_event} allocs/event)"
         );
     }
     Json::Obj(fields)
@@ -355,11 +444,12 @@ fn engine_cell_run(spec: EngineCellSpec) -> (u64, u64) {
     let v = sim
         .run_process(Box::new(EngineChurn {
             fleet,
-            site_of: HashMap::new(),
+            site_of: churn_map(sites),
             remaining: spec.cycles,
             warmup: 0, // whole-run wall time is taken outside run_shards
             seen: 0,
             mark,
+            alloc_marks: Rc::new(Cell::new((0, 0))),
         }))
         .expect("engine cell run");
     assert!(matches!(v, Value::None), "cell run failed: {v:?}");

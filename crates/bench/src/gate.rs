@@ -124,6 +124,9 @@ pub const RULES: &[Rule] = &[
     rule("sync", CHUNKS, "hit_rate", Gate::Floor(0.5)),
     rule("telemetry", BYTES, "sink_pct", Gate::Ceiling(2.0)),
     rule("telemetry", BYTES, "window_pct", Gate::Ceiling(1.0)),
+    // Exact counts, the same on every host: a warm engine makes no
+    // allocator call per event.
+    rule("engine", FLOWS, "allocs_per_event", Gate::Ceiling(0.0)),
 ];
 
 impl Rule {
@@ -351,6 +354,27 @@ mod tests {
             flagged(&v.failures),
             [("routing", vec![101_100], "speedup")]
         );
+    }
+
+    #[test]
+    fn any_engine_allocation_per_event_fails_on_every_host() {
+        let engine = |allocs_per_event| {
+            report(&[(
+                "engine",
+                vec![row(&[
+                    ("flows", Json::Int(1_000)),
+                    ("allocs_per_event", Json::Num(allocs_per_event)),
+                ])],
+            )])
+        };
+        assert!(check(&engine(0.0), None, 1).failures.is_empty());
+        for host in [1, HARDWARE_THREADS] {
+            let v = check(&engine(1.0 / 4_800.0), None, host);
+            assert_eq!(
+                flagged(&v.failures),
+                [("engine", vec![1_000], "allocs_per_event")]
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::middlebox::{FirewallRule, Policer, PolicerScope};
 use crate::routing::RoutingTable;
 use crate::tcp::TcpParams;
 use crate::time::SimTime;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{LinkId, NodeId, Topology};
 use crate::units::Bandwidth;
 use obs::{Category, SpanId, Telemetry};
 use rand::rngs::SmallRng;
@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Handle to an active (or completed) flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,7 +220,8 @@ struct ActiveFlow {
     #[allow(dead_code)]
     class: FlowClass,
     /// Resource indices: real links are `0..links.len()`, aggregate policers
-    /// follow.
+    /// follow. A buffer from [`FlowSlab::buffer`]; the slab takes it back
+    /// when the flow leaves.
     resources: Vec<u32>,
     progress: FlowProgress,
     gen: u64,
@@ -247,14 +248,35 @@ struct ActiveFlow {
 /// contiguous slots recycled through a LIFO free list. Events address flows
 /// by slot (no hashing on the hot path) and iteration is in slot order —
 /// deterministic for a fixed event sequence, so digests need no sorting.
+/// Slot numbers show in digests and events, so a reset slab numbers its
+/// slots from 0 again.
 #[derive(Debug, Default)]
 struct FlowSlab {
     slots: Vec<Option<ActiveFlow>>,
     free: Vec<u32>,
     live: usize,
+    /// Resource lists of flows that left, for the next flows' resources.
+    spare: Vec<Vec<u32>>,
 }
 
 impl FlowSlab {
+    /// An empty resource list for a new flow, reusing one a departed flow
+    /// gave back when there is one.
+    fn buffer(&mut self) -> Vec<u32> {
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.clear();
+        list
+    }
+
+    /// Empty the slab, from any state, keeping every resource list: slots
+    /// are numbered from 0 again and the free list is empty.
+    fn reset(&mut self) {
+        self.spare
+            .extend(self.slots.drain(..).flatten().map(|f| f.resources));
+        self.free.clear();
+        self.live = 0;
+    }
+
     fn insert(&mut self, f: ActiveFlow) -> u32 {
         self.live += 1;
         match self.free.pop() {
@@ -278,11 +300,23 @@ impl FlowSlab {
         self.slots.get_mut(slot as usize).and_then(Option::as_mut)
     }
 
+    /// Vacate `slot`. The returned flow's resource list stays with the
+    /// slab, so it comes back empty.
     fn remove(&mut self, slot: u32) -> Option<ActiveFlow> {
-        let f = self.slots.get_mut(slot as usize)?.take()?;
+        let mut f = self.slots.get_mut(slot as usize)?.take()?;
         self.free.push(slot);
         self.live -= 1;
+        self.spare.push(std::mem::take(&mut f.resources));
         Some(f)
+    }
+
+    /// True when a queued `Drained` event will fire on arrival: its slot
+    /// still holds the intended flow, active, at the same generation. The
+    /// dispatch guard, the digest's pending-queue filter and compaction
+    /// retention all share this one predicate — which is what makes
+    /// compaction invisible to the chained state digest.
+    fn drain_is_live(&self, flow: u64, slot: u32, gen: u64) -> bool {
+        matches!(self.get(slot), Some(f) if f.id == flow && f.active && f.gen == gen)
     }
 
     /// Live flows in slot order, with their slots.
@@ -391,6 +425,8 @@ pub struct Core {
     /// flow id → (time, rate bytes/sec) change points.
     traces: HashMap<u64, Vec<(SimTime, f64)>>,
     flows: FlowSlab,
+    /// Scratch the links of each flow start are resolved into.
+    route: Vec<LinkId>,
     /// Queued `Drained` events that can no longer fire (superseded by a
     /// rate change, or their flow was cancelled). Drives heap compaction.
     stale_drains: usize,
@@ -593,16 +629,20 @@ impl Core {
         if spec.bytes == 0 {
             return Err(NetError::EmptyTransfer);
         }
-        // One resolution: an explicit path is validated as it is walked,
-        // a routed one is read off the tree's link chain.
-        let links = match &spec.path {
-            Some(p) => self.topo.links_on_path(p)?,
-            None => self.routing.links(&self.topo, spec.src, spec.dst)?,
-        };
+        // One resolution into the sim's route buffer: an explicit path is
+        // validated as it is walked, a routed one is read off the tree's
+        // link chain.
+        match &spec.path {
+            Some(p) => self.topo.links_on_path_into(p, &mut self.route)?,
+            None => self
+                .routing
+                .links_into(&self.topo, spec.src, spec.dst, &mut self.route)?,
+        }
+        let links = &self.route;
 
         // Firewalls drop the flow outright.
         for fw in &self.firewalls {
-            for &l in &links {
+            for &l in links {
                 if fw.blocks(l, spec.class) {
                     return Err(NetError::Blocked {
                         at: self.topo.link(l).from,
@@ -612,8 +652,10 @@ impl Core {
             }
         }
 
-        // Resource list: real links plus any aggregate policers matched.
-        let mut resources: Vec<u32> = links.iter().map(|l| l.0).collect();
+        // Resource list: real links plus any aggregate policers matched,
+        // written into a list a departed flow left with the slab.
+        let mut resources = self.flows.buffer();
+        resources.extend(links.iter().map(|l| l.0));
         let mut cap = f64::INFINITY;
         for (i, p) in self.policers.iter().enumerate() {
             let matched = links.iter().any(|&l| p.applies(l, spec.class));
@@ -627,9 +669,9 @@ impl Core {
         if let Some(c) = spec.cap {
             cap = cap.min(c.bytes_per_sec());
         }
-        let one_way = self.topo.path_delay(&links);
+        let one_way = self.topo.path_delay(links);
         let rtt = one_way * 2;
-        let loss = self.topo.path_loss(&links);
+        let loss = self.topo.path_loss(links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
             cap = cap.min(ceiling.bytes_per_sec());
         }
@@ -637,7 +679,7 @@ impl Core {
         let startup = if spec.slow_start {
             let equilibrium = self
                 .topo
-                .path_capacity(&links)
+                .path_capacity(links)
                 .min(Bandwidth::from_bytes_per_sec(if cap.is_finite() {
                     cap
                 } else {
@@ -803,40 +845,29 @@ impl Core {
         self.maybe_compact();
     }
 
-    /// True when a queued `Drained` event will fire on arrival: its slot
-    /// still holds the intended flow, active, at the same generation. The
-    /// dispatch guard, the digest's pending-queue filter and compaction
-    /// retention all share this one predicate — which is what makes
-    /// compaction invisible to the chained state digest.
-    fn drain_is_live(&self, flow: u64, slot: u32, gen: u64) -> bool {
-        matches!(self.flows.get(slot), Some(f) if f.id == flow && f.active && f.gen == gen)
-    }
-
-    /// Rebuild the heap without stale `Drained` entries once they number at
-    /// least [`Self::COMPACT_MIN_STALE`] and outnumber live entries.
-    /// Surviving entries keep their `(time, seq)` keys, and stale entries
-    /// are already excluded from the digest's queue snapshot, so compaction
-    /// never perturbs same-seed digests — it only bounds queue occupancy
-    /// (and heap-maintenance cost) by the live event count.
+    /// Drop stale `Drained` entries from the heap, in place, once they
+    /// number at least [`Self::COMPACT_MIN_STALE`] and outnumber live
+    /// entries. Surviving entries keep their unique `(time, seq)` keys, so
+    /// the pop order is unchanged, and stale entries are already excluded
+    /// from the digest's queue snapshot, so compaction never perturbs
+    /// same-seed digests — it only bounds queue occupancy (and
+    /// heap-maintenance cost) by the live event count.
     fn maybe_compact(&mut self) {
         if self.stale_drains < Self::COMPACT_MIN_STALE || self.stale_drains * 2 <= self.queue.len()
         {
             return;
         }
         let before = self.queue.len();
-        let kept: BinaryHeap<Reverse<Queued>> = std::mem::take(&mut self.queue)
-            .into_iter()
-            .filter(|r| match r.0.kind {
-                EventKind::Drained { flow, slot, gen } => self.drain_is_live(flow, slot, gen),
-                _ => true,
-            })
-            .collect();
+        let flows = &self.flows;
+        self.queue.retain(|r| match r.0.kind {
+            EventKind::Drained { flow, slot, gen } => flows.drain_is_live(flow, slot, gen),
+            _ => true,
+        });
         debug_assert_eq!(
-            before - kept.len(),
+            before - self.queue.len(),
             self.stale_drains,
             "stale accounting matches heap contents"
         );
-        self.queue = kept;
         self.stale_drains = 0;
         self.stats.queue_compactions += 1;
     }
@@ -928,7 +959,7 @@ impl Core {
             .iter()
             .map(|r| r.0)
             .filter(|q| match q.kind {
-                EventKind::Drained { flow, slot, gen } => self.drain_is_live(flow, slot, gen),
+                EventKind::Drained { flow, slot, gen } => self.flows.drain_is_live(flow, slot, gen),
                 _ => true,
             })
             .collect();
@@ -1085,6 +1116,75 @@ struct ProcSlot {
 struct Effects {
     spawned: Vec<(ProcessId, Option<ProcessId>, Box<dyn Process>)>,
     finished: Option<Value>,
+}
+
+/// The buffers a sim grows as it runs and hands back to its topology when
+/// it is dropped: the allocator (member lists, slots with their resource
+/// lists, marks, waterfill scratch, change list), the flow slab with its
+/// resource lists, the event heap and the route scratch.
+struct SimBuffers {
+    alloc: FlowCore,
+    flows: FlowSlab,
+    queue: BinaryHeap<Reverse<Queued>>,
+    route: Vec<LinkId>,
+}
+
+/// The [`SimBuffers`] of the sims dropped over one topology, kept on it for
+/// the next [`Sim::new`] over it, which resets one set and takes it. A set
+/// returns here when its sim drops, whatever state the sim was in (mid-run,
+/// under the lockstep or a failpoint, or unwinding a panic), and is reset
+/// only when taken. The list never holds more sets than sims were alive at
+/// once over the topology, so it needs no bound, and it is freed with the
+/// topology. A clone of the topology starts with none.
+#[derive(Default)]
+pub(crate) struct Spares(Mutex<Vec<SimBuffers>>);
+
+// The list is only pushed to and popped from, each step leaving it valid,
+// and a set taken is reset from whatever state it is in, so a lock
+// poisoned by a panic elsewhere is recovered rather than propagated.
+impl Spares {
+    /// A dropped sim's buffers, or empty ones when there are none.
+    fn take(&self) -> SimBuffers {
+        let spare = self.0.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        spare.unwrap_or_else(|| SimBuffers {
+            alloc: FlowCore::new(Vec::new()),
+            flows: FlowSlab::default(),
+            queue: BinaryHeap::new(),
+            route: Vec::new(),
+        })
+    }
+
+    fn put(&self, buffers: SimBuffers) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(buffers);
+    }
+}
+
+impl Clone for Spares {
+    fn clone(&self) -> Self {
+        Spares::default()
+    }
+}
+
+impl fmt::Debug for Spares {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Spares").finish_non_exhaustive()
+    }
+}
+
+impl Drop for Sim {
+    /// Leave the engine buffers with the topology for the next sim over it.
+    fn drop(&mut self) {
+        let core = &mut self.core;
+        core.topo.spares().put(SimBuffers {
+            alloc: std::mem::replace(&mut core.alloc, FlowCore::new(Vec::new())),
+            flows: std::mem::take(&mut core.flows),
+            queue: std::mem::take(&mut core.queue),
+            route: std::mem::take(&mut core.route),
+        });
+    }
 }
 
 /// The command surface available to a [`Process`] while handling an event.
@@ -1351,16 +1451,27 @@ impl Sim {
     /// from a node, and read by all of them, on any thread. Sharing never
     /// changes a run — the trees are a pure function of the topology and
     /// stay out of every digest.
+    ///
+    /// A sim dropped over a shared topology leaves its engine buffers there
+    /// (the allocator's lists and scratch, the flow slab, the event heap),
+    /// and a new sim over it resets one such set and takes it rather than
+    /// growing its own: the same state as fresh buffers, without the
+    /// allocations.
     pub fn new(topo: impl Into<Arc<Topology>>, seed: u64) -> Self {
         let topo: Arc<Topology> = topo.into();
-        let link_caps: Vec<f64> = topo
-            .links()
-            .iter()
-            .map(|l| l.capacity.bytes_per_sec())
-            .collect();
+        let SimBuffers {
+            mut alloc,
+            mut flows,
+            mut queue,
+            mut route,
+        } = topo.spares().take();
+        alloc.reset(topo.links().iter().map(|l| l.capacity.bytes_per_sec()));
+        flows.reset();
+        queue.clear();
+        route.clear();
         Sim {
             core: Core {
-                alloc: FlowCore::new(link_caps),
+                alloc,
                 jitter: 0.0,
                 tracing: false,
                 traces: HashMap::new(),
@@ -1369,14 +1480,15 @@ impl Sim {
                 tcp: TcpParams::default(),
                 policers: Vec::new(),
                 firewalls: Vec::new(),
-                flows: FlowSlab::default(),
+                flows,
+                route,
                 stale_drains: 0,
                 progress_mode: ProgressMode::default(),
                 stepped: Vec::new(),
                 progress_diverged: None,
                 util_scratch: Vec::new(),
                 next_flow: 1,
-                queue: BinaryHeap::new(),
+                queue,
                 seq: 0,
                 now: SimTime::ZERO,
                 rng: SmallRng::seed_from_u64(seed),
@@ -1826,7 +1938,7 @@ impl Sim {
                 }
             }
             EventKind::Drained { flow, slot, gen } => {
-                if self.core.drain_is_live(flow, slot, gen) {
+                if self.core.flows.drain_is_live(flow, slot, gen) {
                     let (delay, alloc_slot) = {
                         let f = self.core.flows.get_mut(slot).expect("liveness checked");
                         f.progress.remaining = 0.0;

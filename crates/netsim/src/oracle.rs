@@ -313,18 +313,7 @@ impl RouteOracle {
             return Ok(());
         }
         if let Some(p) = self.override_for(src, dst) {
-            for w in p.windows(2) {
-                match topo.link_between(w[0], w[1]) {
-                    Some(l) => out.push(l),
-                    None => {
-                        return Err(NetError::BrokenPath {
-                            from: w[0],
-                            to: w[1],
-                        })
-                    }
-                }
-            }
-            return Ok(());
+            return topo.links_on_path_into(p, out);
         }
         let tree = forward_tree(topo, &mut self.scratch, src.0);
         if tree.dist[dst.0 as usize] == UNREACHABLE {

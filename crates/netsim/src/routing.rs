@@ -93,8 +93,9 @@ impl RoutingTable {
         self.mode
     }
 
-    /// Compare every later oracle answer from [`RoutingTable::path`] and
-    /// [`RoutingTable::links`] with the memoized reference Dijkstra's and
+    /// Compare every later oracle answer from [`RoutingTable::path`],
+    /// [`RoutingTable::links`] and [`RoutingTable::links_into`] with the
+    /// memoized reference Dijkstra's and
     /// keep the first `(src, dst)` they disagree on
     /// ([`RoutingTable::divergence`]). Answers are the oracle's either way.
     pub(crate) fn enable_lockstep(&mut self) {
@@ -153,18 +154,35 @@ impl RoutingTable {
     /// Resolve a path into its links. The oracle backend reads them off the
     /// tree's `prev_link` chain, with no node path and no adjacency lookup.
     pub fn links(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<LinkId>> {
+        let mut out = Vec::new();
+        self.links_into(topo, src, dst, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`RoutingTable::links`] into a caller-owned buffer, cleared first:
+    /// once `out` has room, a warm oracle query allocates nothing. Under
+    /// the lockstep the answer is compared with the reference Dijkstra's,
+    /// as every oracle answer is.
+    pub fn links_into(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> NetResult<()> {
+        out.clear();
         match self.mode {
             RoutingMode::Oracle if !self.lockstep || self.diverged.is_some() => {
-                self.oracle.links(topo, src, dst)
+                self.oracle.links_into(topo, src, dst, out)
             }
             RoutingMode::Oracle => {
-                let found = self.oracle.links(topo, src, dst);
+                let found = self.oracle.links_into(topo, src, dst, out);
                 let same = match (&found, self.reference_path(topo, src, dst)) {
-                    (Ok(links), Ok(want)) => {
-                        links.len() + 1 == want.len()
+                    (Ok(()), Ok(want)) => {
+                        out.len() + 1 == want.len()
                             && want
                                 .windows(2)
-                                .zip(links)
+                                .zip(out.iter())
                                 .all(|(w, &l)| topo.link_between(w[0], w[1]) == Some(l))
                     }
                     (Err(e), Err(want)) => *e == want,
@@ -177,7 +195,7 @@ impl RoutingTable {
             }
             RoutingMode::Reference => {
                 let p = self.reference_path(topo, src, dst)?;
-                topo.links_on_path(p)
+                topo.links_on_path_into(p, out)
             }
         }
     }
@@ -533,8 +551,8 @@ mod tests {
 
     /// Oracle and reference backends agree pairwise on the whole diamond,
     /// overrides (a broken one included) and unknown nodes too, and a
-    /// table checking them in lockstep answers as the oracle does and
-    /// records no divergence.
+    /// table checking them in lockstep answers as the oracle does, into a
+    /// reused buffer too, and records no divergence.
     #[test]
     fn backends_agree_on_every_pair() {
         let (t, a, _x, y, d) = diamond();
@@ -547,6 +565,7 @@ mod tests {
             rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
             rt.add_override(RouteOverride::new(d, a, vec![d, a]));
         }
+        let mut buf = vec![LinkId(99)];
         for s in 0..=t.nodes().len() as u32 {
             for e in 0..=t.nodes().len() as u32 {
                 let (s, e) = (NodeId(s), NodeId(e));
@@ -554,6 +573,8 @@ mod tests {
                 assert_eq!(oracle.links(&t, s, e), reference.links(&t, s, e));
                 assert_eq!(lockstep.path(&t, s, e), oracle.path(&t, s, e));
                 assert_eq!(lockstep.links(&t, s, e), oracle.links(&t, s, e));
+                let into = lockstep.links_into(&t, s, e, &mut buf);
+                assert_eq!(into.map(|()| buf.clone()), oracle.links(&t, s, e));
             }
         }
         assert_eq!(lockstep.divergence(), None);

@@ -6,8 +6,12 @@
 //! What is derived from it alone travels with it: the shortest-path tree
 //! of each root, built the first time any sim routes from (or, for detour
 //! enumeration, to) that node and then read by every sim over the same
-//! topology (see [`crate::oracle`]).
+//! topology (see [`crate::oracle`]). So do the buffers of the sims that
+//! ran over it: a dropped sim leaves its engine buffers with the topology,
+//! and the next sim built over it resets and reuses them (see
+//! [`crate::engine::Sim::new`]).
 
+use crate::engine::Spares;
 use crate::geo::GeoPoint;
 use crate::oracle::TreeCache;
 use crate::time::SimTime;
@@ -246,7 +250,8 @@ impl Csr {
 }
 
 /// An immutable network topology, with the shortest-path trees routed
-/// over it so far. A clone copies the trees built before it.
+/// over it so far and the buffers of the sims dropped over it. A clone
+/// copies the trees built before it but none of the buffers.
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<Node>,
@@ -263,6 +268,8 @@ pub struct Topology {
     /// node and direction; shared by every sim and thread over this
     /// topology.
     trees: TreeCache,
+    /// Engine buffers of dropped sims, waiting for the next sim.
+    spares: Spares,
 }
 
 impl Topology {
@@ -317,6 +324,11 @@ impl Topology {
         &self.trees
     }
 
+    /// The engine buffers dropped sims left here (see [`Spares`]).
+    pub(crate) fn spares(&self) -> &Spares {
+        &self.spares
+    }
+
     /// The directed link between two adjacent nodes, if any.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         self.edge_index.get(&(from, to)).copied()
@@ -326,6 +338,18 @@ impl Topology {
     /// adjacency.
     pub fn links_on_path(&self, path: &[NodeId]) -> Result<Vec<LinkId>, crate::error::NetError> {
         let mut out = Vec::with_capacity(path.len().saturating_sub(1));
+        self.links_on_path_into(path, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Topology::links_on_path`] into a caller-owned buffer, cleared
+    /// first: no allocation once `out` has room for the path.
+    pub(crate) fn links_on_path_into(
+        &self,
+        path: &[NodeId],
+        out: &mut Vec<LinkId>,
+    ) -> Result<(), crate::error::NetError> {
+        out.clear();
         for w in path.windows(2) {
             match self.link_between(w[0], w[1]) {
                 Some(l) => out.push(l),
@@ -337,7 +361,7 @@ impl Topology {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Sum of propagation delays along a path of links (one way).
@@ -502,6 +526,7 @@ impl TopologyBuilder {
         let name_index = self.nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
         Topology {
             trees: TreeCache::new(self.nodes.len()),
+            spares: Spares::default(),
             nodes: self.nodes,
             links: self.links,
             csr,

@@ -8,7 +8,9 @@
 //! 2. **Capacity** — the rates of active flows crossing any resource (link
 //!    or aggregate policer) never sum above its effective capacity.
 //! 3. **Max-min fairness** — the engine's allocation matches an independent
-//!    re-run of [`max_min_allocate`] over the same inputs.
+//!    re-run of [`max_min_allocate`] over the same inputs. The re-run is
+//!    kept with its inputs and repeated only when they change (bitwise),
+//!    while the engine's rates are compared with it after every event.
 //! 4. **Byte conservation** — a shadow ledger integrates each flow's
 //!    piecewise-constant rate over time; when the engine reports a flow
 //!    delivered, the integral must equal the payload size (within a float
@@ -27,7 +29,7 @@
 //! parts from the production one.
 
 use netsim::audit::{AuditHook, Digest};
-use netsim::engine::AuditView;
+use netsim::engine::{AuditFlow, AuditView};
 use netsim::flow::{max_min_allocate, AllocEntry};
 use netsim::time::SimTime;
 use std::cell::RefCell;
@@ -337,6 +339,57 @@ struct ShadowFlow {
     integrated: f64,
 }
 
+/// The fairness oracle's last [`max_min_allocate`] run: its inputs — the
+/// resource capacities and each active flow's id and entry, in id order —
+/// and the allocation they gave.
+#[derive(Debug, Default)]
+struct FairnessMemo {
+    caps: Vec<f64>,
+    ids: Vec<u64>,
+    entries: Vec<AllocEntry>,
+    want: Vec<f64>,
+}
+
+impl FairnessMemo {
+    /// The reference allocation for these inputs: the kept one when they
+    /// equal the last run's bit for bit, a fresh run otherwise.
+    fn want(&mut self, caps: &[f64], active: &[&AuditFlow<'_>]) -> &[f64] {
+        if !self.holds(caps, active) {
+            self.caps = caps.to_vec();
+            self.ids = active.iter().map(|f| f.id).collect();
+            self.entries = active
+                .iter()
+                .map(|f| AllocEntry {
+                    resources: f.resources.to_vec(),
+                    cap: f.cap,
+                    weight: f.weight,
+                })
+                .collect();
+            self.want = max_min_allocate(caps, &self.entries);
+        }
+        &self.want
+    }
+
+    /// Are these the inputs of the kept run?
+    fn holds(&self, caps: &[f64], active: &[&AuditFlow<'_>]) -> bool {
+        let bits_eq = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.caps.len() == caps.len()
+            && self.caps.iter().zip(caps).all(|(&a, &b)| bits_eq(a, b))
+            && self.entries.len() == active.len()
+            && self
+                .ids
+                .iter()
+                .zip(&self.entries)
+                .zip(active)
+                .all(|((&id, e), f)| {
+                    id == f.id
+                        && bits_eq(e.cap, f.cap)
+                        && bits_eq(e.weight, f.weight)
+                        && e.resources == f.resources
+                })
+    }
+}
+
 #[derive(Debug, Default)]
 struct OracleState {
     violations: Vec<Violation>,
@@ -349,6 +402,7 @@ struct OracleState {
     /// (the hook callback fires mid-dispatch, before time has advanced past
     /// the delivery instant is accounted for).
     delivered: Vec<(u64, u64, SimTime)>,
+    fairness: FairnessMemo,
 }
 
 impl OracleState {
@@ -513,26 +567,24 @@ fn check_invariants(st: &mut OracleState, view: &AuditView<'_>) {
     }
 
     // 3. Fairness: recompute the allocation from the same inputs in the
-    // same (sorted-by-id) order the engine uses.
+    // same (sorted-by-id) order the engine uses — or reuse the last
+    // recompute when the inputs have not changed — and compare every
+    // active flow's rate with it.
     let active: Vec<_> = flows.iter().filter(|f| f.active).collect();
-    let entries: Vec<AllocEntry> = active
+    let want = st.fairness.want(&caps, &active);
+    let unfair: Vec<Violation> = active
         .iter()
-        .map(|f| AllocEntry {
-            resources: f.resources.to_vec(),
-            cap: f.cap,
-            weight: f.weight,
+        .zip(want)
+        .filter(|&(f, &w)| (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0)
+        .map(|(f, &w)| Violation::UnfairAllocation {
+            flow: f.id,
+            got: f.rate,
+            want: w,
+            at_ns: now_ns,
         })
         .collect();
-    let want = max_min_allocate(&caps, &entries);
-    for (f, &w) in active.iter().zip(want.iter()) {
-        if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
-            st.push(Violation::UnfairAllocation {
-                flow: f.id,
-                got: f.rate,
-                want: w,
-                at_ns: now_ns,
-            });
-        }
+    for v in unfair {
+        st.push(v);
     }
 
     // 4c. Refresh the shadow rates for the next interval. Inactive flows

@@ -7,7 +7,7 @@
 //! state machines that react to events and issue commands through a
 //! [`Ctx`].
 //!
-//! Determinism: the event queue orders by `(time, sequence)`, all randomness
+//! Determinism: the event queue pops in `(time, sequence)` order, all randomness
 //! flows from one seeded PRNG, and floating-point rate arithmetic is
 //! platform-independent — the same seed replays the same run bit-for-bit.
 
@@ -15,6 +15,7 @@ use crate::audit::{AuditHook, Digest};
 use crate::error::{NetError, NetResult};
 use crate::flow::{AllocDivergence, AllocMode, FlowClass, FlowCore, FlowProgress, FlowSpec};
 use crate::middlebox::{FirewallRule, Policer, PolicerScope};
+use crate::radix::RadixQueue;
 use crate::routing::RoutingTable;
 use crate::tcp::TcpParams;
 use crate::time::SimTime;
@@ -23,8 +24,7 @@ use crate::units::Bandwidth;
 use obs::{Category, SpanId, Telemetry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -189,27 +189,13 @@ enum EventKind {
     },
 }
 
-// EventKind carries an f64 (never NaN), so Eq is implemented manually for
-// Queued; ordering only ever uses (time, seq).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A queued event. Its time in ns is the queue key; `seq` numbers pushes,
+/// so the queue, which pops equal keys in push order, pops in `(time, seq)`
+/// order.
+#[derive(Debug, Clone, Copy)]
 struct Queued {
-    time: SimTime,
     seq: u64,
     kind: EventKind,
-}
-
-impl Eq for Queued {}
-
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[derive(Debug)]
@@ -398,7 +384,7 @@ pub struct SimStats {
     /// High-water mark of the event-queue length. Observability only — not
     /// folded into state digests.
     pub peak_queue: u64,
-    /// Stale-drain heap compactions performed (not digested).
+    /// Stale-drain queue compactions performed (not digested).
     pub queue_compactions: u64,
 }
 
@@ -409,7 +395,10 @@ pub struct Core {
     topo: Arc<Topology>,
     routing: RoutingTable,
     tcp: TcpParams,
-    policers: Vec<Policer>,
+    /// Attached policers, each with its rate for this run (jittered when
+    /// capacity jitter is on). Shared, so a world can hand the same
+    /// policers to every sim it builds.
+    policers: Vec<(Arc<Policer>, Bandwidth)>,
     firewalls: Vec<FirewallRule>,
     /// The incremental max-min allocator. Owns the effective resource
     /// capacities (per-run link capacities — equal to the nominal topology
@@ -428,7 +417,7 @@ pub struct Core {
     /// Scratch the links of each flow start are resolved into.
     route: Vec<LinkId>,
     /// Queued `Drained` events that can no longer fire (superseded by a
-    /// rate change, or their flow was cancelled). Drives heap compaction.
+    /// rate change, or their flow was cancelled). Drives queue compaction.
     stale_drains: usize,
     progress_mode: ProgressMode,
     /// Eager-mode shadow ledger: per-slot stepped `remaining`, advanced
@@ -441,7 +430,8 @@ pub struct Core {
     /// per reallocation when telemetry is on).
     util_scratch: Vec<f64>,
     next_flow: u64,
-    queue: BinaryHeap<Reverse<Queued>>,
+    /// Pending events keyed by time in ns (see [`RadixQueue`]).
+    queue: RadixQueue<Queued>,
     seq: u64,
     now: SimTime,
     rng: SmallRng,
@@ -466,7 +456,7 @@ impl Core {
     fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Queued { time, seq, kind }));
+        self.queue.push(time.as_nanos(), Queued { seq, kind });
         if self.queue.len() as u64 > self.stats.peak_queue {
             self.stats.peak_queue = self.queue.len() as u64;
         }
@@ -542,9 +532,9 @@ impl Core {
     ) -> NetResult<Bandwidth> {
         let links = self.routing.links(&self.topo, src, dst)?;
         let mut rate = self.topo.path_capacity(&links);
-        for p in &self.policers {
+        for (p, p_rate) in &self.policers {
             if links.iter().any(|&l| p.applies(l, class)) {
-                rate = rate.min(p.rate);
+                rate = rate.min(*p_rate);
             }
         }
         let rtt = self.topo.path_delay(&links) * 2;
@@ -579,9 +569,9 @@ impl Core {
                 };
             }
         }
-        for p in &self.policers {
+        for (p, p_rate) in &self.policers {
             if links.iter().any(|&l| p.applies(l, class)) {
-                let r = p.rate.bytes_per_sec();
+                let r = p_rate.bytes_per_sec();
                 if r < best_rate {
                     best_rate = r;
                     cause = BottleneckCause::Policer {
@@ -657,11 +647,11 @@ impl Core {
         let mut resources = self.flows.buffer();
         resources.extend(links.iter().map(|l| l.0));
         let mut cap = f64::INFINITY;
-        for (i, p) in self.policers.iter().enumerate() {
+        for (i, (p, p_rate)) in self.policers.iter().enumerate() {
             let matched = links.iter().any(|&l| p.applies(l, spec.class));
             if matched {
                 match p.scope {
-                    PolicerScope::PerFlow => cap = cap.min(p.rate.bytes_per_sec()),
+                    PolicerScope::PerFlow => cap = cap.min(p_rate.bytes_per_sec()),
                     PolicerScope::Aggregate => resources.push((self.topo.links().len() + i) as u32),
                 }
             }
@@ -790,7 +780,7 @@ impl Core {
                 let noticeable = (f.progress.rate - rate).abs() > 1e-9;
                 if f.pending_drain {
                     // The queued Drained event stops matching the flow's
-                    // generation once we bump it below: it rots in the heap
+                    // generation once we bump it below: it rots in the queue
                     // until popped or compacted away.
                     self.stale_drains += 1;
                 }
@@ -845,13 +835,16 @@ impl Core {
         self.maybe_compact();
     }
 
-    /// Drop stale `Drained` entries from the heap, in place, once they
+    /// Drop stale `Drained` entries from the queue, in place, once they
     /// number at least [`Self::COMPACT_MIN_STALE`] and outnumber live
-    /// entries. Surviving entries keep their unique `(time, seq)` keys, so
+    /// entries. Surviving entries keep their order within each time, so
     /// the pop order is unchanged, and stale entries are already excluded
     /// from the digest's queue snapshot, so compaction never perturbs
-    /// same-seed digests — it only bounds queue occupancy (and
-    /// heap-maintenance cost) by the live event count.
+    /// same-seed digests — it only bounds queue occupancy by the live event
+    /// count. This is the only place a stale drain leaves the queue without
+    /// being popped: a popped one counts in [`SimStats::events`], which
+    /// every state digest folds, so dropping stale drains anywhere else
+    /// (say, when the queue redistributes a bucket) would change digests.
     fn maybe_compact(&mut self) {
         if self.stale_drains < Self::COMPACT_MIN_STALE || self.stale_drains * 2 <= self.queue.len()
         {
@@ -859,20 +852,20 @@ impl Core {
         }
         let before = self.queue.len();
         let flows = &self.flows;
-        self.queue.retain(|r| match r.0.kind {
+        self.queue.retain(|q| match q.kind {
             EventKind::Drained { flow, slot, gen } => flows.drain_is_live(flow, slot, gen),
             _ => true,
         });
         debug_assert_eq!(
             before - self.queue.len(),
             self.stale_drains,
-            "stale accounting matches heap contents"
+            "stale accounting matches queue contents"
         );
         self.stale_drains = 0;
         self.stats.queue_compactions += 1;
     }
 
-    /// Compaction threshold: don't bother rebuilding tiny heaps.
+    /// Compaction threshold: don't bother compacting tiny queues.
     const COMPACT_MIN_STALE: usize = 64;
 
     fn advance_to(&mut self, t: SimTime) {
@@ -951,21 +944,21 @@ impl Core {
             f.progress.digest_into(d);
             d.write_f64(f.cap);
         }
-        // Stale Drained events are skipped: they can never fire, and heap
+        // Stale Drained events are skipped: they can never fire, and queue
         // compaction may remove them at any point — excluding them here is
         // what keeps compaction digest-invisible.
-        let mut pending: Vec<Queued> = self
+        let mut pending: Vec<(u64, Queued)> = self
             .queue
             .iter()
-            .map(|r| r.0)
-            .filter(|q| match q.kind {
+            .filter(|(_, q)| match q.kind {
                 EventKind::Drained { flow, slot, gen } => self.flows.drain_is_live(flow, slot, gen),
                 _ => true,
             })
+            .map(|(time, &q)| (time, q))
             .collect();
-        pending.sort_unstable();
-        for q in pending {
-            d.write_time(q.time);
+        pending.sort_unstable_by_key(|&(time, q)| (time, q.seq));
+        for (time, q) in pending {
+            d.write_u64(time);
             d.write_u64(q.seq);
             q.kind.digest_into(d);
         }
@@ -1059,8 +1052,8 @@ impl<'a> AuditView<'a> {
     /// Effective capacity (bytes/sec) of every allocatable resource, in the
     /// exact order the allocator sees them: per-run link capacities first,
     /// then aggregate policer rates.
-    pub fn resource_capacities(&self) -> Vec<f64> {
-        self.core.alloc.capacities().to_vec()
+    pub fn resource_capacities(&self) -> &'a [f64] {
+        self.core.alloc.capacities()
     }
 
     /// Every flow currently known to the engine, sorted by id — the same
@@ -1068,24 +1061,27 @@ impl<'a> AuditView<'a> {
     /// from the lazy anchor at the current clock, so oracles see the same
     /// values the old eager sweep maintained.
     pub fn flows(&self) -> Vec<AuditFlow<'a>> {
-        let now = self.core.now;
-        let mut v: Vec<AuditFlow<'a>> = self
-            .core
-            .flows
-            .iter()
-            .map(|(_, f)| AuditFlow {
-                id: f.id,
-                active: f.active,
-                rate: f.progress.rate,
-                remaining: f.progress.remaining_at(now),
-                total_bytes: f.total_bytes,
-                weight: f.weight,
-                cap: f.cap,
-                resources: &f.resources,
-            })
-            .collect();
-        v.sort_unstable_by_key(|f| f.id);
+        let mut v = Vec::new();
+        self.flows_into(&mut v);
         v
+    }
+
+    /// [`AuditView::flows`] into a caller-owned buffer, cleared first: an
+    /// oracle that keeps the buffer allocates no list per event.
+    pub fn flows_into(&self, out: &mut Vec<AuditFlow<'a>>) {
+        let now = self.core.now;
+        out.clear();
+        out.extend(self.core.flows.iter().map(|(_, f)| AuditFlow {
+            id: f.id,
+            active: f.active,
+            rate: f.progress.rate,
+            remaining: f.progress.remaining_at(now),
+            total_bytes: f.total_bytes,
+            weight: f.weight,
+            cap: f.cap,
+            resources: &f.resources,
+        }));
+        out.sort_unstable_by_key(|f| f.id);
     }
 
     /// Digest of the core state at this instant (chain these across events
@@ -1099,6 +1095,11 @@ impl<'a> AuditView<'a> {
 pub struct Sim {
     core: Core,
     processes: Vec<ProcSlot>,
+    /// Empty spawn lists for [`Effects`], one taken per `deliver` level (it
+    /// recurses) and given back, so spawning allocates no list.
+    spawn_lists: Vec<SpawnList>,
+    /// `reap_orphans`' marks: the processes its root takes down with it.
+    doomed: Vec<bool>,
     root_result: Option<Value>,
     /// Audit hook invoked after every event (held on `Sim`, not `Core`, so
     /// the hook can observe `Core` without aliasing it).
@@ -1111,22 +1112,30 @@ struct ProcSlot {
     alive: bool,
 }
 
+/// Children spawned by one handler: pid, parent and process, started in
+/// order once the handler returns.
+type SpawnList = Vec<(ProcessId, Option<ProcessId>, Box<dyn Process>)>;
+
 /// Deferred effects collected while a process handler runs.
 #[derive(Default)]
 struct Effects {
-    spawned: Vec<(ProcessId, Option<ProcessId>, Box<dyn Process>)>,
+    spawned: SpawnList,
     finished: Option<Value>,
 }
 
 /// The buffers a sim grows as it runs and hands back to its topology when
 /// it is dropped: the allocator (member lists, slots with their resource
 /// lists, marks, waterfill scratch, change list), the flow slab with its
-/// resource lists, the event heap and the route scratch.
+/// resource lists, the event queue's buckets, the route scratch and the
+/// orphan marks. The process table and spawn lists stay with the sim: they
+/// hold `Box<dyn Process>`es, which need not be `Send`, and the topology is
+/// shared across threads.
 struct SimBuffers {
     alloc: FlowCore,
     flows: FlowSlab,
-    queue: BinaryHeap<Reverse<Queued>>,
+    queue: RadixQueue<Queued>,
     route: Vec<LinkId>,
+    doomed: Vec<bool>,
 }
 
 /// The [`SimBuffers`] of the sims dropped over one topology, kept on it for
@@ -1149,8 +1158,9 @@ impl Spares {
         spare.unwrap_or_else(|| SimBuffers {
             alloc: FlowCore::new(Vec::new()),
             flows: FlowSlab::default(),
-            queue: BinaryHeap::new(),
+            queue: RadixQueue::new(),
             route: Vec::new(),
+            doomed: Vec::new(),
         })
     }
 
@@ -1183,6 +1193,7 @@ impl Drop for Sim {
             flows: std::mem::take(&mut core.flows),
             queue: std::mem::take(&mut core.queue),
             route: std::mem::take(&mut core.route),
+            doomed: std::mem::take(&mut self.doomed),
         });
     }
 }
@@ -1453,7 +1464,7 @@ impl Sim {
     /// stay out of every digest.
     ///
     /// A sim dropped over a shared topology leaves its engine buffers there
-    /// (the allocator's lists and scratch, the flow slab, the event heap),
+    /// (the allocator's lists and scratch, the flow slab, the event queue),
     /// and a new sim over it resets one such set and takes it rather than
     /// growing its own: the same state as fresh buffers, without the
     /// allocations.
@@ -1464,6 +1475,7 @@ impl Sim {
             mut flows,
             mut queue,
             mut route,
+            doomed,
         } = topo.spares().take();
         alloc.reset(topo.links().iter().map(|l| l.capacity.bytes_per_sec()));
         flows.reset();
@@ -1501,6 +1513,8 @@ impl Sim {
                 progress_skew: 1.0,
             },
             processes: Vec::new(),
+            spawn_lists: Vec::new(),
+            doomed,
             root_result: None,
             audit: None,
         }
@@ -1632,24 +1646,28 @@ impl Sim {
         }
     }
 
-    /// Install a route override.
-    pub fn add_route_override(&mut self, ov: crate::routing::RouteOverride) {
+    /// Install a route override. Pass an `Arc` to share one override
+    /// among many sims.
+    pub fn add_route_override(&mut self, ov: impl Into<Arc<crate::routing::RouteOverride>>) {
         self.core.routing.add_override(ov);
     }
 
     /// Attach a policer. If capacity jitter is enabled, the policer's
-    /// effective rate for this run is jittered by the same fraction.
-    pub fn add_policer(&mut self, mut p: Policer) {
+    /// effective rate for this run is jittered by the same fraction. Pass
+    /// an `Arc` to share one policer among many sims.
+    pub fn add_policer(&mut self, p: impl Into<Arc<Policer>>) {
+        let p = p.into();
+        let mut rate = p.rate;
         if self.core.jitter > 0.0 {
             use rand::Rng;
             let j = self.core.jitter;
             let k: f64 = self.core.rng.gen_range(1.0 - j..=1.0 + j);
-            p.rate = p.rate * k;
+            rate = rate * k;
         }
         // Aggregate policers are allocatable resources; their index
         // convention is `n_links + position` (see `start_flow_inner`).
-        self.core.alloc.push_resource(p.rate.bytes_per_sec());
-        self.core.policers.push(p);
+        self.core.alloc.push_resource(rate.bytes_per_sec());
+        self.core.policers.push((p, rate));
     }
 
     /// Select the allocator strategy: the component-scoped incremental
@@ -1815,13 +1833,13 @@ impl Sim {
             return Ok(v);
         }
         let mut processed: u64 = 0;
-        while let Some(Reverse(q)) = self.core.queue.pop() {
+        while let Some((time, q)) = self.core.queue.pop() {
             processed += 1;
             self.core.stats.events += 1;
             if processed > self.core.event_budget {
                 return Err(NetError::EventBudgetExhausted { events: processed });
             }
-            self.core.advance_to(q.time);
+            self.core.advance_to(SimTime::from_nanos(time));
             self.dispatch(q.kind, root);
             self.audit_after_event();
             if let Some(v) = self.root_result.take() {
@@ -1843,25 +1861,20 @@ impl Sim {
     /// still in flight — and detached background processes are not
     /// descendants of `root`, so they keep running too.
     fn reap_orphans(&mut self, root: ProcessId) {
-        let mut doomed: Vec<ProcessId> = Vec::new();
-        for i in 0..self.processes.len() {
-            if !self.processes[i].alive || i == root.0 as usize {
-                continue;
+        let mut doomed = std::mem::take(&mut self.doomed);
+        doomed.clear();
+        doomed.extend(self.processes.iter().enumerate().map(|(i, slot)| {
+            if !slot.alive || i == root.0 as usize {
+                return false;
             }
             let mut cur = i;
             while let Some(p) = self.processes[cur].parent {
                 cur = p.0 as usize;
             }
-            if cur == root.0 as usize {
-                doomed.push(ProcessId(i as u32));
-            }
-        }
-        let mut dead = vec![false; self.processes.len()];
-        for pid in &doomed {
-            dead[pid.0 as usize] = true;
-        }
-        for pid in doomed {
-            let idx = pid.0 as usize;
+            cur == root.0 as usize
+        }));
+        for idx in (0..doomed.len()).filter(|&i| doomed[i]) {
+            let pid = ProcessId(idx as u32);
             if let Some(mut proc_) = self.processes[idx].proc_.take() {
                 let mut effects = Effects::default();
                 let mut next_pid = self.processes.len() as u32;
@@ -1876,16 +1889,15 @@ impl Sim {
             }
             self.processes[idx].alive = false;
         }
-        let orphaned: Vec<u32> = self
-            .core
-            .flows
-            .iter()
-            .filter(|(_, f)| f.owner.is_some_and(|o| dead[o.0 as usize]))
-            .map(|(slot, _)| slot)
-            .collect();
-        for slot in orphaned {
-            self.core.cancel_flow_at(slot);
+        // Slot order, as the flows iterate; a cancellation vacates only its
+        // own slot.
+        for slot in 0..self.core.flows.slots.len() as u32 {
+            let owner = self.core.flows.get(slot).and_then(|f| f.owner);
+            if owner.is_some_and(|o| doomed[o.0 as usize]) {
+                self.core.cancel_flow_at(slot);
+            }
         }
+        self.doomed = doomed;
     }
 
     /// Convenience: run a single bulk transfer and report its timing.
@@ -1957,7 +1969,7 @@ impl Sim {
                     self.core
                         .push(self.core.now + delay, EventKind::Delivered { flow, slot });
                 } else {
-                    // A superseded (or cancelled-flow) drain leaving the heap.
+                    // A superseded (or cancelled-flow) drain leaving the queue.
                     debug_assert!(self.core.stale_drains > 0, "stale drain accounted");
                     self.core.stale_drains = self.core.stale_drains.saturating_sub(1);
                 }
@@ -2041,7 +2053,10 @@ impl Sim {
             return None; // late event for a dead process
         }
         let mut proc_ = self.processes[idx].proc_.take()?;
-        let mut effects = Effects::default();
+        let mut effects = Effects {
+            spawned: self.spawn_lists.pop().unwrap_or_default(),
+            finished: None,
+        };
         let mut next_pid = self.processes.len() as u32;
         {
             let mut ctx = Ctx {
@@ -2071,7 +2086,7 @@ impl Sim {
         // A synchronous child start can itself finish an ancestor (e.g. a
         // child that errors immediately); keep the first such result.
         let mut bubbled: Option<(ProcessId, Value)> = None;
-        for (cpid, parent, child) in effects.spawned {
+        for (cpid, parent, child) in effects.spawned.drain(..) {
             let cidx = cpid.0 as usize;
             self.processes[cidx] = ProcSlot {
                 proc_: Some(child),
@@ -2082,6 +2097,7 @@ impl Sim {
                 bubbled.get_or_insert(r);
             }
         }
+        self.spawn_lists.push(effects.spawned);
         if let Some(v) = finished {
             match self.processes[idx].parent {
                 Some(pp) => {

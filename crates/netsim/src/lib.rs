@@ -21,7 +21,8 @@
 //!   each flow is additionally capped by a TCP (Mathis) ceiling derived from
 //!   path RTT and loss ([`tcp`]), by per-flow policers ([`middlebox`]) and by
 //!   host NIC/shaper rates.
-//! * **Discrete-event engine** ([`engine`]): binary-heap event core with
+//! * **Discrete-event engine** ([`engine`]): event core over a monotone
+//!   radix queue ([`radix`], shared with the route oracle's Dijkstra) with
 //!   deterministic tie-breaking, cooperative processes (state machines) for
 //!   protocol logic, timers and parent/child completion notifications.
 //! * **RPC sessions** ([`rpc`]): request/response exchanges with server think
@@ -60,6 +61,7 @@ pub mod flow;
 pub mod geo;
 pub mod middlebox;
 pub mod oracle;
+pub mod radix;
 pub mod routing;
 pub mod rpc;
 pub mod shard;

@@ -36,31 +36,29 @@
 //! simcheck's full audit compares every route a scenario resolves with the
 //! reference's answer in lockstep and flags the first pair that differs.
 //!
-//! A tree is built by Dijkstra over a **monotone radix queue** rather than
-//! the reference's binary heap. Link costs are `u32` and distances are
-//! integers that never decrease from one pop to the next, so a queued
-//! distance is filed in one of 65 buckets by the highest bit in which it
-//! differs from the distance last popped, and each entry moves down a
-//! bucket only when its bucket is the lowest one left: at most 64 moves
-//! per entry, none of them a sift. The nodes at the distance being
-//! settled sit in one flat list. When every link costs at least 1, the
-//! order they come off that list cannot matter: each of them has its whole
-//! final set of tight predecessors settled at smaller distances already,
-//! so the smallest-id rule picks the same predecessor whatever the order.
-//! A zero-cost arc breaks that argument — a node can then be reached, at
-//! the distance being settled, from a node that settles at the same
-//! distance — so when the graph has one ([`Csr`] records whether it does)
-//! the list is kept in node-id order and the tree settles in exactly the
-//! reference's `(dist, node id)` order. A bucket array indexed by distance
-//! (Dial's algorithm) would need one bucket per distance up to the largest
-//! arc cost, which arbitrary `u32` costs do not bound.
+//! A tree is built by Dijkstra over the **monotone radix queue** the event
+//! loop also uses ([`RadixQueue`]): link costs are `u32` and distances are
+//! integers that never decrease from one pop to the next, so no entry is
+//! ever sifted. The nodes at the distance being settled sit in one flat
+//! list. When every link costs at least 1, the order they come off that
+//! list cannot matter: each of them has its whole final set of tight
+//! predecessors settled at smaller distances already, so the smallest-id
+//! rule picks the same predecessor whatever the order. A zero-cost arc
+//! breaks that argument — a node can then be reached, at the distance being
+//! settled, from a node that settles at the same distance — so when the
+//! graph has one ([`Csr`] records whether it does) the list is kept in
+//! node-id order and the tree settles in exactly the reference's
+//! `(dist, node id)` order. A bucket array indexed by distance (Dial's
+//! algorithm) would need one bucket per distance up to the largest arc
+//! cost, which arbitrary `u32` costs do not bound.
 //!
 //! [`Sim`]: crate::engine::Sim
 
 use crate::error::{NetError, NetResult};
+use crate::radix::RadixQueue;
 use crate::routing::RouteOverride;
 use crate::topology::{Csr, LinkId, NodeId, Topology};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A shortest-path tree rooted at one node.
 ///
@@ -109,78 +107,11 @@ impl TreeCache {
     }
 }
 
-/// Monotone radix queue of `(distance, node)` entries (see the module
-/// docs). Every queued distance is at least `last`, the distance last
-/// popped; bucket 0 holds the entries at `last` and bucket `b ≥ 1` those
-/// whose highest bit differing from `last` is bit `b - 1`, so every
-/// distance in a bucket exceeds every distance in the buckets below it.
-/// Raising `last` to the smallest distance of the lowest non-empty bucket
-/// keeps that true for the buckets above it.
-#[derive(Debug, Clone, Default)]
-struct RadixQueue {
-    last: u64,
-    buckets: Vec<Vec<(u64, u32)>>,
-}
-
-impl RadixQueue {
-    /// Empty the queue, keeping the buckets' allocations.
-    fn clear(&mut self) {
-        self.last = 0;
-        self.buckets.resize_with(65, Vec::new);
-        for b in &mut self.buckets {
-            b.clear();
-        }
-    }
-
-    fn bucket_of(&self, dist: u64) -> usize {
-        (u64::BITS - (dist ^ self.last).leading_zeros()) as usize
-    }
-
-    /// Queue `node` at `dist ≥ last`. Apart from the root, an entry at
-    /// `last` itself can only come through a zero-cost arc, so it goes into
-    /// bucket 0 at its node-id place (the bucket is kept in descending id
-    /// order then).
-    fn push(&mut self, dist: u64, node: u32) {
-        debug_assert!(dist >= self.last, "radix queue is monotone");
-        let b = self.bucket_of(dist);
-        if b == 0 {
-            let level = &mut self.buckets[0];
-            let at = level.partition_point(|&(_, v)| v > node);
-            level.insert(at, (dist, node));
-        } else {
-            self.buckets[b].push((dist, node));
-        }
-    }
-
-    /// Pop an entry at the smallest queued distance. With `ordered`, the
-    /// smallest node id among them; otherwise any.
-    fn pop(&mut self, ordered: bool) -> Option<(u64, u32)> {
-        if self.buckets[0].is_empty() {
-            // Refill bucket 0 from the lowest non-empty bucket: its
-            // smallest distance becomes `last`, and every entry in it
-            // differs from that below the bucket's bit, so each lands in a
-            // lower bucket.
-            let b = self.buckets.iter().position(|b| !b.is_empty())?;
-            let mut moving = std::mem::take(&mut self.buckets[b]);
-            self.last = moving.iter().map(|&(d, _)| d).min().expect("non-empty");
-            for &(d, v) in &moving {
-                let to = self.bucket_of(d);
-                self.buckets[to].push((d, v));
-            }
-            moving.clear();
-            self.buckets[b] = moving;
-            if ordered {
-                self.buckets[0].sort_unstable_by_key(|&(_, v)| std::cmp::Reverse(v));
-            }
-        }
-        self.buckets[0].pop()
-    }
-}
-
 /// Reusable scratch so warm queries and tree builds allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    queue: RadixQueue,
+    /// Dijkstra's queue of `(distance, node)` entries.
+    queue: RadixQueue<u32>,
     settled: Vec<bool>,
     /// `(combined cost, via)` candidates for `k_detours`.
     ranked: Vec<(u64, u32)>,
@@ -207,8 +138,9 @@ pub struct DetourPath {
 /// overrides and its scratch.
 #[derive(Debug, Clone, Default)]
 pub struct RouteOracle {
-    /// Installed overrides, sorted by `(src, dst)`, one per pair.
-    overrides: Vec<RouteOverride>,
+    /// Installed overrides, sorted by `(src, dst)`, one per pair. Shared,
+    /// so a world can hand the same overrides to every sim it builds.
+    overrides: Vec<Arc<RouteOverride>>,
     scratch: Scratch,
 }
 
@@ -219,7 +151,9 @@ impl RouteOracle {
     }
 
     /// Install an override; replaces any previous override for the pair.
-    pub fn add_override(&mut self, ov: RouteOverride) {
+    /// Pass an `Arc` to share one override among many oracles.
+    pub fn add_override(&mut self, ov: impl Into<Arc<RouteOverride>>) {
+        let ov = ov.into();
         match self.find_override(ov.src, ov.dst) {
             Ok(i) => self.overrides[i] = ov,
             Err(i) => self.overrides.insert(i, ov),
@@ -571,8 +505,14 @@ fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
     let ordered = csr.has_zero_cost();
 
     dist[root as usize] = 0;
-    queue.push(0, root);
-    while let Some((d, u)) = queue.pop(ordered) {
+    // Only a zero-cost arc pushes at the distance being settled, so without
+    // one `push_sorted` is a plain append and the sort on refill is skipped.
+    queue.push_sorted(0, root);
+    while let Some((d, u)) = if ordered {
+        queue.pop_sorted()
+    } else {
+        queue.pop()
+    } {
         if scratch.settled[u as usize] {
             continue;
         }
@@ -584,7 +524,7 @@ fn build_tree(scratch: &mut Scratch, csr: &Csr, root: u32) -> Spt {
                 dist[vi] = nd;
                 prev_node[vi] = u;
                 prev_link[vi] = lid.0;
-                queue.push(nd, v);
+                queue.push_sorted(nd, v);
             } else if nd == dist[vi] && !scratch.settled[vi] && u < prev_node[vi] {
                 // Same distance via a smaller settled predecessor: adopt it.
                 // No re-push needed — an equal-distance entry already exists.

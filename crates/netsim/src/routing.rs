@@ -20,6 +20,7 @@ use crate::topology::{LinkId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// An explicit route pinned for a source/destination pair.
 #[derive(Debug, Clone)]
@@ -108,7 +109,8 @@ impl RoutingTable {
     }
 
     /// Install an override; replaces any previous override for the pair.
-    pub fn add_override(&mut self, ov: RouteOverride) {
+    /// Pass an `Arc` to share one override among many tables.
+    pub fn add_override(&mut self, ov: impl Into<Arc<RouteOverride>>) {
         self.oracle.add_override(ov);
     }
 

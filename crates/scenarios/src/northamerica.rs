@@ -164,12 +164,12 @@ pub struct Nodes {
 
 /// The assembled scenario: build once, then mint one [`Sim`] per run. Every
 /// sim shares the one topology, and with it the shortest-path trees the
-/// first sims built.
+/// first sims built, and the same route overrides and policers.
 pub struct NorthAmerica {
     topo: Arc<Topology>,
     nodes: Nodes,
-    overrides: Vec<RouteOverride>,
-    policers: Vec<Policer>,
+    overrides: Vec<Arc<RouteOverride>>,
+    policers: Vec<Arc<Policer>>,
     backgrounds: Vec<BackgroundProfile>,
     options: ScenarioOptions,
 }
@@ -430,8 +430,8 @@ impl NorthAmerica {
         NorthAmerica {
             topo: Arc::new(topo),
             nodes,
-            overrides,
-            policers,
+            overrides: overrides.into_iter().map(Arc::new).collect(),
+            policers: policers.into_iter().map(Arc::new).collect(),
             backgrounds,
             options,
         }
@@ -453,17 +453,18 @@ impl NorthAmerica {
     }
 
     /// Mint one simulator: topology + pins + policers + fresh background
-    /// processes, all seeded by `seed`.
+    /// processes, all seeded by `seed`. The topology, pins and policers are
+    /// shared, not copied.
     pub fn build_sim(&self, seed: u64) -> Sim {
         let mut sim = Sim::new(Arc::clone(&self.topo), seed);
         if self.options.capacity_jitter > 0.0 {
             sim.set_capacity_jitter(self.options.capacity_jitter);
         }
         for ov in &self.overrides {
-            sim.add_route_override(ov.clone());
+            sim.add_route_override(Arc::clone(ov));
         }
         for p in &self.policers {
-            sim.add_policer(p.clone());
+            sim.add_policer(Arc::clone(p));
         }
         for bg in &self.backgrounds {
             sim.spawn_detached(Box::new(BackgroundTraffic::new(bg.clone())));

@@ -33,7 +33,6 @@ use netsim::engine::{AuditFlow, AuditView};
 use netsim::flow::{max_min_allocate, AllocEntry};
 use netsim::time::SimTime;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Keep at most this many violations per run; one broken invariant tends to
@@ -351,42 +350,47 @@ struct FairnessMemo {
 }
 
 impl FairnessMemo {
-    /// The reference allocation for these inputs: the kept one when they
-    /// equal the last run's bit for bit, a fresh run otherwise.
-    fn want(&mut self, caps: &[f64], active: &[&AuditFlow<'_>]) -> &[f64] {
-        if !self.holds(caps, active) {
-            self.caps = caps.to_vec();
-            self.ids = active.iter().map(|f| f.id).collect();
-            self.entries = active
-                .iter()
-                .map(|f| AllocEntry {
-                    resources: f.resources.to_vec(),
-                    cap: f.cap,
-                    weight: f.weight,
-                })
-                .collect();
+    /// The reference allocation for the active ones of `flows` (sorted by
+    /// id): the kept one when the inputs equal the last run's bit for bit,
+    /// a fresh run otherwise. A fresh run refills the kept inputs in place.
+    fn want(&mut self, caps: &[f64], flows: &[AuditFlow<'_>]) -> &[f64] {
+        if !self.holds(caps, flows) {
+            self.caps.clear();
+            self.caps.extend_from_slice(caps);
+            let active = flows.iter().filter(|f| f.active);
+            self.ids.clear();
+            self.ids.extend(active.clone().map(|f| f.id));
+            self.entries.resize_with(self.ids.len(), || AllocEntry {
+                resources: Vec::new(),
+                cap: 0.0,
+                weight: 0.0,
+            });
+            for (e, f) in self.entries.iter_mut().zip(active) {
+                e.resources.clear();
+                e.resources.extend_from_slice(f.resources);
+                e.cap = f.cap;
+                e.weight = f.weight;
+            }
             self.want = max_min_allocate(caps, &self.entries);
         }
         &self.want
     }
 
     /// Are these the inputs of the kept run?
-    fn holds(&self, caps: &[f64], active: &[&AuditFlow<'_>]) -> bool {
+    fn holds(&self, caps: &[f64], flows: &[AuditFlow<'_>]) -> bool {
         let bits_eq = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let mut active = flows.iter().filter(|f| f.active);
         self.caps.len() == caps.len()
             && self.caps.iter().zip(caps).all(|(&a, &b)| bits_eq(a, b))
-            && self.entries.len() == active.len()
-            && self
-                .ids
-                .iter()
-                .zip(&self.entries)
-                .zip(active)
-                .all(|((&id, e), f)| {
+            && self.ids.iter().zip(&self.entries).all(|(&id, e)| {
+                active.next().is_some_and(|f| {
                     id == f.id
                         && bits_eq(e.cap, f.cap)
                         && bits_eq(e.weight, f.weight)
                         && e.resources == f.resources
                 })
+            })
+            && active.next().is_none()
     }
 }
 
@@ -397,20 +401,45 @@ struct OracleState {
     chain: u64,
     events_seen: u64,
     prev_now_ns: u64,
-    shadow: HashMap<u64, ShadowFlow>,
+    /// The byte-conservation ledger: one entry per flow the engine knows,
+    /// sorted by flow id like [`AuditView::flows`].
+    shadow: Vec<(u64, ShadowFlow)>,
+    /// The ledger being rebuilt, swapped with `shadow` after each event.
+    shadow_next: Vec<(u64, ShadowFlow)>,
     /// `flow_delivered` notifications buffered until the next `after_event`
     /// (the hook callback fires mid-dispatch, before time has advanced past
     /// the delivery instant is accounted for).
     delivered: Vec<(u64, u64, SimTime)>,
     fairness: FairnessMemo,
+    /// The flows of the event being checked; empty between events.
+    flows: Vec<AuditFlow<'static>>,
+    /// Per-resource sums of the active rates.
+    used: Vec<f64>,
 }
 
 impl OracleState {
     fn push(&mut self, v: Violation) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(v);
-        }
+        push_capped(&mut self.violations, v);
     }
+}
+
+/// Keep `v` unless [`MAX_VIOLATIONS`] are kept already.
+fn push_capped(violations: &mut Vec<Violation>, v: Violation) {
+    if violations.len() < MAX_VIOLATIONS {
+        violations.push(v);
+    }
+}
+
+/// `flows` emptied, as a list of flows of any other view: the in-place
+/// `collect` of an emptied `Vec` keeps its allocation (the element types
+/// differ only in lifetime), so the oracle's flow list is allocated once,
+/// not per event.
+fn recycle<'b>(mut flows: Vec<AuditFlow<'_>>) -> Vec<AuditFlow<'b>> {
+    flows.clear();
+    flows
+        .into_iter()
+        .map(|_| -> AuditFlow<'b> { unreachable!("the list is empty") })
+        .collect()
 }
 
 /// Shared handle for reading oracle results after the run; the matching
@@ -521,7 +550,7 @@ fn check_invariants(st: &mut OracleState, view: &AuditView<'_>) {
     // piecewise-constant fluid model the engine integrates.
     let dt = (now_ns.saturating_sub(st.prev_now_ns)) as f64 * 1e-9;
     if dt > 0.0 {
-        for s in st.shadow.values_mut() {
+        for (_, s) in &mut st.shadow {
             s.integrated += s.rate * dt;
         }
     }
@@ -529,40 +558,51 @@ fn check_invariants(st: &mut OracleState, view: &AuditView<'_>) {
 
     // 4b. Settle flows the engine reported delivered during this event.
     for (flow, bytes, at) in st.delivered.drain(..) {
-        let integrated = st.shadow.remove(&flow).map(|s| s.integrated).unwrap_or(0.0);
+        let integrated = match st.shadow.binary_search_by_key(&flow, |&(id, _)| id) {
+            Ok(i) => st.shadow.remove(i).1.integrated,
+            Err(_) => 0.0,
+        };
         let tol = (bytes as f64 * 1e-6).max(64.0);
-        if (integrated - bytes as f64).abs() > tol && st.violations.len() < MAX_VIOLATIONS {
-            st.violations.push(Violation::ByteConservation {
-                flow,
-                reported: bytes,
-                integrated,
-                at_ns: at.as_nanos(),
-            });
+        if (integrated - bytes as f64).abs() > tol {
+            push_capped(
+                &mut st.violations,
+                Violation::ByteConservation {
+                    flow,
+                    reported: bytes,
+                    integrated,
+                    at_ns: at.as_nanos(),
+                },
+            );
         }
     }
 
-    let flows = view.flows();
+    let mut flows = recycle(std::mem::take(&mut st.flows));
+    view.flows_into(&mut flows);
     let caps = view.resource_capacities();
 
     // 2. Capacity: sum active rates per resource.
-    let mut used = vec![0.0_f64; caps.len()];
+    st.used.clear();
+    st.used.resize(caps.len(), 0.0);
     for f in flows.iter().filter(|f| f.active) {
         for &r in f.resources {
-            if let Some(u) = used.get_mut(r as usize) {
+            if let Some(u) = st.used.get_mut(r as usize) {
                 *u += f.rate;
             }
         }
     }
-    for (r, (&u, &cap)) in used.iter().zip(caps.iter()).enumerate() {
+    for (r, (&u, &cap)) in st.used.iter().zip(caps).enumerate() {
         // Absolute slack of 1 byte/sec plus a relative term: the engine
         // sums the same f64s, so genuine bugs overshoot by far more.
         if u > cap + cap.abs() * REL_TOL + 1.0 {
-            st.push(Violation::OverAllocation {
-                resource: r,
-                used: u,
-                cap,
-                at_ns: now_ns,
-            });
+            push_capped(
+                &mut st.violations,
+                Violation::OverAllocation {
+                    resource: r,
+                    used: u,
+                    cap,
+                    at_ns: now_ns,
+                },
+            );
         }
     }
 
@@ -570,31 +610,39 @@ fn check_invariants(st: &mut OracleState, view: &AuditView<'_>) {
     // same (sorted-by-id) order the engine uses — or reuse the last
     // recompute when the inputs have not changed — and compare every
     // active flow's rate with it.
-    let active: Vec<_> = flows.iter().filter(|f| f.active).collect();
-    let want = st.fairness.want(&caps, &active);
-    let unfair: Vec<Violation> = active
-        .iter()
-        .zip(want)
-        .filter(|&(f, &w)| (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0)
-        .map(|(f, &w)| Violation::UnfairAllocation {
-            flow: f.id,
-            got: f.rate,
-            want: w,
-            at_ns: now_ns,
-        })
-        .collect();
-    for v in unfair {
-        st.push(v);
+    let want = st.fairness.want(caps, &flows);
+    for (f, &w) in flows.iter().filter(|f| f.active).zip(want) {
+        if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
+            push_capped(
+                &mut st.violations,
+                Violation::UnfairAllocation {
+                    flow: f.id,
+                    got: f.rate,
+                    want: w,
+                    at_ns: now_ns,
+                },
+            );
+        }
     }
 
-    // 4c. Refresh the shadow rates for the next interval. Inactive flows
-    // (drained, awaiting their Delivered event) keep a stale engine-side
-    // rate; they no longer move bytes, so shadow at 0.
+    // 4c. Refresh the shadow rates for the next interval: one entry per
+    // flow, merged in id order with the old ledger, whose integrals carry
+    // over; flows that left drop out. Inactive flows (drained, awaiting
+    // their Delivered event) keep a stale engine-side rate; they no longer
+    // move bytes, so shadow at 0.
+    let mut next = std::mem::take(&mut st.shadow_next);
+    next.clear();
+    let mut old = st.shadow.iter().peekable();
     for f in &flows {
-        let entry = st.shadow.entry(f.id).or_default();
-        entry.rate = if f.active { f.rate } else { 0.0 };
+        while old.next_if(|&&(id, _)| id < f.id).is_some() {}
+        let integrated = old
+            .next_if(|&&(id, _)| id == f.id)
+            .map_or(0.0, |(_, s)| s.integrated);
+        let rate = if f.active { f.rate } else { 0.0 };
+        next.push((f.id, ShadowFlow { rate, integrated }));
     }
-    st.shadow.retain(|id, _| flows.iter().any(|f| f.id == *id));
+    st.shadow_next = std::mem::replace(&mut st.shadow, next);
+    st.flows = recycle(flows);
 }
 
 #[cfg(test)]

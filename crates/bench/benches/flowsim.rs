@@ -11,8 +11,8 @@
 
 use bench::gate;
 use netsim::flow::{max_min_allocate, AllocEntry, FlowClass, FlowCore, FlowSpec};
-use netsim::oracle::RouteOracle;
 use netsim::prelude::*;
+use netsim::routing::RoutingTable;
 use netsim::shard::{fold_digests, run_shards};
 use netsim::synth::SynthGlobe;
 use netsim::units::{GB, KB, MB};
@@ -557,7 +557,7 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
         (state >> 33) as usize % m
     };
     let far = hosts[hosts.len() - 1];
-    let mut oracle = RouteOracle::new();
+    let mut table = RoutingTable::new();
     let mut path_buf: Vec<NodeId> = Vec::with_capacity(nodes);
 
     // Cold build: the trees live on the topology, so each rep routes over
@@ -572,7 +572,7 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     for _ in 0..build_reps {
         drop(std::mem::replace(&mut cold, topo.clone()));
         let t = Instant::now();
-        oracle
+        table
             .path_into(&cold, sources[0], far, &mut path_buf)
             .unwrap();
         build_ms = build_ms.min(t.elapsed().as_secs_f64() * 1e3);
@@ -581,7 +581,7 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
 
     // Warm queries: every source tree built, then batched prev-chain walks.
     for &s in &sources {
-        oracle.path_into(topo, s, far, &mut path_buf).unwrap();
+        table.path_into(topo, s, far, &mut path_buf).unwrap();
     }
     let (warmup, samples) = if quick { (3, 21) } else { (10, 51) };
     const BATCH: usize = 256;
@@ -590,7 +590,7 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
         .collect();
     let query_ns = median_ns(warmup, samples, || {
         for &(src, dst) in &pairs {
-            oracle.path_into(topo, src, dst, &mut path_buf).unwrap();
+            table.path_into(topo, src, dst, &mut path_buf).unwrap();
         }
     }) / BATCH as f64;
 
@@ -608,12 +608,12 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     // Detour enumeration: k=4 candidates per query, warm reverse trees.
     pairs.truncate(8);
     for &(src, dst) in &pairs {
-        oracle.k_detours(topo, src, dst, 4).unwrap();
+        table.k_detours(topo, src, dst, 4).unwrap();
     }
     let mut j = 0usize;
     let detour_ns = median_ns(warmup, if quick { 11 } else { 31 }, || {
         let (src, dst) = pairs[j % pairs.len()];
-        std::hint::black_box(oracle.k_detours(topo, src, dst, 4).unwrap());
+        std::hint::black_box(table.k_detours(topo, src, dst, 4).unwrap());
         j += 1;
     });
 

@@ -16,7 +16,7 @@ use crate::error::{NetError, NetResult};
 use crate::flow::{AllocDivergence, AllocMode, FlowClass, FlowCore, FlowProgress, FlowSpec};
 use crate::middlebox::{FirewallRule, Policer, PolicerScope};
 use crate::radix::RadixQueue;
-use crate::routing::RoutingTable;
+use crate::routing::{DetourPath, RoutingTable};
 use crate::tcp::TcpParams;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, Topology};
@@ -496,26 +496,25 @@ impl Core {
 
     /// Resolve the node path a flow from `src` to `dst` would take.
     pub fn resolve_path(&mut self, src: NodeId, dst: NodeId) -> NetResult<Vec<NodeId>> {
-        self.routing.path(&self.topo, src, dst)
+        let mut path = Vec::new();
+        self.routing.path_into(&self.topo, src, dst, &mut path)?;
+        Ok(path)
     }
 
     /// Up to `k` distinct loop-free alternatives to the routed shortest
-    /// path, cheapest first (see [`crate::oracle::RouteOracle::k_detours`]).
+    /// path, cheapest first (see [`RoutingTable::k_detours`]).
     /// The raw material for detour/relay candidate enumeration.
-    pub fn k_detours(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        k: usize,
-    ) -> NetResult<Vec<crate::oracle::DetourPath>> {
+    pub fn k_detours(&mut self, src: NodeId, dst: NodeId, k: usize) -> NetResult<Vec<DetourPath>> {
         self.routing.k_detours(&self.topo, src, dst, k)
     }
 
     /// Round-trip time along the routed path between two nodes.
     pub fn rtt(&mut self, src: NodeId, dst: NodeId) -> NetResult<SimTime> {
-        let fwd = self.routing.links(&self.topo, src, dst)?;
-        let back = self.routing.links(&self.topo, dst, src)?;
-        Ok(self.topo.path_delay(&fwd) + self.topo.path_delay(&back))
+        let (topo, route) = (&self.topo, &mut self.route);
+        self.routing.links_into(topo, src, dst, route)?;
+        let there = topo.path_delay(route);
+        self.routing.links_into(topo, dst, src, route)?;
+        Ok(there + topo.path_delay(route))
     }
 
     /// The rate an isolated flow would get on the routed path (bottleneck
@@ -530,15 +529,17 @@ impl Core {
         dst: NodeId,
         class: FlowClass,
     ) -> NetResult<Bandwidth> {
-        let links = self.routing.links(&self.topo, src, dst)?;
-        let mut rate = self.topo.path_capacity(&links);
+        self.routing
+            .links_into(&self.topo, src, dst, &mut self.route)?;
+        let links = &self.route;
+        let mut rate = self.topo.path_capacity(links);
         for (p, p_rate) in &self.policers {
             if links.iter().any(|&l| p.applies(l, class)) {
                 rate = rate.min(*p_rate);
             }
         }
-        let rtt = self.topo.path_delay(&links) * 2;
-        let loss = self.topo.path_loss(&links);
+        let rtt = self.topo.path_delay(links) * 2;
+        let loss = self.topo.path_loss(links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
             rate = rate.min(ceiling);
         }
@@ -555,10 +556,12 @@ impl Core {
         dst: NodeId,
         class: FlowClass,
     ) -> NetResult<Bottleneck> {
-        let links = self.routing.links(&self.topo, src, dst)?;
+        self.routing
+            .links_into(&self.topo, src, dst, &mut self.route)?;
+        let links = &self.route;
         // Narrowest link.
         let (mut best_rate, mut cause) = (f64::INFINITY, BottleneckCause::Unconstrained);
-        for &l in &links {
+        for &l in links {
             let link = self.topo.link(l);
             let r = link.capacity.bytes_per_sec();
             if r < best_rate {
@@ -580,8 +583,8 @@ impl Core {
                 }
             }
         }
-        let rtt = self.topo.path_delay(&links) * 2;
-        let loss = self.topo.path_loss(&links);
+        let rtt = self.topo.path_delay(links) * 2;
+        let loss = self.topo.path_loss(links);
         if let Some(ceiling) = self.tcp.mathis_ceiling(rtt, loss) {
             if ceiling.bytes_per_sec() < best_rate {
                 best_rate = ceiling.bytes_per_sec();

@@ -12,11 +12,14 @@
 //! * **Policy routing** ([`routing`]): per-source shortest paths over link
 //!   costs, plus explicit route overrides that pin idiosyncratic paths (the
 //!   paper's PlanetLab-to-Google egress through the `pacificwave` policer).
-//! * **Route oracle** ([`oracle`]): precomputed per-source shortest-path
-//!   trees over the flat CSR adjacency, kept on the topology and shared by
-//!   every sim over it, giving zero-allocation warm path queries and
-//!   k-detour enumeration at 100k-node scale; the per-query Dijkstra
-//!   survives as a bit-identical differential reference.
+//! * **Route oracle** ([`oracle`]): per-source shortest-path trees over
+//!   the flat CSR adjacency, owned and built by the topology and shared by
+//!   every sim over it. A tree build's scratch belongs to the building
+//!   thread, so a sim's routing state is its one [`routing::RoutingTable`]
+//!   (overrides, backend mode, lockstep) and nothing more. The trees give
+//!   zero-allocation warm path queries and k-detour enumeration at
+//!   100k-node scale; the per-query Dijkstra survives as a bit-identical
+//!   differential reference.
 //! * **Fluid flows** ([`flow`]): active transfers share links max-min fairly;
 //!   each flow is additionally capped by a TCP (Mathis) ceiling derived from
 //!   path RTT and loss ([`tcp`]), by per-flow policers ([`middlebox`]) and by
@@ -83,8 +86,7 @@ pub mod prelude {
     pub use crate::flow::{AllocMode, FlowClass, FlowSpec};
     pub use crate::geo::GeoPoint;
     pub use crate::middlebox::{Policer, PolicerScope};
-    pub use crate::oracle::{DetourPath, RouteOracle};
-    pub use crate::routing::{RouteOverride, RoutingMode};
+    pub use crate::routing::{DetourPath, RouteOverride, RoutingMode};
     pub use crate::rpc::{Rpc, RpcSpec};
     pub use crate::tcp::TcpParams;
     pub use crate::time::SimTime;

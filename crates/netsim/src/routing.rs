@@ -13,9 +13,14 @@
 //! idiosyncrasy: it is not explainable by shortest-path metrics, so the
 //! scenario pins it explicitly, the same way the real network pinned it by
 //! BGP policy invisible to the authors.
+//!
+//! A sim routes through one [`RoutingTable`]. Pairs without an override are
+//! answered from the shortest-path trees its topology owns and builds
+//! ([`crate::oracle`]), so the table holds no tree and no tree-building
+//! scratch.
 
 use crate::error::{NetError, NetResult};
-use crate::oracle::{DetourPath, RouteOracle};
+use crate::oracle::{NONE, UNREACHABLE};
 use crate::topology::{LinkId, NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -45,9 +50,9 @@ impl RouteOverride {
 /// Which backend answers shortest-path queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
-    /// The precomputed [`RouteOracle`]: per-source shortest-path trees over
-    /// the CSR topology, kept on the topology and shared by every sim over
-    /// it, near-O(path length) per query. The default.
+    /// The route oracle ([`crate::oracle`]): per-source shortest-path trees
+    /// over the CSR topology, kept on the topology and shared by every sim
+    /// over it, near-O(path length) per query. The default.
     #[default]
     Oracle,
     /// Per-query [`dijkstra`], kept as a bit-identical differential
@@ -57,13 +62,27 @@ pub enum RoutingMode {
     Reference,
 }
 
-/// Computes paths over a topology: a façade over the [`RouteOracle`] (the
-/// default backend) and the per-query reference Dijkstra, with route
-/// overrides shared by both.
+/// One enumerated detour: the canonical shortest path `src → via → dst`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DetourPath {
+    /// The pivot node the detour was enumerated through.
+    pub via: NodeId,
+    /// Total link cost of the joined path.
+    pub cost: u64,
+    /// Full node path from `src` to `dst` through `via`.
+    pub path: Vec<NodeId>,
+}
+
+/// A sim's routing state: the route overrides both backends share, which
+/// backend answers ([`RoutingMode`]), the lockstep that checks the oracle
+/// against the reference, and [`RoutingTable::k_detours`]'s candidate
+/// lists. The oracle's trees live on the topology ([`crate::oracle`]).
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
+    /// Installed overrides, sorted by `(src, dst)`, one per pair. Shared,
+    /// so a world can hand the same overrides to every sim it builds.
+    overrides: Vec<Arc<RouteOverride>>,
     mode: RoutingMode,
-    oracle: RouteOracle,
     /// Reference per-pair memo. Like the topology's trees this is query
     /// history, not state, and is excluded from the audit digest.
     ref_cache: HashMap<(NodeId, NodeId), Vec<NodeId>>,
@@ -75,6 +94,13 @@ pub struct RoutingTable {
     /// predecessor id; compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
     largest_predecessor: bool,
+    /// `k_detours`'s `(joined cost, via)` candidates.
+    ranked: Vec<(u64, u32)>,
+    /// Stamped visited marks for `k_detours`'s loop checks.
+    mark: Vec<u32>,
+    mark_stamp: u32,
+    /// The joined candidate path under construction.
+    joined: Vec<NodeId>,
 }
 
 impl RoutingTable {
@@ -89,15 +115,9 @@ impl RoutingTable {
         self.mode = mode;
     }
 
-    /// The active backend.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
-    }
-
-    /// Compare every later oracle answer from [`RoutingTable::path`],
-    /// [`RoutingTable::links`] and [`RoutingTable::links_into`] with the
-    /// memoized reference Dijkstra's and
-    /// keep the first `(src, dst)` they disagree on
+    /// Compare every later oracle answer from [`RoutingTable::path_into`]
+    /// and [`RoutingTable::links_into`] with the memoized reference
+    /// Dijkstra's and keep the first `(src, dst)` they disagree on
     /// ([`RoutingTable::divergence`]). Answers are the oracle's either way.
     pub(crate) fn enable_lockstep(&mut self) {
         self.lockstep = true;
@@ -111,12 +131,23 @@ impl RoutingTable {
     /// Install an override; replaces any previous override for the pair.
     /// Pass an `Arc` to share one override among many tables.
     pub fn add_override(&mut self, ov: impl Into<Arc<RouteOverride>>) {
-        self.oracle.add_override(ov);
+        let ov = ov.into();
+        match self.find_override(ov.src, ov.dst) {
+            Ok(i) => self.overrides[i] = ov,
+            Err(i) => self.overrides.insert(i, ov),
+        }
     }
 
-    /// Number of installed overrides.
-    pub fn override_count(&self) -> usize {
-        self.oracle.override_count()
+    /// Where the pair's override is, or would go, in the sorted list.
+    fn find_override(&self, src: NodeId, dst: NodeId) -> Result<usize, usize> {
+        self.overrides
+            .binary_search_by_key(&(src, dst), |ov| (ov.src, ov.dst))
+    }
+
+    /// The pinned path for a pair, if any (unvalidated).
+    fn override_for(&self, src: NodeId, dst: NodeId) -> Option<&[NodeId]> {
+        let i = self.find_override(src, dst).ok()?;
+        Some(&self.overrides[i].path)
     }
 
     /// Test-only fault injection: from now on the reference backend, and so
@@ -129,42 +160,34 @@ impl RoutingTable {
         self.largest_predecessor = true;
     }
 
-    /// The path from `src` to `dst`: the installed override if present,
-    /// otherwise the canonical minimum-cost path (ties broken
-    /// deterministically by smaller predecessor id at settlement).
-    pub fn path(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<NodeId>> {
-        match self.mode {
-            RoutingMode::Oracle if !self.lockstep || self.diverged.is_some() => {
-                self.oracle.path(topo, src, dst)
-            }
-            RoutingMode::Oracle => {
-                let found = self.oracle.path(topo, src, dst);
-                let same = match (&found, self.reference_path(topo, src, dst)) {
-                    (Ok(p), Ok(want)) => p == want,
-                    (Err(e), Err(want)) => *e == want,
-                    _ => false,
-                };
-                if !same {
-                    self.diverged = Some((src, dst));
-                }
-                found
-            }
-            RoutingMode::Reference => self.reference_path(topo, src, dst).map(<[NodeId]>::to_vec),
+    /// The path from `src` to `dst` into `out`, cleared first: the
+    /// installed override if present, otherwise the canonical minimum-cost
+    /// path (ties broken deterministically by smaller predecessor id at
+    /// settlement). Once `out` has room, a warm oracle query allocates
+    /// nothing. Under the lockstep the answer is compared with the
+    /// reference Dijkstra's.
+    pub fn path_into(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<NodeId>,
+    ) -> NetResult<()> {
+        out.clear();
+        if self.mode == RoutingMode::Reference {
+            out.extend_from_slice(self.reference_path(topo, src, dst)?);
+            return Ok(());
         }
+        let found = self.oracle_path_into(topo, src, dst, out);
+        self.check_lockstep(topo, src, dst, &found, |want| out[..] == *want);
+        found
     }
 
-    /// Resolve a path into its links. The oracle backend reads them off the
-    /// tree's `prev_link` chain, with no node path and no adjacency lookup.
-    pub fn links(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Vec<LinkId>> {
-        let mut out = Vec::new();
-        self.links_into(topo, src, dst, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`RoutingTable::links`] into a caller-owned buffer, cleared first:
-    /// once `out` has room, a warm oracle query allocates nothing. Under
-    /// the lockstep the answer is compared with the reference Dijkstra's,
-    /// as every oracle answer is.
+    /// The links of the `src → dst` path into `out`, cleared first. The
+    /// oracle reads them off the tree's `prev_link` chain, with no node
+    /// path and no adjacency lookup, so once `out` has room a warm query
+    /// allocates nothing. Under the lockstep the answer is compared with
+    /// the reference Dijkstra's.
     pub fn links_into(
         &mut self,
         topo: &Topology,
@@ -173,38 +196,34 @@ impl RoutingTable {
         out: &mut Vec<LinkId>,
     ) -> NetResult<()> {
         out.clear();
-        match self.mode {
-            RoutingMode::Oracle if !self.lockstep || self.diverged.is_some() => {
-                self.oracle.links_into(topo, src, dst, out)
-            }
-            RoutingMode::Oracle => {
-                let found = self.oracle.links_into(topo, src, dst, out);
-                let same = match (&found, self.reference_path(topo, src, dst)) {
-                    (Ok(()), Ok(want)) => {
-                        out.len() + 1 == want.len()
-                            && want
-                                .windows(2)
-                                .zip(out.iter())
-                                .all(|(w, &l)| topo.link_between(w[0], w[1]) == Some(l))
-                    }
-                    (Err(e), Err(want)) => *e == want,
-                    _ => false,
-                };
-                if !same {
-                    self.diverged = Some((src, dst));
-                }
-                found
-            }
-            RoutingMode::Reference => {
-                let p = self.reference_path(topo, src, dst)?;
-                topo.links_on_path_into(p, out)
-            }
+        if self.mode == RoutingMode::Reference {
+            let p = self.reference_path(topo, src, dst)?;
+            return topo.links_on_path_into(p, out);
         }
+        let found = self.oracle_links_into(topo, src, dst, out);
+        self.check_lockstep(topo, src, dst, &found, |want| {
+            out.len() + 1 == want.len()
+                && want
+                    .windows(2)
+                    .zip(out.iter())
+                    .all(|(w, &l)| topo.link_between(w[0], w[1]) == Some(l))
+        });
+        found
     }
 
-    /// Up to `k` distinct loop-free alternatives to the shortest path, in
-    /// deterministic (cost, via id) order. Always answered by the oracle —
-    /// detour enumeration needs its forward/reverse trees either way.
+    /// Up to `k` distinct loop-free detour paths `src → via → dst` in
+    /// deterministic order: nondecreasing joined cost, ties by via id.
+    ///
+    /// Every node `v` with finite `dist(src→v)` and `dist(v→dst)` is a
+    /// candidate pivot; each joins the canonical forward path to `v` with
+    /// the canonical path `v → dst` from the reverse tree. Candidates whose
+    /// joined path repeats a node (a loop) or duplicates the direct
+    /// shortest path — or an already-accepted detour — are skipped, so the
+    /// result is a set of genuine alternatives to the primary route.
+    ///
+    /// This is a pure topology query, answered from the oracle's trees in
+    /// either mode: route overrides pin *primary* paths and are
+    /// deliberately not consulted here.
     pub fn k_detours(
         &mut self,
         topo: &Topology,
@@ -212,18 +231,179 @@ impl RoutingTable {
         dst: NodeId,
         k: usize,
     ) -> NetResult<Vec<DetourPath>> {
-        self.oracle.k_detours(topo, src, dst, k)
+        check_endpoints(topo, src, dst)?;
+        if src == dst || k == 0 {
+            return Ok(Vec::new());
+        }
+        let n = topo.nodes().len();
+        let fwd = topo.forward_tree(src);
+        let rev = topo.reverse_tree(dst);
+        // The direct shortest path, for exclusion.
+        let mut primary = Vec::new();
+        if !fwd.walk_back(dst, &mut primary) {
+            return Err(NetError::NoRoute { src, dst });
+        }
+        primary.reverse();
+
+        self.ranked.clear();
+        for v in 0..n as u32 {
+            if v == src.0 || v == dst.0 {
+                continue;
+            }
+            let df = fwd.dist[v as usize];
+            let dr = rev.dist[v as usize];
+            if df != UNREACHABLE && dr != UNREACHABLE {
+                self.ranked.push((df + dr, v));
+            }
+        }
+        self.ranked.sort_unstable();
+
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+        }
+        let mut accepted: Vec<DetourPath> = Vec::new();
+        for &(cost, via) in &self.ranked {
+            if accepted.len() >= k {
+                break;
+            }
+            self.mark_stamp = self.mark_stamp.wrapping_add(1);
+            let stamp = self.mark_stamp;
+            // Forward half: src → via.
+            let joined = &mut self.joined;
+            joined.clear();
+            fwd.walk_back(NodeId(via), joined);
+            joined.reverse();
+            for node in joined.iter() {
+                self.mark[node.0 as usize] = stamp;
+            }
+            // Reverse half: via → dst (successor chain), checking for loops
+            // against the forward half as we go.
+            let mut loop_free = true;
+            let mut cur = rev.prev_node[via as usize];
+            while cur != NONE {
+                if self.mark[cur as usize] == stamp {
+                    loop_free = false;
+                    break;
+                }
+                self.mark[cur as usize] = stamp;
+                joined.push(NodeId(cur));
+                cur = rev.prev_node[cur as usize];
+            }
+            if !loop_free {
+                continue;
+            }
+            debug_assert_eq!(joined.first(), Some(&src));
+            debug_assert_eq!(joined.last(), Some(&dst));
+            if *joined == primary || accepted.iter().any(|d| d.path == *joined) {
+                continue;
+            }
+            accepted.push(DetourPath {
+                via: NodeId(via),
+                cost,
+                path: joined.clone(),
+            });
+        }
+        Ok(accepted)
     }
 
-    /// Fold the canonical routing state — overrides only, in sorted order —
-    /// into an audit digest. Query caches (the topology's trees, the
-    /// reference memo) are deliberately excluded: they record which pairs
-    /// happened to be looked up, not what the simulation state is, and
-    /// folding them made two state-identical sims digest differently after
-    /// a diagnostic path query. The backend mode is likewise excluded so oracle and
-    /// reference executions can be compared digest-for-digest.
+    /// Fold the canonical routing state — the overrides, in `(src, dst)`
+    /// order — into an audit digest. Query caches (the topology's trees,
+    /// the reference memo) are deliberately excluded: they record which
+    /// pairs happened to be looked up, not what the simulation state is,
+    /// and folding them made two state-identical sims digest differently
+    /// after a diagnostic path query. The backend mode is likewise excluded
+    /// so oracle and reference executions can be compared
+    /// digest-for-digest.
     pub fn digest_into(&self, d: &mut crate::audit::Digest) {
-        self.oracle.digest_into(d);
+        d.write_u64(self.overrides.len() as u64);
+        for ov in &self.overrides {
+            d.write_u64(ov.src.0 as u64);
+            d.write_u64(ov.dst.0 as u64);
+            d.write_u64(ov.path.len() as u64);
+            for n in &ov.path {
+                d.write_u64(n.0 as u64);
+            }
+        }
+    }
+
+    /// The oracle's path: the override if one is installed (validated
+    /// here, so a bad override fails loudly at use), else the walk up
+    /// `src`'s tree.
+    fn oracle_path_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<NodeId>,
+    ) -> NetResult<()> {
+        check_endpoints(topo, src, dst)?;
+        if src == dst {
+            out.push(src);
+            return Ok(());
+        }
+        if let Some(p) = self.override_for(src, dst) {
+            validate_path(topo, p)?;
+            out.extend_from_slice(p);
+            return Ok(());
+        }
+        if !topo.forward_tree(src).walk_back(dst, out) {
+            return Err(NetError::NoRoute { src, dst });
+        }
+        out.reverse();
+        Ok(())
+    }
+
+    /// The oracle's links: the override's, validated as they are looked
+    /// up, else `src`'s tree's `prev_link` chain.
+    fn oracle_links_into(
+        &self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        out: &mut Vec<LinkId>,
+    ) -> NetResult<()> {
+        check_endpoints(topo, src, dst)?;
+        if src == dst {
+            return Ok(());
+        }
+        if let Some(p) = self.override_for(src, dst) {
+            return topo.links_on_path_into(p, out);
+        }
+        let tree = topo.forward_tree(src);
+        if tree.dist[dst.0 as usize] == UNREACHABLE {
+            return Err(NetError::NoRoute { src, dst });
+        }
+        let mut cur = dst.0;
+        while tree.prev_link[cur as usize] != NONE {
+            out.push(LinkId(tree.prev_link[cur as usize]));
+            cur = tree.prev_node[cur as usize];
+        }
+        out.reverse();
+        Ok(())
+    }
+
+    /// Under the lockstep, until the first divergence: compare an oracle
+    /// answer with the reference's (`agrees` judges a successful one
+    /// against the reference path) and record the pair if they differ.
+    fn check_lockstep(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        found: &NetResult<()>,
+        agrees: impl FnOnce(&[NodeId]) -> bool,
+    ) {
+        if !self.lockstep || self.diverged.is_some() {
+            return;
+        }
+        let same = match (found, self.reference_path(topo, src, dst)) {
+            (Ok(()), Ok(want)) => agrees(want),
+            (Err(e), Err(want)) => *e == want,
+            _ => false,
+        };
+        if !same {
+            self.diverged = Some((src, dst));
+        }
     }
 
     /// The reference backend's answer: the override if one is installed,
@@ -234,17 +414,14 @@ impl RoutingTable {
         src: NodeId,
         dst: NodeId,
     ) -> NetResult<&[NodeId]> {
-        if !topo.contains(src) {
-            return Err(NetError::UnknownNode(src));
-        }
-        if !topo.contains(dst) {
-            return Err(NetError::UnknownNode(dst));
-        }
-        if src != dst && self.oracle.override_for(src, dst).is_some() {
-            let p = self.oracle.override_for(src, dst).expect("just found");
-            // Validate lazily so a bad override fails loudly at use.
-            topo.links_on_path(p)?;
-            return Ok(p);
+        check_endpoints(topo, src, dst)?;
+        if src != dst {
+            if let Ok(i) = self.find_override(src, dst) {
+                let p = &self.overrides[i].path;
+                // Validate lazily so a bad override fails loudly at use.
+                validate_path(topo, p)?;
+                return Ok(p);
+            }
         }
         let p = match self.ref_cache.entry((src, dst)) {
             Entry::Occupied(e) => e.into_mut(),
@@ -254,7 +431,7 @@ impl RoutingTable {
                 } else {
                     #[cfg(feature = "failpoints")]
                     let found = if self.largest_predecessor {
-                        self.oracle.largest_predecessor_path(topo, src, dst)
+                        largest_predecessor_path(topo, src, dst)
                     } else {
                         dijkstra(topo, src, dst)
                     };
@@ -269,8 +446,63 @@ impl RoutingTable {
     }
 }
 
+/// `UnknownNode` for the first of `src`, `dst` that `topo` lacks.
+fn check_endpoints(topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<()> {
+    for node in [src, dst] {
+        if !topo.contains(node) {
+            return Err(NetError::UnknownNode(node));
+        }
+    }
+    Ok(())
+}
+
+/// Validate that consecutive path nodes are joined by links, without
+/// materialising the link list.
+fn validate_path(topo: &Topology, path: &[NodeId]) -> NetResult<()> {
+    for w in path.windows(2) {
+        if topo.link_between(w[0], w[1]).is_none() {
+            return Err(NetError::BrokenPath {
+                from: w[0],
+                to: w[1],
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Failpoint: the `src → dst` path on which every node takes its
+/// largest-id tight predecessor strictly closer to `src` in place of the
+/// canonical smallest-id one, keeping the canonical predecessor where only
+/// a zero-cost arc is tight (so the walk back to `src` cannot loop).
+/// Overrides are not consulted; `None` if unreachable.
+#[cfg(feature = "failpoints")]
+fn largest_predecessor_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+    let tree = topo.forward_tree(src);
+    if tree.dist[dst.0 as usize] == UNREACHABLE {
+        return None;
+    }
+    let mut path = vec![dst];
+    let mut cur = dst.0;
+    while cur != src.0 {
+        let dv = tree.dist[cur as usize];
+        let largest = topo
+            .reverse_csr()
+            .arcs(cur)
+            .filter(|&(u, cost, _)| {
+                let du = tree.dist[u as usize];
+                du < dv && du + cost as u64 == dv
+            })
+            .map(|(u, ..)| u)
+            .max();
+        cur = largest.unwrap_or(tree.prev_node[cur as usize]);
+        path.push(NodeId(cur));
+    }
+    path.reverse();
+    Some(path)
+}
+
 /// Deterministic single-pair Dijkstra over link costs, kept as the
-/// differential reference for the [`RouteOracle`].
+/// differential reference for the route oracle ([`crate::oracle`]).
 ///
 /// Canonical tie-break, shared bit-for-bit with the oracle's tree builds:
 /// nodes settle in `(dist, node id)` heap order, and a node's predecessor is
@@ -338,16 +570,17 @@ mod tests {
     use crate::topology::{LinkParams, TopologyBuilder};
     use crate::units::Bandwidth;
 
+    fn p(cost: u32) -> LinkParams {
+        LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(1)).with_cost(cost)
+    }
+
+    /// a → {cheap: x (5+5), expensive: y (50+50)} → d.
     fn diamond() -> (Topology, NodeId, NodeId, NodeId, NodeId) {
-        // a -> {cheap: x, expensive: y} -> d
         let mut b = TopologyBuilder::new();
         let a = b.host("a", GeoPoint::new(0.0, 0.0));
         let x = b.router("x", GeoPoint::new(1.0, 0.0));
         let y = b.router("y", GeoPoint::new(-1.0, 0.0));
         let d = b.host("d", GeoPoint::new(0.0, 1.0));
-        let p = |cost| {
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(1)).with_cost(cost)
-        };
         b.duplex(a, x, p(5));
         b.duplex(x, d, p(5));
         b.duplex(a, y, p(50));
@@ -355,22 +588,47 @@ mod tests {
         (b.build(), a, x, y, d)
     }
 
+    /// `rt`'s path into a fresh buffer.
+    fn path(rt: &mut RoutingTable, t: &Topology, s: NodeId, d: NodeId) -> NetResult<Vec<NodeId>> {
+        let mut out = Vec::new();
+        rt.path_into(t, s, d, &mut out).map(|()| out)
+    }
+
+    /// `rt`'s links into a fresh buffer.
+    fn links(rt: &mut RoutingTable, t: &Topology, s: NodeId, d: NodeId) -> NetResult<Vec<LinkId>> {
+        let mut out = Vec::new();
+        rt.links_into(t, s, d, &mut out).map(|()| out)
+    }
+
+    fn digest_of(rt: &RoutingTable) -> u64 {
+        let mut d = crate::audit::Digest::new();
+        rt.digest_into(&mut d);
+        d.finish()
+    }
+
     #[test]
     fn picks_min_cost_path() {
         let (t, a, x, _y, d) = diamond();
         let mut rt = RoutingTable::new();
-        assert_eq!(rt.path(&t, a, d).unwrap(), vec![a, x, d]);
+        assert_eq!(path(&mut rt, &t, a, d).unwrap(), vec![a, x, d]);
+        assert_eq!(
+            links(&mut rt, &t, a, d).unwrap(),
+            t.links_on_path(&[a, x, d]).unwrap()
+        );
     }
 
     #[test]
     fn override_wins_over_cost() {
-        let (t, a, _x, y, d) = diamond();
+        let (t, a, x, y, d) = diamond();
         let mut rt = RoutingTable::new();
         rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
-        assert_eq!(rt.path(&t, a, d).unwrap(), vec![a, y, d]);
-        assert_eq!(rt.override_count(), 1);
+        assert_eq!(path(&mut rt, &t, a, d).unwrap(), vec![a, y, d]);
+        assert_eq!(
+            links(&mut rt, &t, a, d).unwrap(),
+            t.links_on_path(&[a, y, d]).unwrap()
+        );
         // Other directions are unaffected.
-        assert_eq!(rt.path(&t, d, a).unwrap(), vec![d, _x, a]);
+        assert_eq!(path(&mut rt, &t, d, a).unwrap(), vec![d, x, a]);
     }
 
     #[test]
@@ -382,7 +640,11 @@ mod tests {
             rt.set_mode(mode);
             rt.add_override(RouteOverride::new(a, d, vec![a, d]));
             assert!(matches!(
-                rt.path(&t, a, d),
+                path(&mut rt, &t, a, d),
+                Err(NetError::BrokenPath { .. })
+            ));
+            assert!(matches!(
+                links(&mut rt, &t, a, d),
                 Err(NetError::BrokenPath { .. })
             ));
         }
@@ -401,15 +663,19 @@ mod tests {
         );
         let t = b.build();
         let mut rt = RoutingTable::new();
-        assert_eq!(rt.path(&t, a, c), Err(NetError::NoRoute { src: a, dst: c }));
-        assert!(rt.path(&t, c, a).is_ok());
+        assert_eq!(
+            path(&mut rt, &t, a, c),
+            Err(NetError::NoRoute { src: a, dst: c })
+        );
+        assert!(path(&mut rt, &t, c, a).is_ok());
     }
 
     #[test]
     fn self_path() {
         let (t, a, ..) = diamond();
         let mut rt = RoutingTable::new();
-        assert_eq!(rt.path(&t, a, a).unwrap(), vec![a]);
+        assert_eq!(path(&mut rt, &t, a, a).unwrap(), vec![a]);
+        assert!(links(&mut rt, &t, a, a).unwrap().is_empty());
     }
 
     #[test]
@@ -417,19 +683,26 @@ mod tests {
         let (t, a, ..) = diamond();
         let mut rt = RoutingTable::new();
         let ghost = NodeId(99);
-        assert_eq!(rt.path(&t, a, ghost), Err(NetError::UnknownNode(ghost)));
+        assert_eq!(
+            path(&mut rt, &t, a, ghost),
+            Err(NetError::UnknownNode(ghost))
+        );
+        assert_eq!(
+            links(&mut rt, &t, ghost, a),
+            Err(NetError::UnknownNode(ghost))
+        );
     }
 
     #[test]
     fn cache_consistency() {
         let (t, a, x, _y, d) = diamond();
         let mut rt = RoutingTable::new();
-        let p1 = rt.path(&t, a, d).unwrap();
-        let p2 = rt.path(&t, a, d).unwrap();
+        let p1 = path(&mut rt, &t, a, d).unwrap();
+        let p2 = path(&mut rt, &t, a, d).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(p1, vec![a, x, d]);
         // A fresh table over the warm topology reads the same tree.
-        assert_eq!(RoutingTable::new().path(&t, a, d).unwrap(), p1);
+        assert_eq!(path(&mut RoutingTable::new(), &t, a, d).unwrap(), p1);
     }
 
     #[test]
@@ -441,17 +714,17 @@ mod tests {
         let m2 = b.router("m2", GeoPoint::new(-1.0, 0.0));
         let d = b.host("d", GeoPoint::new(0.0, 1.0));
         let p = LinkParams::new(Bandwidth::from_mbps(1.0), SimTime::from_millis(1));
-        b.duplex(a, m2, p); // added first, but m2 has the larger id? No: m1 < m2 by id.
+        // m2's links come first, but m1 has the smaller id.
+        b.duplex(a, m2, p);
         b.duplex(m2, d, p);
         b.duplex(a, m1, p);
         b.duplex(m1, d, p);
         let t = b.build();
-        let mut rt = RoutingTable::new();
-        let path = rt.path(&t, a, d).unwrap();
+        let want = path(&mut RoutingTable::new(), &t, a, d).unwrap();
+        assert_eq!(want, vec![a, m1, d]);
         // Both are cost 20; determinism demands the same answer every time.
         for _ in 0..10 {
-            let mut rt2 = RoutingTable::new();
-            assert_eq!(rt2.path(&t, a, d).unwrap(), path);
+            assert_eq!(path(&mut RoutingTable::new(), &t, a, d).unwrap(), want);
         }
     }
 
@@ -460,6 +733,33 @@ mod tests {
         let (_, a, x, _y, d) = diamond();
         let result = std::panic::catch_unwind(|| RouteOverride::new(a, d, vec![a, x]));
         assert!(result.is_err());
+    }
+
+    /// Overrides are kept one per pair, a later one replacing an earlier,
+    /// and digest in `(src, dst)` order whatever order they arrived in.
+    #[test]
+    fn overrides_replace_per_pair_and_digest_in_pair_order() {
+        let (t, a, x, y, d) = diamond();
+        let mut rt = RoutingTable::new();
+        rt.add_override(RouteOverride::new(d, a, vec![d, y, a]));
+        rt.add_override(RouteOverride::new(a, d, vec![a, x, d]));
+        rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
+        rt.add_override(RouteOverride::new(a, y, vec![a, y]));
+        assert_eq!(rt.overrides.len(), 3);
+        assert_eq!(rt.override_for(a, d), Some(&[a, y, d][..]));
+        assert_eq!(path(&mut rt, &t, a, d).unwrap(), vec![a, y, d]);
+        assert_eq!(rt.override_for(y, a), None);
+        let mut want = crate::audit::Digest::new();
+        want.write_u64(3);
+        for path in [vec![a, y], vec![a, y, d], vec![d, y, a]] {
+            want.write_u64(path[0].0 as u64);
+            want.write_u64(path[path.len() - 1].0 as u64);
+            want.write_u64(path.len() as u64);
+            for n in path {
+                want.write_u64(n.0 as u64);
+            }
+        }
+        assert_eq!(digest_of(&rt), want.finish());
     }
 
     /// Regression (digest bug): the audit digest used to fold the lazily
@@ -476,16 +776,11 @@ mod tests {
                 rt.set_mode(mode);
                 rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
             }
-            warm.path(&t, a, d).unwrap();
-            warm.path(&t, d, a).unwrap();
-            warm.path(&t, y, a).unwrap();
-            warm.links(&t, a, y).unwrap();
+            path(&mut warm, &t, a, d).unwrap();
+            path(&mut warm, &t, d, a).unwrap();
+            path(&mut warm, &t, y, a).unwrap();
+            links(&mut warm, &t, a, y).unwrap();
             warm.k_detours(&t, a, d, 2).unwrap();
-            let digest_of = |rt: &RoutingTable| {
-                let mut d = crate::audit::Digest::new();
-                rt.digest_into(&mut d);
-                d.finish()
-            };
             assert_eq!(digest_of(&cold), digest_of(&warm), "mode {mode:?}");
         }
     }
@@ -500,13 +795,8 @@ mod tests {
         reference.set_mode(RoutingMode::Reference);
         for rt in [&mut oracle, &mut reference] {
             rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
-            rt.path(&t, a, d).unwrap();
+            path(rt, &t, a, d).unwrap();
         }
-        let digest_of = |rt: &RoutingTable| {
-            let mut d = crate::audit::Digest::new();
-            rt.digest_into(&mut d);
-            d.finish()
-        };
         assert_eq!(digest_of(&oracle), digest_of(&reference));
     }
 
@@ -523,9 +813,6 @@ mod tests {
     #[test]
     fn equal_cost_diamond_is_not_flipped_by_heap_order() {
         let mut b = TopologyBuilder::new();
-        let p = |cost| {
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(1)).with_cost(cost)
-        };
         let a = b.host("a", GeoPoint::new(0.0, 0.0));
         let x = b.router("x", GeoPoint::new(1.0, 0.0));
         let u = b.router("u", GeoPoint::new(2.0, 0.0));
@@ -542,13 +829,13 @@ mod tests {
         for mode in [RoutingMode::Oracle, RoutingMode::Reference] {
             let mut rt = RoutingTable::new();
             rt.set_mode(mode);
-            assert_eq!(rt.path(&t, a, d).unwrap(), want, "mode {mode:?}");
+            assert_eq!(path(&mut rt, &t, a, d).unwrap(), want, "mode {mode:?}");
         }
         // Query order must not matter either: resolving a→x first used to
         // poison later answers via the rewritten predecessor.
         let mut rt = RoutingTable::new();
-        assert_eq!(rt.path(&t, a, x).unwrap(), vec![a, q, x]);
-        assert_eq!(rt.path(&t, a, d).unwrap(), want);
+        assert_eq!(path(&mut rt, &t, a, x).unwrap(), vec![a, q, x]);
+        assert_eq!(path(&mut rt, &t, a, d).unwrap(), want);
     }
 
     /// Oracle and reference backends agree pairwise on the whole diamond,
@@ -567,19 +854,65 @@ mod tests {
             rt.add_override(RouteOverride::new(a, d, vec![a, y, d]));
             rt.add_override(RouteOverride::new(d, a, vec![d, a]));
         }
-        let mut buf = vec![LinkId(99)];
+        let (mut nodes, mut buf) = (vec![NodeId(99)], vec![LinkId(99)]);
         for s in 0..=t.nodes().len() as u32 {
             for e in 0..=t.nodes().len() as u32 {
                 let (s, e) = (NodeId(s), NodeId(e));
-                assert_eq!(oracle.path(&t, s, e), reference.path(&t, s, e));
-                assert_eq!(oracle.links(&t, s, e), reference.links(&t, s, e));
-                assert_eq!(lockstep.path(&t, s, e), oracle.path(&t, s, e));
-                assert_eq!(lockstep.links(&t, s, e), oracle.links(&t, s, e));
+                let want = path(&mut oracle, &t, s, e);
+                let want_links = links(&mut oracle, &t, s, e);
+                assert_eq!(path(&mut reference, &t, s, e), want);
+                assert_eq!(links(&mut reference, &t, s, e), want_links);
+                let into = lockstep.path_into(&t, s, e, &mut nodes);
+                assert_eq!(into.map(|()| nodes.clone()), want);
                 let into = lockstep.links_into(&t, s, e, &mut buf);
-                assert_eq!(into.map(|()| buf.clone()), oracle.links(&t, s, e));
+                assert_eq!(into.map(|()| buf.clone()), want_links);
             }
         }
         assert_eq!(lockstep.divergence(), None);
+    }
+
+    #[test]
+    fn k_detours_diamond() {
+        let (t, a, x, y, d) = diamond();
+        let detours = RoutingTable::new().k_detours(&t, a, d, 4).unwrap();
+        // Primary path a-x-d is excluded; the only alternative is a-y-d.
+        assert_eq!(detours.len(), 1);
+        assert_eq!(detours[0].via, y);
+        assert_eq!(detours[0].path, vec![a, y, d]);
+        assert_eq!(detours[0].cost, 100);
+        // x pivots onto the primary path and must not reappear.
+        assert!(detours.iter().all(|dt| dt.via != x));
+    }
+
+    #[test]
+    fn k_detours_order_and_limits() {
+        // Three parallel two-hop routes of distinct costs.
+        let mut b = TopologyBuilder::new();
+        let s = b.host("s", GeoPoint::new(0.0, 0.0));
+        let m1 = b.router("m1", GeoPoint::new(1.0, 0.0));
+        let m2 = b.router("m2", GeoPoint::new(2.0, 0.0));
+        let m3 = b.router("m3", GeoPoint::new(3.0, 0.0));
+        let d = b.host("d", GeoPoint::new(0.0, 1.0));
+        for (m, cost) in [(m1, 1), (m2, 2), (m3, 3)] {
+            b.duplex(s, m, p(cost));
+            b.duplex(m, d, p(cost));
+        }
+        let t = b.build();
+        let mut rt = RoutingTable::new();
+        let detours = rt.k_detours(&t, s, d, 10).unwrap();
+        // Primary is s-m1-d (cost 2); detours are the other two, cheap first.
+        assert_eq!(detours.len(), 2);
+        assert_eq!(detours[0].path, vec![s, m2, d]);
+        assert_eq!(detours[1].path, vec![s, m3, d]);
+        assert!(detours[0].cost < detours[1].cost);
+        assert_eq!(rt.k_detours(&t, s, d, 1).unwrap().len(), 1);
+        assert!(rt.k_detours(&t, s, s, 4).unwrap().is_empty());
+        assert!(rt.k_detours(&t, s, d, 0).unwrap().is_empty());
+        // Each detour is loop-free.
+        for dt in &detours {
+            let mut seen = std::collections::HashSet::new();
+            assert!(dt.path.iter().all(|n| seen.insert(*n)), "{:?}", dt.path);
+        }
     }
 
     /// A reference that flips equal-cost ties disagrees with the oracle on
@@ -602,11 +935,11 @@ mod tests {
         let mut rt = RoutingTable::new();
         rt.enable_lockstep();
         rt.inject_largest_predecessor();
-        assert_eq!(rt.links(&t, a, m1).map(|l| l.len()), Ok(1));
+        assert_eq!(links(&mut rt, &t, a, m1).map(|l| l.len()), Ok(1));
         assert_eq!(rt.divergence(), None);
-        assert_eq!(rt.path(&t, a, d), Ok(vec![a, m1, d]));
+        assert_eq!(path(&mut rt, &t, a, d), Ok(vec![a, m1, d]));
         assert_eq!(rt.divergence(), Some((a, d)));
-        rt.path(&t, d, a).expect("connected");
+        path(&mut rt, &t, d, a).expect("connected");
         assert_eq!(rt.divergence(), Some((a, d)), "the first pair is kept");
     }
 }

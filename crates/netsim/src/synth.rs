@@ -435,13 +435,14 @@ mod tests {
     #[test]
     fn generated_wan_is_fully_connected() {
         let world = SynthWan::default().build();
-        let mut rt = RoutingTable::new();
+        let (mut rt, mut path) = (RoutingTable::new(), Vec::new());
         for &a in &world.hosts {
             for &b in &world.hosts {
                 if a != b {
-                    rt.path(&world.topo, a, b).unwrap_or_else(|e| {
-                        panic!("no route {a}->{b}: {e}");
-                    });
+                    rt.path_into(&world.topo, a, b, &mut path)
+                        .unwrap_or_else(|e| {
+                            panic!("no route {a}->{b}: {e}");
+                        });
                 }
             }
         }
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn globe_hosts_reach_every_frontend() {
         let world = SynthGlobe::default().build();
-        let mut rt = RoutingTable::new();
+        let (mut rt, mut path) = (RoutingTable::new(), Vec::new());
         assert_eq!(world.hosts.len(), 4 * 12);
         assert_eq!(world.frontends.len(), 3);
         for fs in &world.frontends {
@@ -513,12 +514,14 @@ mod tests {
         for &h in world.hosts.iter().step_by(5) {
             for fs in &world.frontends {
                 for &dc in fs {
-                    rt.path(&world.topo, h, dc).unwrap_or_else(|e| {
-                        panic!("no route {h}->{dc}: {e}");
-                    });
-                    rt.path(&world.topo, dc, h).unwrap_or_else(|e| {
-                        panic!("no route {dc}->{h}: {e}");
-                    });
+                    rt.path_into(&world.topo, h, dc, &mut path)
+                        .unwrap_or_else(|e| {
+                            panic!("no route {h}->{dc}: {e}");
+                        });
+                    rt.path_into(&world.topo, dc, h, &mut path)
+                        .unwrap_or_else(|e| {
+                            panic!("no route {dc}->{h}: {e}");
+                        });
                 }
             }
         }

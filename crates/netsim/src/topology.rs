@@ -13,7 +13,7 @@
 
 use crate::engine::Spares;
 use crate::geo::GeoPoint;
-use crate::oracle::TreeCache;
+use crate::oracle::{Spt, TreeCache};
 use crate::time::SimTime;
 use crate::units::Bandwidth;
 use std::collections::HashMap;
@@ -319,7 +319,20 @@ impl Topology {
         &self.rcsr
     }
 
-    /// The shortest-path tree slots (see [`crate::oracle`]).
+    /// The canonical shortest-path tree rooted at `root`, built on the
+    /// first call from any thread (see [`crate::oracle`]).
+    pub(crate) fn forward_tree(&self, root: NodeId) -> &Spt {
+        self.trees.forward(&self.csr, root)
+    }
+
+    /// The reverse tree rooted at `root`: each node's canonical path to
+    /// `root`, built on the first call from any thread.
+    pub(crate) fn reverse_tree(&self, root: NodeId) -> &Spt {
+        self.trees.reverse(&self.rcsr, root)
+    }
+
+    /// The shortest-path tree slots.
+    #[cfg(test)]
     pub(crate) fn trees(&self) -> &TreeCache {
         &self.trees
     }

@@ -1,6 +1,7 @@
 //! Proves the route oracle's warm-query guarantee: once a source's
-//! shortest-path tree is built, `path_into`/`links_into`/`cost`/`k_detours`
-//! perform zero heap allocation (beyond caller buffers, which we pre-grow).
+//! shortest-path tree is built on the topology, a routing table's
+//! `path_into`/`links_into` perform zero heap allocation (beyond caller
+//! buffers, which we pre-grow).
 //!
 //! Lives in its own test binary because the counting `#[global_allocator]`
 //! is process-wide.
@@ -8,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netsim::oracle::RouteOracle;
+use netsim::routing::RoutingTable;
 use netsim::synth::SynthGlobe;
 use netsim::topology::{LinkId, NodeId};
 
@@ -39,7 +40,7 @@ fn assert_warm_queries_allocate_nothing(globe: SynthGlobe, queries: usize) {
     let world = globe.build();
     let topo = &world.topo;
     let hosts = &world.hosts;
-    let mut oracle = RouteOracle::new();
+    let mut table = RoutingTable::new();
 
     // Deterministic query mix over a handful of sources so the tree cache
     // stays small but queries still fan out across the globe.
@@ -59,17 +60,16 @@ fn assert_warm_queries_allocate_nothing(globe: SynthGlobe, queries: usize) {
     // reverse per k_detours destination) and let scratch reach steady state.
     for &src in &sources {
         let dst = hosts[next(hosts.len())];
-        oracle.path_into(topo, src, dst, &mut path_buf).unwrap();
-        let _ = oracle.k_detours(topo, src, hosts[0], 2).unwrap();
+        table.path_into(topo, src, dst, &mut path_buf).unwrap();
+        let _ = table.k_detours(topo, src, hosts[0], 2).unwrap();
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..queries {
         let src = sources[next(sources.len())];
         let dst = hosts[next(hosts.len())];
-        oracle.path_into(topo, src, dst, &mut path_buf).unwrap();
-        oracle.links_into(topo, src, dst, &mut link_buf).unwrap();
-        assert!(oracle.cost(topo, src, dst).is_some());
+        table.path_into(topo, src, dst, &mut path_buf).unwrap();
+        table.links_into(topo, src, dst, &mut link_buf).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(

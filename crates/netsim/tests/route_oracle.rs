@@ -1,24 +1,36 @@
-//! Differential property tests for the precomputed route oracle: on
-//! randomized WAN, globe and dense small-cost topologies (zero-cost arcs
-//! and equal-cost parallel routes included) every oracle answer must be
-//! bit-identical to the legacy per-query Dijkstra
-//! (`netsim::routing::dijkstra`), overrides must layer the same way, and
-//! detour enumeration must be deterministic, distinct, and loop-free. A pin
-//! folds every answer from 16 sources on a fixed set of worlds into one
-//! digest, so a tree builder that changes any tree cannot pass.
+//! Differential property tests for the route oracle, the shortest-path
+//! trees a `RoutingTable` reads off its topology: on randomized WAN, globe
+//! and dense small-cost topologies (zero-cost arcs and equal-cost parallel
+//! routes included) every oracle answer must be bit-identical to the
+//! legacy per-query Dijkstra (`netsim::routing::dijkstra`), overrides must
+//! layer the same way, and detour enumeration must be deterministic,
+//! distinct, and loop-free. A pin folds every answer from 16 sources on a
+//! fixed set of worlds into one digest, so a tree builder that changes any
+//! tree cannot pass, whichever order or thread the trees were built in.
 
 use netsim::audit::Digest;
+use netsim::error::NetResult;
 use netsim::geo::GeoPoint;
-use netsim::oracle::RouteOracle;
-use netsim::routing::{dijkstra, RouteOverride};
+use netsim::routing::{dijkstra, RouteOverride, RoutingTable};
 use netsim::synth::{SynthGlobe, SynthWan};
 use netsim::time::SimTime;
-use netsim::topology::{LinkParams, NodeId, Topology, TopologyBuilder};
+use netsim::topology::{LinkId, LinkParams, NodeId, Topology, TopologyBuilder};
 use netsim::units::Bandwidth;
 use proptest::prelude::*;
 
 fn link(cost: u32) -> LinkParams {
     LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(1)).with_cost(cost)
+}
+
+/// `table`'s path into a fresh buffer.
+fn path(table: &mut RoutingTable, topo: &Topology, s: NodeId, d: NodeId) -> NetResult<Vec<NodeId>> {
+    let mut out = Vec::new();
+    table.path_into(topo, s, d, &mut out).map(|()| out)
+}
+
+/// Total cost of a link path.
+fn cost_of(topo: &Topology, links: &[LinkId]) -> u64 {
+    links.iter().map(|&l| topo.link(l).cost as u64).sum()
 }
 
 /// A random directed graph of `n` routers: each ordered pair is linked
@@ -83,23 +95,26 @@ fn zero_cost_gadgets() -> (Topology, [(NodeId, NodeId, NodeId); 2]) {
 /// detours (which read the reverse trees).
 fn tree_pin(topo: &Topology) -> u64 {
     let n = topo.nodes().len();
-    let mut oracle = RouteOracle::new();
+    let (mut table, mut links) = (RoutingTable::new(), Vec::new());
     let mut d = Digest::new();
     for s in (0..n).step_by(n.div_ceil(16)) {
         let s = NodeId(s as u32);
         for t in 0..n as u32 {
             let t = NodeId(t);
-            d.write_u64(oracle.cost(topo, s, t).unwrap_or(u64::MAX));
-            match oracle.links(topo, s, t) {
-                Ok(links) => {
+            match table.links_into(topo, s, t, &mut links) {
+                Ok(()) => {
+                    d.write_u64(cost_of(topo, &links));
                     d.write_u64(links.len() as u64);
-                    for l in links {
+                    for l in &links {
                         d.write_u64(l.0 as u64);
                     }
                 }
-                Err(_) => d.write_u64(u64::MAX),
+                Err(_) => {
+                    d.write_u64(u64::MAX);
+                    d.write_u64(u64::MAX);
+                }
             }
-            let detours = oracle.k_detours(topo, s, t, 3).unwrap_or_default();
+            let detours = table.k_detours(topo, s, t, 3).unwrap_or_default();
             d.write_u64(detours.len() as u64);
             for det in detours {
                 d.write_u64(det.via.0 as u64);
@@ -134,26 +149,24 @@ fn pairs(topo: &Topology, seed: u64, count: usize) -> Vec<(NodeId, NodeId)> {
 /// a `NoRoute` error exactly when the reference finds none. Link
 /// expansions must match the topology's own adjacency walk.
 fn assert_backends_agree(topo: &Topology, seed: u64, samples: usize) {
-    let mut oracle = RouteOracle::new();
+    let (mut table, mut links) = (RoutingTable::new(), Vec::new());
     for (src, dst) in pairs(topo, seed, samples) {
         let reference = dijkstra(topo, src, dst);
-        match oracle.path(topo, src, dst) {
+        match path(&mut table, topo, src, dst) {
             Ok(path) => {
                 assert_eq!(Some(&path), reference.as_ref(), "{src}->{dst}");
                 if src == dst {
                     assert_eq!(path, vec![src]);
                 }
-                let links = oracle.links(topo, src, dst).unwrap();
+                table.links_into(topo, src, dst, &mut links).unwrap();
                 assert_eq!(links, topo.links_on_path(&path).unwrap());
-                let walked: u64 = links.iter().map(|&l| topo.link(l).cost as u64).sum();
-                assert_eq!(oracle.cost(topo, src, dst), Some(walked));
             }
             Err(e) => {
                 assert!(
                     reference.is_none(),
                     "{src}->{dst}: oracle errs {e} but reference routes"
                 );
-                assert_eq!(oracle.cost(topo, src, dst), None);
+                assert!(table.links_into(topo, src, dst, &mut links).is_err());
             }
         }
     }
@@ -182,31 +195,31 @@ proptest! {
     fn overrides_layer_over_tree_paths(seed in 0u64..1000) {
         let world = SynthWan { seed, ..SynthWan::default() }.build();
         let topo = &world.topo;
-        let mut oracle = RouteOracle::new();
+        let mut table = RoutingTable::new();
         let src = world.hosts[0];
         let dst = world.hosts[world.hosts.len() / 2];
         assert_ne!(src, dst, "SynthWan always places at least two hosts");
 
         // An alternate (non-primary) valid route makes a realistic override;
         // fall back to the primary when the map offers no detour.
-        let primary = oracle.path(topo, src, dst).unwrap();
-        let alt = oracle
+        let primary = path(&mut table, topo, src, dst).unwrap();
+        let alt = table
             .k_detours(topo, src, dst, 3)
             .unwrap()
             .into_iter()
             .map(|d| d.path)
             .find(|p| *p != primary)
             .unwrap_or_else(|| primary.clone());
-        oracle.add_override(RouteOverride::new(src, dst, alt.clone()));
+        table.add_override(RouteOverride::new(src, dst, alt.clone()));
 
-        assert_eq!(oracle.path(topo, src, dst).unwrap(), alt);
+        assert_eq!(path(&mut table, topo, src, dst).unwrap(), alt);
         // The reverse pair and unrelated pairs still ride the trees.
-        assert_eq!(oracle.path(topo, dst, src).unwrap(), dijkstra(topo, dst, src).unwrap());
+        assert_eq!(path(&mut table, topo, dst, src).unwrap(), dijkstra(topo, dst, src).unwrap());
         for (a, b) in pairs(topo, seed ^ 0xabcd, 24) {
             if (a, b) == (src, dst) {
                 continue;
             }
-            assert_eq!(oracle.path(topo, a, b).ok(), dijkstra(topo, a, b), "{a}->{b}");
+            assert_eq!(path(&mut table, topo, a, b).ok(), dijkstra(topo, a, b), "{a}->{b}");
         }
     }
 
@@ -220,16 +233,16 @@ proptest! {
     ) {
         let world = SynthGlobe { seed, ..SynthGlobe::default() }.build();
         let topo = &world.topo;
-        let mut oracle = RouteOracle::new();
+        let mut table = RoutingTable::new();
         for (src, dst) in pairs(topo, seed ^ 0x5eed, 16) {
             if src == dst || dijkstra(topo, src, dst).is_none() {
                 continue;
             }
-            let primary = oracle.path(topo, src, dst).unwrap();
-            let detours = oracle.k_detours(topo, src, dst, k).unwrap();
+            let primary = path(&mut table, topo, src, dst).unwrap();
+            let detours = table.k_detours(topo, src, dst, k).unwrap();
             assert!(detours.len() <= k);
             // Deterministic: a second enumeration is bit-identical.
-            assert_eq!(detours, oracle.k_detours(topo, src, dst, k).unwrap());
+            assert_eq!(detours, table.k_detours(topo, src, dst, k).unwrap());
             for (i, d) in detours.iter().enumerate() {
                 assert_eq!(d.path.first(), Some(&src));
                 assert_eq!(d.path.last(), Some(&dst));
@@ -239,9 +252,7 @@ proptest! {
                 let mut seen = std::collections::HashSet::new();
                 assert!(d.path.iter().all(|x| seen.insert(*x)), "{:?}", d.path);
                 // Valid walk whose links sum to the reported cost.
-                let links = topo.links_on_path(&d.path).unwrap();
-                let cost: u64 = links.iter().map(|&l| topo.link(l).cost as u64).sum();
-                assert_eq!(cost, d.cost);
+                assert_eq!(cost_of(topo, &topo.links_on_path(&d.path).unwrap()), d.cost);
                 for other in &detours[i + 1..] {
                     assert_ne!(d.path, other.path);
                 }
@@ -265,11 +276,11 @@ proptest! {
         max_cost in 0u32..4,
     ) {
         let topo = random_graph(seed, n, density_pct, max_cost);
-        let mut oracle = RouteOracle::new();
+        let mut table = RoutingTable::new();
         for s in 0..n as u32 {
             for t in 0..n as u32 {
                 let (s, t) = (NodeId(s), NodeId(t));
-                prop_assert_eq!(oracle.path(&topo, s, t).ok(), dijkstra(&topo, s, t), "{}->{}", s, t);
+                prop_assert_eq!(path(&mut table, &topo, s, t).ok(), dijkstra(&topo, s, t), "{}->{}", s, t);
             }
         }
     }
@@ -284,8 +295,34 @@ fn zero_cost_arc_into_a_smaller_id_keeps_the_canonical_predecessor() {
     for (root, v, p) in gadgets {
         let want = vec![root, p, v];
         assert_eq!(dijkstra(&topo, root, v).unwrap(), want);
-        assert_eq!(RouteOracle::new().path(&topo, root, v).unwrap(), want);
-        assert_eq!(RouteOracle::new().cost(&topo, root, v), Some(10));
+        let (mut table, mut links) = (RoutingTable::new(), Vec::new());
+        assert_eq!(path(&mut table, &topo, root, v).unwrap(), want);
+        table.links_into(&topo, root, v, &mut links).unwrap();
+        assert_eq!(cost_of(&topo, &links), 10);
+    }
+}
+
+/// The pins of `worlds`, folded in order.
+fn fold_pins(worlds: &[Topology]) -> u64 {
+    let mut d = Digest::new();
+    for topo in worlds {
+        d.write_u64(tree_pin(topo));
+    }
+    d.finish()
+}
+
+/// Build every forward tree of `topo`, then every reverse tree, each in
+/// descending root order.
+fn build_every_tree_backwards(topo: &Topology) {
+    let (mut table, mut path) = (RoutingTable::new(), Vec::new());
+    let n = topo.nodes().len() as u32;
+    for root in (0..n).rev() {
+        // A route from `root` builds its tree, reachable or not.
+        let _ = table.path_into(topo, NodeId(root), NodeId((root + 1) % n), &mut path);
+    }
+    for root in (0..n).rev() {
+        // Detours to `root` build its reverse tree.
+        let _ = table.k_detours(topo, NodeId((root + 1) % n), NodeId(root), 1);
     }
 }
 
@@ -293,6 +330,11 @@ fn zero_cost_arc_into_a_smaller_id_keeps_the_canonical_predecessor() {
 /// SynthGlobe worlds (uniform and tiered costs, many ties), the zero-cost
 /// gadgets and a dense zero-cost graph. A tree builder must reproduce the
 /// canonical trees exactly, not merely agree with the reference on samples.
+/// Every thread reuses one tree-building scratch for every topology, so the
+/// pin is taken twice: over the worlds as the test thread builds their
+/// trees in query order, and over clones of them taken before any query,
+/// whose trees another thread builds world by world from the last, each in
+/// descending root order.
 #[test]
 fn tree_pin_is_unchanged() {
     let wan = |seed| {
@@ -317,15 +359,23 @@ fn tree_pin_is_unchanged() {
         zero_cost_gadgets().0,
         random_graph(0x5eed, 40, 12, 2),
     ];
-    let mut d = Digest::new();
-    for topo in &worlds {
-        d.write_u64(tree_pin(topo));
-    }
+    let clones = worlds.clone();
+    let in_query_order = fold_pins(&worlds);
     assert_eq!(
-        d.finish(),
-        0xcad5_a40e_8c94_1bcf,
-        "tree pin moved: {:016x}",
-        d.finish()
+        in_query_order, 0xcad5_a40e_8c94_1bcf,
+        "tree pin moved: {in_query_order:016x}"
+    );
+    let backwards = std::thread::spawn(move || {
+        for topo in clones.iter().rev() {
+            build_every_tree_backwards(topo);
+        }
+        fold_pins(&clones)
+    })
+    .join()
+    .expect("tree-building thread");
+    assert_eq!(
+        backwards, 0xcad5_a40e_8c94_1bcf,
+        "tree pin moved with build order and thread: {backwards:016x}"
     );
 }
 
@@ -348,22 +398,22 @@ fn disconnected_islands_err_identically() {
     b.duplex(b1, b2, p);
     let topo = b.build();
 
-    let mut oracle = RouteOracle::new();
+    let mut table = RoutingTable::new();
     for (src, dst) in [(a1, b1), (b2, a2), (a2, b2)] {
         assert!(dijkstra(&topo, src, dst).is_none());
         assert!(matches!(
-            oracle.path(&topo, src, dst),
+            path(&mut table, &topo, src, dst),
             Err(netsim::error::NetError::NoRoute { .. })
         ));
         assert!(matches!(
-            oracle.k_detours(&topo, src, dst, 3),
+            table.k_detours(&topo, src, dst, 3),
             Err(netsim::error::NetError::NoRoute { .. })
         ));
     }
     // Intra-island queries still work after the failures above.
-    assert_eq!(oracle.path(&topo, a1, a2).unwrap(), vec![a1, a2]);
+    assert_eq!(path(&mut table, &topo, a1, a2).unwrap(), vec![a1, a2]);
     assert_eq!(
-        oracle.path(&topo, b1, b2).unwrap(),
+        path(&mut table, &topo, b1, b2).unwrap(),
         dijkstra(&topo, b1, b2).unwrap()
     );
 }

@@ -11,8 +11,7 @@ use netsim::audit::{AuditHook, Digest};
 use netsim::background::{BackgroundProfile, BackgroundTraffic};
 use netsim::engine::{AuditView, Ctx, Event, Process, Sim, Value};
 use netsim::flow::{FlowClass, FlowSpec};
-use netsim::oracle::RouteOracle;
-use netsim::routing::RoutingMode;
+use netsim::routing::{RoutingMode, RoutingTable};
 use netsim::synth::SynthWan;
 use netsim::time::SimTime;
 use netsim::topology::{NodeId, Topology};
@@ -140,12 +139,14 @@ fn run(topo: impl Into<Arc<Topology>>, hosts: &[NodeId], seed: u64, mode: Routin
 /// Build every forward and every reverse tree of `topo` with path and
 /// detour queries.
 fn warm_every_tree(topo: &Topology) {
-    let mut oracle = RouteOracle::new();
+    let (mut table, mut path) = (RoutingTable::new(), Vec::new());
     let n = topo.nodes().len() as u32;
     for u in 0..n {
         let (u, v) = (NodeId(u), NodeId((u + 1) % n));
-        oracle.path(topo, u, v).expect("connected WAN");
-        oracle.k_detours(topo, v, u, 2).expect("connected WAN");
+        table
+            .path_into(topo, u, v, &mut path)
+            .expect("connected WAN");
+        table.k_detours(topo, v, u, 2).expect("connected WAN");
     }
 }
 

@@ -91,7 +91,9 @@ pub struct RunOptions {
     pub reference_allocator: bool,
     /// Run with the eager per-event progress sweep (the legacy accounting,
     /// kept as an oracle) instead of lazy materialization; both produce
-    /// identical chained digests. Every full audit runs the sweep anyway.
+    /// identical chained digests. A full audit's lockstep runs the sweep
+    /// anyway, so the flag only changes a run whose lockstep is off (a
+    /// digest-only one).
     pub eager_progress: bool,
     /// Route with the per-query reference Dijkstra instead of the
     /// precomputed route oracle; both produce identical chained digests.
@@ -1451,17 +1453,20 @@ mod tests {
         assert_eq!(res.jobs_completed, 1);
     }
 
+    /// Digest-only, since a full audit's lockstep sweeps eagerly whatever
+    /// the flag says: these are the two executions the flag tells apart.
     #[test]
     fn eager_progress_execution_is_bit_identical() {
         for i in 0..4 {
             let spec = ScenarioSpec::generate(case_seed(11, i));
-            let lazy = run_once(&spec, RunOptions::default());
-            let eager = run_once(
+            let lazy = run_once_with(&spec, RunOptions::default(), Audit::DigestOnly);
+            let eager = run_once_with(
                 &spec,
                 RunOptions {
                     eager_progress: true,
                     ..Default::default()
                 },
+                Audit::DigestOnly,
             );
             assert_eq!(lazy.chain_digest, eager.chain_digest, "case {i}: {spec:?}");
             assert_eq!(lazy.events, eager.events, "case {i}");

@@ -17,17 +17,15 @@
 //! * [`faults`] — seeded fault injection: `429 Retry-After` throttling and
 //!   transient `5xx`, with bounded exponential backoff.
 //! * [`resilience`] — the shared resilience plane: retry budgets shared by
-//!   throttles and transient errors, deterministically-jittered backoff,
-//!   hard deadlines in sim time, and per-frontend circuit breakers.
+//!   throttles and transient errors, deterministically-jittered backoff and
+//!   hard deadlines in sim time.
 //! * [`session`] — the upload state machine (token → init → chunks →
-//!   finish), including resume-after-failure semantics.
-//! * [`mod@download`] — the symmetric chunked download path (the paper measures
-//!   uploads only; downloads are our extension).
+//!   finish), one part at a time as the 2015 clients sent them, including
+//!   resume-after-failure semantics.
 //! * [`report`] — structured transfer reports (elapsed, RPC count, retries,
 //!   wire bytes).
 
 pub mod batch;
-pub mod download;
 pub mod faults;
 pub mod oauth;
 pub mod protocol;
@@ -37,13 +35,10 @@ pub mod resilience;
 pub mod session;
 
 pub use batch::{plan_batches, upload_batched, BatchItem, BatchPolicy, BatchReport};
-pub use download::{download, DownloadSession};
 pub use faults::FaultPlan;
 pub use oauth::{AuthConfig, TokenPolicy};
 pub use protocol::{ChunkProtocol, ProviderKind};
 pub use provider::Provider;
 pub use report::TransferStats;
-pub use resilience::{
-    BreakerRegistry, BreakerTransition, CircuitBreaker, RetryPolicy, RetryState, TripBoard,
-};
+pub use resilience::{RetryPolicy, RetryState, TripBoard};
 pub use session::{upload, upload_traced, UploadOptions, UploadSession};

@@ -5,7 +5,7 @@ use netsim::time::SimTime;
 use netsim::units::Bandwidth;
 use std::fmt;
 
-/// Everything a completed upload/download session reports.
+/// Everything a completed upload session reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferStats {
     /// Payload size.

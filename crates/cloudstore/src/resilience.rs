@@ -1,8 +1,8 @@
-//! The shared resilience plane: retry budgets, deadlines, jittered
-//! backoff, and per-frontend circuit breakers.
+//! The shared resilience plane: retry budgets, deadlines and jittered
+//! backoff.
 //!
-//! Every transfer path (uploads, downloads, rsync legs, store-and-forward
-//! relays, pipelined relays) retries injected faults through the same
+//! Every transfer path (uploads, rsync legs, store-and-forward relays,
+//! pipelined relays) retries injected faults through the same
 //! [`RetryPolicy`]:
 //!
 //! * a session-wide retry **budget** shared by `429` throttles and `5xx`
@@ -14,11 +14,8 @@
 //! * an optional hard **deadline** in sim time, checked before every
 //!   retry wait is scheduled.
 //!
-//! [`CircuitBreaker`] adds endpoint health state on top: closed → open
-//! after N consecutive failures → half-open probe after a cooldown — the
-//! standard pattern (Nygard's *Release It!*), keyed per frontend node in a
-//! [`BreakerRegistry`] that `core::failover` and `core::monitor` share so
-//! campaigns skip dead routes instead of grinding through them.
+//! [`TripBoard`] publishes per-node open state to `Sync` readers: the
+//! route-intelligence plane demotes detours through a tripped target.
 
 use crate::faults::FaultPlan;
 use netsim::error::NetError;
@@ -26,11 +23,7 @@ use netsim::time::SimTime;
 use netsim::topology::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Jitter applied to backoff waits, in percent of the nominal wait. The
 /// default spreads retries over ±25% so synchronized clients don't
@@ -140,11 +133,6 @@ impl RetryState {
         &self.policy
     }
 
-    /// Budget units spent so far.
-    pub fn used(&self) -> u32 {
-        self.used
-    }
-
     /// Charge one budget unit for a fault observed at `at` (node) and
     /// check that waiting `wait` from `now` stays inside the deadline.
     /// `Err` means the transfer must abort with the returned error.
@@ -165,131 +153,18 @@ impl RetryState {
     }
 }
 
-/// What a success/failure record did to a breaker's state — returned so
-/// instrumentation can emit trip/close events exactly at the transition
-/// (the health plane's breaker timeline is built from these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerTransition {
-    /// State unchanged.
-    None,
-    /// The breaker just opened (closed/half-open → open).
-    Tripped,
-    /// The breaker just closed (open/half-open → closed).
-    Closed,
-}
-
-/// Circuit-breaker states: the classic three-state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Healthy: all requests pass.
-    Closed,
-    /// Tripped: requests are rejected until the cooldown elapses.
-    Open { until: SimTime },
-    /// Cooldown elapsed: exactly one probe request is allowed through.
-    HalfOpen,
-}
-
-/// Per-endpoint health state: closed → open after `threshold` consecutive
-/// failures → half-open probe after `cooldown`.
-#[derive(Debug, Clone, Copy)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: SimTime,
-    consecutive_failures: u32,
-    state: BreakerState,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker tripping after `threshold` consecutive failures,
-    /// probing again `cooldown` after opening.
-    pub fn new(threshold: u32, cooldown: SimTime) -> Self {
-        assert!(threshold >= 1, "threshold must be at least 1");
-        CircuitBreaker {
-            threshold,
-            cooldown,
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-        }
-    }
-
-    /// May a request proceed at `now`? An open breaker whose cooldown has
-    /// elapsed transitions to half-open and admits one probe.
-    pub fn allow(&mut self, now: SimTime) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open { until } if now >= until => {
-                self.state = BreakerState::HalfOpen;
-                true
-            }
-            BreakerState::Open { .. } => false,
-        }
-    }
-
-    /// Record a successful exchange: the breaker closes and the failure
-    /// streak resets (a half-open probe that succeeds heals the endpoint).
-    /// Returns [`BreakerTransition::Closed`] when this actually closed an
-    /// open or half-open breaker.
-    pub fn record_success(&mut self) -> BreakerTransition {
-        self.consecutive_failures = 0;
-        let was_closed = matches!(self.state, BreakerState::Closed);
-        self.state = BreakerState::Closed;
-        if was_closed {
-            BreakerTransition::None
-        } else {
-            BreakerTransition::Closed
-        }
-    }
-
-    /// Record a failed exchange at `now`: a half-open probe failure re-opens
-    /// immediately; a closed breaker opens once the streak hits the
-    /// threshold. Returns [`BreakerTransition::Tripped`] when this call
-    /// transitioned the breaker from admitting requests to open.
-    pub fn record_failure(&mut self, now: SimTime) -> BreakerTransition {
-        self.consecutive_failures += 1;
-        let trip = matches!(self.state, BreakerState::HalfOpen)
-            || self.consecutive_failures >= self.threshold;
-        if trip {
-            let was_admitting = !matches!(self.state, BreakerState::Open { .. });
-            self.state = BreakerState::Open {
-                until: now.saturating_add(self.cooldown),
-            };
-            if was_admitting {
-                return BreakerTransition::Tripped;
-            }
-        }
-        BreakerTransition::None
-    }
-
-    /// Is the breaker currently rejecting requests (open, cooldown not
-    /// elapsed)?
-    pub fn is_open(&self, now: SimTime) -> bool {
-        matches!(self.state, BreakerState::Open { until } if now < until)
-    }
-
-    /// Telemetry label for the current state.
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            BreakerState::Closed => "closed",
-            BreakerState::Open { .. } => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-/// A `Sync` publication of breaker open-state, readable lock-free from
-/// worker threads.
+/// A `Sync` board of per-node open state, readable lock-free from worker
+/// threads.
 ///
-/// [`BreakerRegistry`] lives on the single-threaded simulation side
-/// (`Rc<RefCell<…>>`); the route-intelligence plane serves lookups from
-/// many threads and must demote detours through a tripped target within
-/// one lookup. The board bridges the two: the registry publishes every
-/// trip/close transition into per-node `open-until` atomics, and readers
-/// ask `is_open(node, now)` with a single relaxed load. A node whose
-/// cooldown deadline has passed reads as closed without any writer action,
-/// mirroring [`CircuitBreaker::is_open`].
+/// The route-intelligence plane serves lookups from many threads and must
+/// demote detours through a tripped target within one lookup. Writers
+/// publish a trip (`open-until` deadline) or a close into per-node
+/// atomics, and readers ask `is_open(node, now)` with a single load. A
+/// node whose deadline has passed reads as closed without any writer
+/// action.
 #[derive(Debug)]
 pub struct TripBoard {
-    /// Nanosecond deadline until which each node's breaker is open;
+    /// Nanosecond deadline until which each node is open;
     /// 0 = closed. Indexed by `NodeId.0`.
     open_until_ns: Box<[AtomicU64]>,
 }
@@ -341,123 +216,6 @@ impl TripBoard {
             .iter()
             .filter(|slot| now_ns < slot.load(Ordering::Acquire))
             .count()
-    }
-}
-
-/// Default consecutive-failure threshold for registry breakers.
-pub const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
-/// Default open-state cooldown for registry breakers.
-pub const DEFAULT_BREAKER_COOLDOWN: SimTime = SimTime::from_secs(30);
-
-/// A shareable map of per-endpoint circuit breakers, keyed by frontend (or
-/// DTN) node. Cheap to clone — clones share state, which is what lets the
-/// failover path and the route monitor feed the same health view.
-/// Simulations are single-threaded (campaigns run one sim per thread), so
-/// `Rc<RefCell<…>>` suffices.
-#[derive(Clone)]
-pub struct BreakerRegistry {
-    inner: Rc<RefCell<HashMap<NodeId, CircuitBreaker>>>,
-    threshold: u32,
-    cooldown: SimTime,
-    board: Option<Arc<TripBoard>>,
-}
-
-impl BreakerRegistry {
-    /// A registry whose breakers trip after `threshold` consecutive
-    /// failures and probe again after `cooldown`.
-    pub fn new(threshold: u32, cooldown: SimTime) -> Self {
-        assert!(threshold >= 1, "threshold must be at least 1");
-        BreakerRegistry {
-            inner: Rc::new(RefCell::new(HashMap::new())),
-            threshold,
-            cooldown,
-            board: None,
-        }
-    }
-
-    /// Publish every trip/close transition into `board`, making breaker
-    /// state visible to `Sync` readers (the route plane's demotion path).
-    pub fn with_board(mut self, board: Arc<TripBoard>) -> Self {
-        self.board = Some(board);
-        self
-    }
-
-    fn publish(&self, node: NodeId, transition: BreakerTransition) {
-        if let Some(board) = &self.board {
-            match transition {
-                BreakerTransition::Tripped => {
-                    let until = self
-                        .inner
-                        .borrow()
-                        .get(&node)
-                        .and_then(|b| match b.state {
-                            BreakerState::Open { until } => Some(until),
-                            _ => None,
-                        })
-                        .unwrap_or(SimTime::ZERO);
-                    board.trip(node, until);
-                }
-                BreakerTransition::Closed => board.close(node),
-                BreakerTransition::None => {}
-            }
-        }
-    }
-
-    /// May a request to `node` proceed at `now`?
-    pub fn allow(&self, node: NodeId, now: SimTime) -> bool {
-        self.inner
-            .borrow_mut()
-            .entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.threshold, self.cooldown))
-            .allow(now)
-    }
-
-    /// Record a successful exchange with `node`, reporting any state
-    /// transition it caused.
-    pub fn record_success(&self, node: NodeId) -> BreakerTransition {
-        let transition = match self.inner.borrow_mut().get_mut(&node) {
-            Some(b) => b.record_success(),
-            None => BreakerTransition::None,
-        };
-        self.publish(node, transition);
-        transition
-    }
-
-    /// Record a failed exchange with `node` at `now`, reporting any state
-    /// transition it caused.
-    pub fn record_failure(&self, node: NodeId, now: SimTime) -> BreakerTransition {
-        let transition = self
-            .inner
-            .borrow_mut()
-            .entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.threshold, self.cooldown))
-            .record_failure(now);
-        self.publish(node, transition);
-        transition
-    }
-
-    /// Is `node`'s breaker open at `now`? Nodes never seen are closed.
-    pub fn is_open(&self, node: NodeId, now: SimTime) -> bool {
-        self.inner
-            .borrow()
-            .get(&node)
-            .map(|b| b.is_open(now))
-            .unwrap_or(false)
-    }
-
-    /// Telemetry label for `node`'s breaker state.
-    pub fn state_name(&self, node: NodeId) -> &'static str {
-        self.inner
-            .borrow()
-            .get(&node)
-            .map(|b| b.state_name())
-            .unwrap_or("closed")
-    }
-}
-
-impl Default for BreakerRegistry {
-    fn default() -> Self {
-        BreakerRegistry::new(DEFAULT_BREAKER_THRESHOLD, DEFAULT_BREAKER_COOLDOWN)
     }
 }
 
@@ -536,112 +294,23 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trips_after_threshold_and_probes_after_cooldown() {
-        let mut b = CircuitBreaker::new(3, SimTime::from_secs(10));
-        let t0 = SimTime::from_secs(1);
-        assert!(b.allow(t0));
-        b.record_failure(t0);
-        b.record_failure(t0);
-        assert!(b.allow(t0), "two failures below threshold keep it closed");
-        b.record_failure(t0);
-        assert!(b.is_open(t0));
-        assert!(!b.allow(SimTime::from_secs(5)), "cooldown not elapsed");
-        // Cooldown over: half-open admits one probe.
-        assert!(b.allow(SimTime::from_secs(11)));
-        assert_eq!(b.state_name(), "half-open");
-        // Failed probe re-opens immediately (no need for a fresh streak).
-        b.record_failure(SimTime::from_secs(11));
-        assert!(b.is_open(SimTime::from_secs(12)));
-        // Successful probe closes it.
-        assert!(b.allow(SimTime::from_secs(22)));
-        b.record_success();
-        assert_eq!(b.state_name(), "closed");
-        assert!(b.allow(SimTime::from_secs(22)));
-    }
-
-    #[test]
-    fn success_resets_failure_streak() {
-        let mut b = CircuitBreaker::new(3, SimTime::from_secs(10));
-        let t = SimTime::ZERO;
-        b.record_failure(t);
-        b.record_failure(t);
-        b.record_success();
-        b.record_failure(t);
-        b.record_failure(t);
-        assert!(b.allow(t), "streak was reset; breaker must stay closed");
-    }
-
-    #[test]
-    fn breaker_transitions_fire_exactly_at_state_changes() {
-        let mut b = CircuitBreaker::new(2, SimTime::from_secs(10));
-        let t = SimTime::from_secs(1);
-        assert_eq!(b.record_success(), BreakerTransition::None);
-        assert_eq!(b.record_failure(t), BreakerTransition::None);
-        assert_eq!(b.record_failure(t), BreakerTransition::Tripped);
-        // Already open: further failures are not new trips.
-        assert_eq!(b.record_failure(t), BreakerTransition::None);
-        assert_eq!(b.record_success(), BreakerTransition::Closed);
-        assert_eq!(b.record_success(), BreakerTransition::None);
-        // Half-open probe failure is a (re-)trip; its success is a close.
-        b.record_failure(t);
-        b.record_failure(t);
-        assert!(b.allow(SimTime::from_secs(20)));
-        assert_eq!(
-            b.record_failure(SimTime::from_secs(20)),
-            BreakerTransition::Tripped
-        );
-        assert!(b.allow(SimTime::from_secs(40)));
-        assert_eq!(b.record_success(), BreakerTransition::Closed);
-
-        let reg = BreakerRegistry::new(1, SimTime::from_secs(5));
-        let n = NodeId(3);
-        assert_eq!(reg.record_success(n), BreakerTransition::None);
-        assert_eq!(reg.record_failure(n, t), BreakerTransition::Tripped);
-        assert_eq!(reg.record_success(n), BreakerTransition::Closed);
-    }
-
-    #[test]
-    fn trip_board_publishes_registry_transitions() {
-        let board = Arc::new(TripBoard::new(8));
-        let reg = BreakerRegistry::new(2, SimTime::from_secs(30)).with_board(Arc::clone(&board));
+    fn trip_board_opens_until_the_deadline_or_a_close() {
+        let board = TripBoard::new(8);
         let n = NodeId(5);
         let t = SimTime::from_secs(1);
+        assert_eq!(board.len(), 8);
         assert!(!board.is_open(n, t.as_nanos()));
-        reg.record_failure(n, t);
-        assert!(!board.is_open(n, t.as_nanos()), "below threshold");
-        reg.record_failure(n, t);
-        // Tripped: open until t + 30 s on both sides.
+        board.trip(n, t + SimTime::from_secs(30));
         assert!(board.is_open(n, t.as_nanos()));
         assert!(board.is_open(n, SimTime::from_secs(30).as_nanos()));
-        // Cooldown deadline passes: reads closed with no writer action.
+        // The deadline passes: reads closed with no writer action.
         assert!(!board.is_open(n, SimTime::from_secs(32).as_nanos()));
         assert_eq!(board.open_count(t.as_nanos()), 1);
-        // An explicit close (half-open probe succeeded) clears it.
-        reg.record_failure(n, t);
-        assert!(board.is_open(n, SimTime::from_secs(10).as_nanos()));
-        reg.record_success(n);
+        // An explicit close clears it before the deadline.
+        board.close(n);
         assert!(!board.is_open(n, SimTime::from_secs(10).as_nanos()));
         // Out-of-range nodes are ignored, not a panic.
         board.trip(NodeId(100), SimTime::from_secs(5));
         assert!(!board.is_open(NodeId(100), 0));
-    }
-
-    #[test]
-    fn registry_clones_share_state() {
-        let reg = BreakerRegistry::new(2, SimTime::from_secs(30));
-        let view = reg.clone();
-        let n = NodeId(4);
-        let t = SimTime::from_secs(1);
-        reg.record_failure(n, t);
-        reg.record_failure(n, t);
-        assert!(view.is_open(n, t), "clone must see the tripped breaker");
-        assert!(!view.allow(n, SimTime::from_secs(2)));
-        assert!(view.allow(n, SimTime::from_secs(40)), "half-open probe");
-        view.record_success(n);
-        assert!(reg.allow(n, SimTime::from_secs(40)));
-        assert_eq!(reg.state_name(n), "closed");
-        // Unknown nodes are closed by definition.
-        assert!(!reg.is_open(NodeId(99), t));
-        assert_eq!(reg.state_name(NodeId(99)), "closed");
     }
 }

@@ -10,10 +10,9 @@
 //! * mid-session token refresh when a long transfer outlives its bearer
 //!   token,
 //! * connection reuse: only the very first exchange pays TCP/TLS setup,
-//! * **optional part parallelism** (our extension; the 2015 clients were
-//!   strictly serial, which [`UploadOptions::parallelism`] = 1 reproduces):
-//!   up to `k` part RPCs are kept in flight, which hides per-part round
-//!   trips on long paths.
+//! * one part RPC in flight at a time, as the 2015 clients sent them. A
+//!   failed part waits out its backoff while the next parts go ahead, and
+//!   its offset query runs beside the part in flight.
 
 use crate::faults::FaultOutcome;
 use crate::oauth::{TokenPolicy, TokenState};
@@ -36,9 +35,6 @@ pub struct UploadOptions {
     pub token: TokenPolicy,
     /// Traffic class of all session flows (matches source-host policy).
     pub class: FlowClass,
-    /// Maximum concurrent part uploads. The paper-era clients use 1; larger
-    /// values are our pipelining extension.
-    pub parallelism: u32,
     /// Resilience policy override. `None` derives one from the provider's
     /// fault plan via [`RetryPolicy::from_plan`].
     pub retry: Option<RetryPolicy>,
@@ -49,7 +45,6 @@ impl Default for UploadOptions {
         UploadOptions {
             token: TokenPolicy::Cached,
             class: FlowClass::Commodity,
-            parallelism: 1,
             retry: None,
         }
     }
@@ -72,13 +67,6 @@ impl UploadOptions {
             class,
             ..UploadOptions::default()
         }
-    }
-
-    /// Allow up to `k` concurrent part uploads (k ≥ 1).
-    pub fn with_parallelism(mut self, k: u32) -> Self {
-        assert!(k >= 1, "parallelism must be at least 1");
-        self.parallelism = k;
-        self
     }
 
     /// Use an explicit resilience policy (budget, backoff, deadline).
@@ -133,7 +121,8 @@ pub struct UploadSession {
     retry: RetryState,
     parts: Vec<u64>,
     queue: VecDeque<PartTask>,
-    inflight: HashMap<ProcessId, PartAttempt>,
+    /// The one part RPC in flight, if any.
+    inflight: Option<(ProcessId, PartAttempt)>,
     offset_queries: HashMap<ProcessId, PartTask>,
     /// Per-part attempt counters awaiting their backoff timer.
     queue_retry_attempts: HashMap<usize, u32>,
@@ -163,7 +152,6 @@ pub struct UploadSession {
 impl UploadSession {
     /// Build a session (spawn it or run it via [`upload`]).
     pub fn new(client: NodeId, provider: Provider, bytes: u64, opts: UploadOptions) -> Self {
-        assert!(opts.parallelism >= 1);
         let policy = opts
             .retry
             .unwrap_or_else(|| RetryPolicy::from_plan(&provider.faults));
@@ -176,7 +164,7 @@ impl UploadSession {
             retry: RetryState::start(policy, SimTime::ZERO),
             parts: Vec::new(),
             queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: None,
             offset_queries: HashMap::new(),
             queue_retry_attempts: HashMap::new(),
             control: None,
@@ -282,75 +270,76 @@ impl UploadSession {
         )
     }
 
-    /// Launch parts while there is budget; handle token expiry and
-    /// throttling along the way.
+    /// Launch the next queued part when none is in flight; handle token
+    /// expiry and throttling along the way.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        if self.waiting_throttle || !self.initialized {
+        if self.waiting_throttle || !self.initialized || self.inflight.is_some() {
             return;
         }
-        while (self.inflight.len() as u32) < self.opts.parallelism && !self.queue.is_empty() {
-            if !self.token_ok(ctx.now()) {
-                if !self.refresh_in_flight() && self.control.is_none() {
-                    self.begin_control(ctx, ControlKind::Refresh);
-                }
-                return;
-            }
-            let task = self.queue.pop_front().expect("queue nonempty");
-            // One chunk span per part index, opened at first launch and
-            // spanning every retry and throttle wait of that part.
-            if !self.chunk_spans[task.idx].is_some() {
-                let (t, parent) = (ctx.now().as_nanos(), self.span);
-                let (idx, part_bytes) = (task.idx, self.parts[task.idx]);
-                self.chunk_spans[task.idx] =
-                    ctx.telemetry()
-                        .span_begin_with(t, Category::Chunk, "part", parent, |a| {
-                            a.set("index", idx).set("bytes", part_bytes);
-                        });
-            }
-            let outcome = self.provider.faults.roll(ctx.rng());
-            if let FaultOutcome::Throttled { wait } = outcome {
-                self.throttles += 1;
-                ctx.telemetry().counter_add("cloudstore.throttles", 1);
-                let (t, span) = (ctx.now().as_nanos(), self.chunk_spans[task.idx]);
-                let wait_ms = wait.as_millis_f64();
-                ctx.telemetry()
-                    .event(t, Category::Chunk, "chunk.throttled", span, |a| {
-                        a.set("wait_ms", wait_ms);
-                    });
-                // Throttles charge the shared retry budget too — a frontend
-                // answering 429 forever must terminate, not spin.
-                if let Err(e) = self.retry.charge(self.frontend, ctx.now(), wait) {
-                    self.finish_exhausted(ctx, e);
-                    return;
-                }
-                self.waiting_throttle = true;
-                self.queue.push_front(task);
-                ctx.set_timer(wait, TIMER_THROTTLE);
-                return;
-            }
-            let part = self.parts[task.idx];
-            let p = &self.provider.protocol;
-            let think = p.server_time_for_part(part);
-            let req = part + p.per_chunk_header;
-            let resp = p.per_chunk_response;
-            let pid = self.spawn_rpc(
-                ctx,
-                self.frontend,
-                req,
-                resp,
-                think,
-                "rpc.part",
-                self.chunk_spans[task.idx],
-            );
-            self.inflight.insert(pid, PartAttempt { task, outcome });
+        if self.queue.is_empty() {
+            self.maybe_finish(ctx);
+            return;
         }
-        self.maybe_finish(ctx);
+        if !self.token_ok(ctx.now()) {
+            if !self.refresh_in_flight() && self.control.is_none() {
+                self.begin_control(ctx, ControlKind::Refresh);
+            }
+            return;
+        }
+        let task = self.queue.pop_front().expect("queue nonempty");
+        // One chunk span per part index, opened at first launch and
+        // spanning every retry and throttle wait of that part.
+        if !self.chunk_spans[task.idx].is_some() {
+            let (t, parent) = (ctx.now().as_nanos(), self.span);
+            let (idx, part_bytes) = (task.idx, self.parts[task.idx]);
+            self.chunk_spans[task.idx] =
+                ctx.telemetry()
+                    .span_begin_with(t, Category::Chunk, "part", parent, |a| {
+                        a.set("index", idx).set("bytes", part_bytes);
+                    });
+        }
+        let outcome = self.provider.faults.roll(ctx.rng());
+        if let FaultOutcome::Throttled { wait } = outcome {
+            self.throttles += 1;
+            ctx.telemetry().counter_add("cloudstore.throttles", 1);
+            let (t, span) = (ctx.now().as_nanos(), self.chunk_spans[task.idx]);
+            let wait_ms = wait.as_millis_f64();
+            ctx.telemetry()
+                .event(t, Category::Chunk, "chunk.throttled", span, |a| {
+                    a.set("wait_ms", wait_ms);
+                });
+            // Throttles charge the shared retry budget too — a frontend
+            // answering 429 forever must terminate, not spin.
+            if let Err(e) = self.retry.charge(self.frontend, ctx.now(), wait) {
+                self.finish_exhausted(ctx, e);
+                return;
+            }
+            self.waiting_throttle = true;
+            self.queue.push_front(task);
+            ctx.set_timer(wait, TIMER_THROTTLE);
+            return;
+        }
+        let part = self.parts[task.idx];
+        let p = &self.provider.protocol;
+        let think = p.server_time_for_part(part);
+        let req = part + p.per_chunk_header;
+        let resp = p.per_chunk_response;
+        let pid = self.spawn_rpc(
+            ctx,
+            self.frontend,
+            req,
+            resp,
+            think,
+            "rpc.part",
+            self.chunk_spans[task.idx],
+        );
+        self.inflight = Some((pid, PartAttempt { task, outcome }));
     }
 
     fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
         if self.finishing
             || self.completed < self.parts.len()
-            || !self.inflight.is_empty()
+            || self.inflight.is_some()
             || !self.offset_queries.is_empty()
         {
             return;
@@ -491,11 +480,10 @@ impl Process for UploadSession {
                 self.retry = RetryState::start(*self.retry.policy(), self.started);
                 self.parts = self.provider.protocol.parts(self.bytes);
                 let (t, parent) = (ctx.now().as_nanos(), self.parent_span);
-                let (provider, bytes, parts, parallelism) = (
+                let (provider, bytes, parts) = (
                     self.provider.kind.display_name(),
                     self.bytes,
                     self.parts.len(),
-                    self.opts.parallelism,
                 );
                 let vantage = ctx.topology().node(self.client).name.clone();
                 self.span = ctx.telemetry().span_begin_with(
@@ -507,7 +495,6 @@ impl Process for UploadSession {
                         a.set("provider", provider)
                             .set("bytes", bytes)
                             .set("parts", parts)
-                            .set("parallelism", parallelism)
                             .set("vantage", vantage);
                     },
                 );
@@ -555,7 +542,7 @@ impl Process for UploadSession {
                         return;
                     }
                 }
-                if let Some(attempt) = self.inflight.remove(&child) {
+                if let Some((_, attempt)) = self.inflight.take_if(|(pid, _)| *pid == child) {
                     self.on_part_done(ctx, attempt);
                     return;
                 }
@@ -838,68 +825,5 @@ mod tests {
             .map(|s| s.elapsed.as_nanos())
             .collect();
         assert!(distinct.len() > 1, "all seeds produced identical timings");
-    }
-
-    #[test]
-    fn parallel_parts_hide_round_trips() {
-        // High-RTT, high-bandwidth path: serial parts idle the pipe during
-        // per-part think time + RTT; parallelism fills it.
-        let mut b = TopologyBuilder::new();
-        let client = b.host("client", GeoPoint::new(49.0, -123.0));
-        let pop = b.datacenter("pop", GeoPoint::new(39.0, -77.0));
-        b.duplex(
-            client,
-            pop,
-            LinkParams::new(Bandwidth::from_mbps(400.0), SimTime::from_millis(60)),
-        );
-        let provider = Provider::new(ProviderKind::Dropbox, pop);
-        let topo = b.build();
-        let serial = upload(
-            &mut Sim::new(topo.clone(), 1),
-            client,
-            &provider,
-            100 * MB,
-            UploadOptions::warm(FlowClass::Commodity),
-        )
-        .unwrap();
-        let parallel = upload(
-            &mut Sim::new(topo, 1),
-            client,
-            &provider,
-            100 * MB,
-            UploadOptions::warm(FlowClass::Commodity).with_parallelism(4),
-        )
-        .unwrap();
-        assert!(
-            parallel.elapsed < serial.elapsed,
-            "parallel {} !< serial {}",
-            parallel.elapsed,
-            serial.elapsed
-        );
-        // Same parts, same control RPCs — only the overlap differs.
-        assert_eq!(parallel.rpcs, serial.rpcs);
-        assert_eq!(parallel.bytes, serial.bytes);
-    }
-
-    #[test]
-    fn parallel_parts_with_faults_complete() {
-        let (mut sim, client, provider) = setup(80.0);
-        let provider = provider.with_faults(FaultPlan::flaky());
-        let stats = upload(
-            &mut sim,
-            client,
-            &provider,
-            100 * MB,
-            UploadOptions::warm(FlowClass::Commodity).with_parallelism(3),
-        )
-        .unwrap();
-        assert_eq!(stats.bytes, 100 * MB);
-        assert!(stats.retries + stats.throttles > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallelism")]
-    fn zero_parallelism_rejected() {
-        UploadOptions::default().with_parallelism(0);
     }
 }

@@ -28,7 +28,6 @@
 
 pub mod campaign;
 pub mod diagnose;
-pub mod failover;
 pub mod job;
 pub mod monitor;
 pub mod route;
@@ -36,7 +35,6 @@ pub mod select;
 
 pub use campaign::{Campaign, CampaignResult, ClientSpec, SimFactory};
 pub use diagnose::{compare_traceroutes, find_bandwidth_tivs, PathComparison, TivRecord};
-pub use failover::{upload_with_fallback, upload_with_fallback_breakers, FallbackReport};
 pub use job::{run_job, JobDetail, JobReport};
 pub use monitor::{EpochObservation, EpochObserver, MonitorConfig, ProbeLeg, RouteMonitor};
 pub use route::{Hop, Route};

@@ -10,7 +10,6 @@
 //! shows the monitor switching routes as bottlenecks move — the behaviour a
 //! deployed detour service would need.
 
-use cloudstore::{BreakerRegistry, BreakerTransition};
 use netsim::engine::{Ctx, Event, Process, Value};
 use netsim::flow::{FlowClass, FlowSpec};
 use netsim::time::SimTime;
@@ -76,10 +75,6 @@ pub struct RouteMonitor {
     route_idx: usize,
     leg_idx: usize,
     epoch_pred: f64,
-    /// Shared circuit breakers plus one gating target per route (the DTN
-    /// for a detour, the provider frontend for a direct route).
-    breakers: Option<(BreakerRegistry, Vec<NodeId>)>,
-    skipped_by_breaker: bool,
     observer: Option<EpochObserver>,
 }
 
@@ -103,8 +98,6 @@ impl RouteMonitor {
             route_idx: 0,
             leg_idx: 0,
             epoch_pred: 0.0,
-            breakers: None,
-            skipped_by_breaker: false,
             observer: None,
         }
     }
@@ -116,38 +109,7 @@ impl RouteMonitor {
         self
     }
 
-    /// Share circuit breakers with the transfer plane: routes whose
-    /// target's breaker is open are not probed (their estimate is poisoned
-    /// for the epoch), and probe outcomes feed back into the registry —
-    /// the monitor doubles as the half-open prober.
-    ///
-    /// `targets` gives the gating node per route and must be parallel to
-    /// `cfg.routes`.
-    pub fn with_breakers(mut self, registry: BreakerRegistry, targets: Vec<NodeId>) -> Self {
-        assert_eq!(
-            targets.len(),
-            self.cfg.routes.len(),
-            "one breaker target per route"
-        );
-        self.breakers = Some((registry, targets));
-        self
-    }
-
     fn probe_current_leg(&mut self, ctx: &mut Ctx<'_>) {
-        if self.leg_idx == 0 {
-            if let Some((reg, targets)) = self.breakers.clone() {
-                let target = targets[self.route_idx];
-                if !reg.allow(target, ctx.now()) {
-                    ctx.telemetry().counter_add("core.monitor.breaker_skips", 1);
-                    self.skipped_by_breaker = true;
-                    self.epoch_pred = f64::INFINITY;
-                    // Jump to the fold without probing any leg.
-                    self.leg_idx = self.cfg.routes[self.route_idx].len() - 1;
-                    self.advance(ctx, None);
-                    return;
-                }
-            }
-        }
         let leg = self.cfg.routes[self.route_idx][self.leg_idx];
         let spec = FlowSpec::new(leg.src, leg.dst, self.cfg.probe_bytes, leg.class);
         if ctx.start_flow(spec).is_err() {
@@ -169,53 +131,19 @@ impl RouteMonitor {
         }
         // Route finished: publish the observation so the health plane sees
         // probing activity even when no transfer is in flight.
-        if !self.skipped_by_breaker {
-            let t = ctx.now().as_nanos();
-            let route = self.route_idx;
-            let predicted = self.epoch_pred;
-            ctx.telemetry().event(
-                t,
-                obs::Category::Control,
-                "monitor.probe",
-                obs::SpanId::NONE,
-                |a| {
-                    a.set("route", route).set("predicted_secs", predicted);
-                },
-            );
-            ctx.telemetry().counter_add("core.monitor.probes", 1);
-        }
-        // Feed the outcome into the breaker (skips don't count — an open
-        // breaker must not extend its own cooldown) and surface any state
-        // change as a breaker.trip/close event.
-        if let Some((reg, targets)) = self.breakers.clone() {
-            let target = targets[self.route_idx];
-            if !self.skipped_by_breaker {
-                let transition = if self.epoch_pred.is_finite() {
-                    reg.record_success(target)
-                } else {
-                    reg.record_failure(target, ctx.now())
-                };
-                let named = match transition {
-                    BreakerTransition::None => None,
-                    BreakerTransition::Tripped => Some(("breaker.trip", "core.breaker.trips")),
-                    BreakerTransition::Closed => Some(("breaker.close", "core.breaker.closes")),
-                };
-                if let Some((event, counter)) = named {
-                    let t = ctx.now().as_nanos();
-                    ctx.telemetry().event(
-                        t,
-                        obs::Category::Control,
-                        event,
-                        obs::SpanId::NONE,
-                        |a| {
-                            a.set("target", target.to_string());
-                        },
-                    );
-                    ctx.telemetry().counter_add(counter, 1);
-                }
-            }
-        }
-        self.skipped_by_breaker = false;
+        let t = ctx.now().as_nanos();
+        let route = self.route_idx;
+        let predicted = self.epoch_pred;
+        ctx.telemetry().event(
+            t,
+            obs::Category::Control,
+            "monitor.probe",
+            obs::SpanId::NONE,
+            |a| {
+                a.set("route", route).set("predicted_secs", predicted);
+            },
+        );
+        ctx.telemetry().counter_add("core.monitor.probes", 1);
         // Fold into the EWMA.
         let e = &mut self.estimates[self.route_idx];
         *e = Some(match *e {
@@ -430,96 +358,6 @@ mod tests {
         };
         let v = sim.run_process(Box::new(RouteMonitor::new(cfg))).unwrap();
         assert_eq!(RouteMonitor::decode_choices(&v), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn open_breaker_blinds_route_until_reprobe() {
-        // user→pop direct; user→rb→pop detour. Trip the direct route's
-        // breaker: the monitor must pick the detour without probing direct.
-        let mut b = TopologyBuilder::new();
-        let user = b.host("user", GeoPoint::new(0.0, 0.0));
-        let rb = b.host("dtn-b", GeoPoint::new(1.0, 1.0));
-        let pop = b.host("pop", GeoPoint::new(2.0, 2.0));
-        let fast = LinkParams::new(Bandwidth::from_mbps(100.0), SimTime::from_millis(2));
-        let slow = LinkParams::new(Bandwidth::from_mbps(10.0), SimTime::from_millis(5));
-        b.duplex(user, pop, fast); // direct would win if probed
-        b.duplex(user, rb, slow);
-        b.duplex(rb, pop, slow);
-        let mut sim = Sim::new(b.build(), 1);
-        let cfg = MonitorConfig {
-            routes: vec![
-                vec![ProbeLeg {
-                    src: user,
-                    dst: pop,
-                    class: FlowClass::Commodity,
-                }],
-                vec![
-                    ProbeLeg {
-                        src: user,
-                        dst: rb,
-                        class: FlowClass::Commodity,
-                    },
-                    ProbeLeg {
-                        src: rb,
-                        dst: pop,
-                        class: FlowClass::Commodity,
-                    },
-                ],
-            ],
-            probe_bytes: MB,
-            reference_bytes: 10 * MB,
-            interval: SimTime::from_secs(5),
-            epochs: 3,
-            alpha: 0.5,
-        };
-        let breakers = cloudstore::BreakerRegistry::default();
-        for _ in 0..3 {
-            breakers.record_failure(pop, sim.now());
-        }
-        let monitor = RouteMonitor::new(cfg).with_breakers(breakers.clone(), vec![pop, rb]);
-        let v = sim.run_process(Box::new(monitor)).unwrap();
-        // Cooldown (30 s) outlasts all three epochs (≤ ~15 s): the faster
-        // direct route never wins because it is never even probed.
-        assert_eq!(RouteMonitor::decode_choices(&v), vec![1, 1, 1]);
-        // The detour's probes recorded successes, so rb's breaker is closed.
-        assert!(!breakers.is_open(rb, SimTime::from_secs(100)));
-    }
-
-    #[test]
-    fn monitor_reprobes_after_breaker_cooldown() {
-        // Same world, but a long monitoring horizon: once the cooldown
-        // lapses, the half-open probe succeeds and direct wins again.
-        let mut b = TopologyBuilder::new();
-        let user = b.host("user", GeoPoint::new(0.0, 0.0));
-        let pop = b.host("pop", GeoPoint::new(2.0, 2.0));
-        b.duplex(
-            user,
-            pop,
-            LinkParams::new(Bandwidth::from_mbps(100.0), SimTime::from_millis(2)),
-        );
-        let mut sim = Sim::new(b.build(), 1);
-        let cfg = MonitorConfig {
-            routes: vec![vec![ProbeLeg {
-                src: user,
-                dst: pop,
-                class: FlowClass::Commodity,
-            }]],
-            probe_bytes: MB,
-            reference_bytes: 10 * MB,
-            interval: SimTime::from_secs(20),
-            epochs: 4,
-            alpha: 0.5,
-        };
-        let breakers = cloudstore::BreakerRegistry::default();
-        for _ in 0..3 {
-            breakers.record_failure(pop, sim.now());
-        }
-        let monitor = RouteMonitor::new(cfg).with_breakers(breakers.clone(), vec![pop]);
-        let v = sim.run_process(Box::new(monitor)).unwrap();
-        assert_eq!(RouteMonitor::decode_choices(&v).len(), 4);
-        // By the later epochs (t ≥ 40 s > 30 s cooldown) the monitor probed
-        // the half-open breaker successfully and closed it.
-        assert!(!breakers.is_open(pop, sim.now()));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! the last five runs among a total of seven runs. One standard deviation
 //! has been shown as the error-bar in the figures."* This crate implements
 //! that protocol, the summary statistics behind the paper's tables, the
-//! mean±σ overlap analysis of §III-B (Table IV), Welch's t-test as a more
-//! principled companion, and text/CSV table rendering used by the `repro`
-//! harness.
+//! mean±σ overlap analysis of §III-B (Table IV), and text/CSV table
+//! rendering used by the `repro` harness.
 
 pub mod chart;
 pub mod protocol;
@@ -18,6 +17,6 @@ pub mod validate;
 pub use chart::{Bar, GroupedBarChart};
 pub use protocol::{ProtocolError, RunProtocol};
 pub use report::{metrics_csv, metrics_table, metrics_text};
-pub use stats::{percentile, OverlapVerdict, Stats, WelchT};
+pub use stats::{percentile, OverlapVerdict, Stats};
 pub use table::Table;
 pub use validate::{pearson, RatioStats};

@@ -1,4 +1,4 @@
-//! Summary statistics, the paper's overlap analysis, and Welch's t-test.
+//! Summary statistics and the paper's overlap analysis.
 
 use std::fmt;
 
@@ -48,18 +48,6 @@ impl Stats {
         }
     }
 
-    /// Two-sided 95% confidence interval of the mean, `(lo, hi)`, using the
-    /// Student-t critical value for `n−1` degrees of freedom. For `n = 1`
-    /// the interval collapses to the point estimate.
-    pub fn ci95(&self) -> (f64, f64) {
-        if self.n < 2 {
-            return (self.mean, self.mean);
-        }
-        let crit = t_critical_5pct(self.n - 1);
-        let half = crit * self.std_dev / (self.n as f64).sqrt();
-        (self.mean - half, self.mean + half)
-    }
-
     /// Coefficient of variation (σ/μ).
     pub fn cv(&self) -> f64 {
         if self.mean.abs() < 1e-12 {
@@ -106,42 +94,6 @@ pub enum OverlapVerdict {
     Separated,
 }
 
-/// Welch's unequal-variance t-test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WelchT {
-    /// The t statistic (sign: positive when `a` has the larger mean).
-    pub t: f64,
-    /// Welch–Satterthwaite degrees of freedom.
-    pub df: f64,
-}
-
-impl WelchT {
-    /// Compare two samples' means.
-    pub fn compare(a: &Stats, b: &Stats) -> WelchT {
-        assert!(a.n > 1 && b.n > 1, "need at least two samples per side");
-        let va = a.std_dev.powi(2) / a.n as f64;
-        let vb = b.std_dev.powi(2) / b.n as f64;
-        let se = (va + vb).sqrt();
-        let t = if se < 1e-12 {
-            0.0
-        } else {
-            (a.mean - b.mean) / se
-        };
-        let df = if va + vb < 1e-24 {
-            (a.n + b.n - 2) as f64
-        } else {
-            (va + vb).powi(2) / (va.powi(2) / (a.n as f64 - 1.0) + vb.powi(2) / (b.n as f64 - 1.0))
-        };
-        WelchT { t, df }
-    }
-
-    /// Conservative significance check: |t| above the two-sided 5% critical
-    /// value for the (floored) degrees of freedom.
-    pub fn significant_at_5pct(&self) -> bool {
-        self.t.abs() > t_critical_5pct(self.df.floor() as usize)
-    }
-}
-
 /// Nearest-rank percentile: the smallest sample such that at least `p`
 /// percent of the data is at or below it. `p` is clamped to `(0, 100]`;
 /// `p = 50` is the median, `p = 100` the maximum. Panics on an empty slice,
@@ -168,49 +120,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     // Nearest-rank: ceil(p/100 * n), 1-based; rank 1 for p = 0.
     let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
     sorted[rank - 1]
-}
-
-/// Two-sided 5% Student-t critical value for `df` degrees of freedom
-/// (tabulated to 30, normal approximation beyond).
-pub fn t_critical_5pct(df: usize) -> f64 {
-    const CRIT: [f64; 31] = [
-        f64::INFINITY, // df 0: unusable
-        12.706,
-        4.303,
-        3.182,
-        2.776,
-        2.571,
-        2.447,
-        2.365,
-        2.306,
-        2.262,
-        2.228,
-        2.201,
-        2.179,
-        2.160,
-        2.145,
-        2.131,
-        2.120,
-        2.110,
-        2.101,
-        2.093,
-        2.086,
-        2.080,
-        2.074,
-        2.069,
-        2.064,
-        2.060,
-        2.056,
-        2.052,
-        2.048,
-        2.045,
-        2.042,
-    ];
-    if df >= CRIT.len() {
-        1.96
-    } else {
-        CRIT[df]
-    }
 }
 
 #[cfg(test)]
@@ -251,8 +160,6 @@ mod tests {
         assert_eq!((s.min, s.max), (4.2, 4.2));
         assert_eq!(s.cv(), 4.2 / 4.2 * 0.0);
         assert!(s.mean.is_finite() && s.std_dev.is_finite(), "no NaN leaks");
-        // ci95 stays a point interval when σ = 0.
-        assert_eq!(s.ci95(), (4.2, 4.2));
     }
 
     #[test]
@@ -383,72 +290,6 @@ mod tests {
             max: 0.0,
         };
         assert_eq!(a.overlap_1sigma(&b), b.overlap_1sigma(&a));
-    }
-
-    #[test]
-    fn welch_t_separated_samples() {
-        let a = Stats::from_samples(&[10.0, 11.0, 9.0, 10.5, 9.5]);
-        let b = Stats::from_samples(&[20.0, 21.0, 19.0, 20.5, 19.5]);
-        let w = WelchT::compare(&b, &a);
-        assert!(w.t > 5.0, "t = {}", w.t);
-        assert!(w.significant_at_5pct());
-    }
-
-    #[test]
-    fn welch_t_identical_samples() {
-        let a = Stats::from_samples(&[5.0, 5.1, 4.9, 5.0]);
-        let w = WelchT::compare(&a, &a);
-        assert!(w.t.abs() < 1e-9);
-        assert!(!w.significant_at_5pct());
-    }
-
-    #[test]
-    fn welch_t_zero_variance() {
-        let a = Stats::from_samples(&[5.0, 5.0, 5.0]);
-        let b = Stats::from_samples(&[5.0, 5.0, 5.0]);
-        let w = WelchT::compare(&a, &b);
-        assert_eq!(w.t, 0.0);
-        assert!(!w.significant_at_5pct());
-    }
-
-    #[test]
-    fn ci95_behaviour() {
-        // n=5, σ=1: half-width = 2.776 / sqrt(5) ≈ 1.2415.
-        let s = Stats {
-            n: 5,
-            mean: 10.0,
-            std_dev: 1.0,
-            min: 0.0,
-            max: 0.0,
-        };
-        let (lo, hi) = s.ci95();
-        assert!((hi - 10.0 - 2.776 / 5.0f64.sqrt()).abs() < 1e-9);
-        assert!((10.0 - lo - 2.776 / 5.0f64.sqrt()).abs() < 1e-9);
-        // Degenerate cases.
-        let one = Stats {
-            n: 1,
-            mean: 7.0,
-            std_dev: 0.0,
-            min: 7.0,
-            max: 7.0,
-        };
-        assert_eq!(one.ci95(), (7.0, 7.0));
-        // More samples shrink the interval.
-        let s50 = Stats {
-            n: 50,
-            mean: 10.0,
-            std_dev: 1.0,
-            min: 0.0,
-            max: 0.0,
-        };
-        assert!(s50.ci95().1 - s50.ci95().0 < hi - lo);
-    }
-
-    #[test]
-    fn t_critical_table() {
-        assert_eq!(t_critical_5pct(0), f64::INFINITY);
-        assert!((t_critical_5pct(4) - 2.776).abs() < 1e-9);
-        assert_eq!(t_critical_5pct(1000), 1.96);
     }
 
     #[test]

@@ -1744,11 +1744,11 @@ impl Sim {
         self.core.tele.take()
     }
 
-    /// Schedule a link-capacity change at a future simulated time: a
-    /// dynamic bottleneck appearing (rate drop) or clearing (rate rise).
-    /// Active flows re-share bandwidth at that instant. Used to exercise
-    /// the route monitor's "bypass dynamic bottlenecks" behaviour — the
-    /// paper's closing future-work item.
+    /// Schedule a link-capacity change at a simulated time no earlier than
+    /// now: a dynamic bottleneck appearing (rate drop) or clearing (rate
+    /// rise). Active flows re-share bandwidth at that instant. Used to
+    /// exercise the route monitor's "bypass dynamic bottlenecks" behaviour
+    /// — the paper's closing future-work item.
     pub fn schedule_capacity_change(
         &mut self,
         link: crate::topology::LinkId,
@@ -1758,6 +1758,11 @@ impl Sim {
         assert!(
             (link.0 as usize) < self.core.topo.links().len(),
             "unknown link {link}"
+        );
+        assert!(
+            at >= self.core.now,
+            "capacity change at {at} is before now ({})",
+            self.core.now
         );
         self.core.push(
             at,
@@ -2564,6 +2569,36 @@ mod tests {
             .unwrap();
         let s2 = rep2.elapsed.as_secs_f64();
         assert!(s2 < 2.0, "healed link still slow: {s2}");
+    }
+
+    #[test]
+    fn capacity_change_before_now_is_rejected() {
+        // A 10 MB transfer ends past 1 s. A change scheduled at 500 ms
+        // would run the clock backwards, so it is refused before it queues.
+        let (t, a, c) = line_topo(80.0);
+        let mut sim = Sim::new(t, 1);
+        sim.run_transfer(TransferRequest::new(a, c, 10 * MB))
+            .unwrap();
+        let now = sim.now();
+        assert!(now > SimTime::from_secs(1), "now {now}");
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.schedule_capacity_change(
+                LinkId(0),
+                SimTime::from_millis(500),
+                Bandwidth::from_mbps(8.0),
+            );
+        }))
+        .expect_err("a change before now is rejected");
+        let msg = past.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(
+            *msg,
+            format!("capacity change at 500.000ms is before now ({now})")
+        );
+        // A change at `now` itself is accepted, and the next transfer runs
+        // at the new 1 MB/s.
+        sim.schedule_capacity_change(LinkId(0), now, Bandwidth::from_mbps(8.0));
+        let rep = sim.run_transfer(TransferRequest::new(a, c, MB)).unwrap();
+        assert!(rep.elapsed >= SimTime::from_secs(1), "{}", rep.elapsed);
     }
 
     #[test]

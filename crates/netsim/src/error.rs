@@ -32,9 +32,6 @@ pub enum NetError {
     RetryBudgetExhausted { at: NodeId, budget: u32 },
     /// A transfer ran past its hard deadline in simulated time.
     DeadlineExceeded { at: NodeId },
-    /// Every candidate route failed; carries each route's error in the
-    /// order the routes were tried.
-    AllRoutesFailed { errors: Vec<NetError> },
     /// The root process finished without producing a value.
     NoResult,
 }
@@ -61,16 +58,6 @@ impl fmt::Display for NetError {
             }
             NetError::DeadlineExceeded { at } => {
                 write!(f, "transfer deadline exceeded talking to {at}")
-            }
-            NetError::AllRoutesFailed { errors } => {
-                write!(f, "all {} route(s) failed: [", errors.len())?;
-                for (i, e) in errors.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "]")
             }
             NetError::NoResult => write!(f, "root process finished without a result"),
         }
@@ -99,22 +86,6 @@ mod tests {
         assert_eq!(e.to_string(), "retry budget (8) exhausted talking to n3");
         let e = NetError::DeadlineExceeded { at: NodeId(4) };
         assert!(e.to_string().contains("deadline"));
-    }
-
-    #[test]
-    fn all_routes_failed_lists_every_error() {
-        let e = NetError::AllRoutesFailed {
-            errors: vec![
-                NetError::Blocked {
-                    at: NodeId(1),
-                    reason: "firewall",
-                },
-                NetError::DeadlineExceeded { at: NodeId(2) },
-            ],
-        };
-        let s = e.to_string();
-        assert!(s.contains("all 2 route(s) failed"), "{s}");
-        assert!(s.contains("firewall") && s.contains("deadline"), "{s}");
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! by sim nanoseconds) and the route oracle's Dijkstra queue (keyed by path
 //! cost) are both this one type.
 //!
-//! Both users pop keys that never decrease, which is what a radix queue
-//! needs. A queued key is filed in one of 65 buckets by the highest bit in
-//! which it differs from `last`, the key last popped: bucket 0 holds the
-//! entries at `last`, and bucket `b ≥ 1` those whose highest differing bit
-//! is bit `b - 1`, so every key in a bucket exceeds every key in the
-//! buckets below it. When bucket 0 runs out, the lowest non-empty bucket —
-//! found from a bitmask of the occupied ones, not by a scan — gives up its
-//! smallest key (kept per bucket) as the new `last`, and each of its
-//! entries moves to a strictly lower bucket. An entry therefore moves at
-//! most 64 times, each move a copy, and nothing is ever sifted.
+//! Both users pop keys that never decrease and push none below the key
+//! last popped, which is what a radix queue needs. A queued key is filed
+//! in one of 65 buckets by the highest bit in which it differs from
+//! `last`, the key last popped: bucket 0 holds the entries at `last`, and
+//! bucket `b ≥ 1` those whose highest differing bit is bit `b - 1`, so
+//! every key in a bucket exceeds every key in the buckets below it. When
+//! bucket 0 runs out, the lowest non-empty bucket — found from a bitmask
+//! of the occupied ones, not by a scan — gives up its smallest key (kept
+//! per bucket) as the new `last`, and each of its entries moves to a
+//! strictly lower bucket. An entry therefore moves at most 64 times, each
+//! move a copy, and nothing is ever sifted.
 //!
 //! **Storage.** Bucket 0 is a flat list popped from a head cursor. The
 //! other buckets are linked lists of fixed-size chunks cut from one arena,
@@ -33,12 +34,6 @@
 //! `(time, seq)` keys. The oracle instead wants the nodes of one distance
 //! in node-id order when a zero-cost arc exists; [`RadixQueue::push_sorted`]
 //! and [`RadixQueue::pop_sorted`] keep bucket 0 sorted by the item for it.
-//!
-//! **Earlier keys.** A push below `last` (the engine's only source is a
-//! capacity change scheduled, between two runs, for a time the clock has
-//! passed) lowers `last` to it and re-files every queued entry against the
-//! new `last`, bucket by bucket and in order, so push order within a key
-//! survives and the early entry pops first, as from a heap.
 
 /// Bucket 0 for the key at `last`, one more per bit of a `u64`.
 const BUCKETS: usize = 65;
@@ -131,12 +126,11 @@ impl<T: Copy> RadixQueue<T> {
         self.len = 0;
     }
 
-    /// Queue `item` at `key`, behind every queued entry of the same key.
+    /// Queue `item` at `key ≥` the key last popped, behind every queued
+    /// entry of the same key.
     #[inline]
     pub fn push(&mut self, key: u64, item: T) {
-        if key < self.last {
-            self.rewind(key);
-        }
+        debug_assert!(key >= self.last, "pushes are monotone");
         if key == self.last {
             self.reclaim_level();
             self.level.push(item);
@@ -324,29 +318,6 @@ impl<T: Copy> RadixQueue<T> {
         });
         true
     }
-
-    /// Lower `last` to `key` and re-file every queued entry against it,
-    /// bucket by bucket in order (see the module docs).
-    #[cold]
-    fn rewind(&mut self, key: u64) {
-        let old_last = std::mem::replace(&mut self.last, key);
-        let mut queued = self.occupied;
-        self.occupied = 0;
-        let mut items = std::mem::take(&mut self.level);
-        for &item in &items[std::mem::take(&mut self.level_head)..] {
-            self.file(old_last, item);
-        }
-        items.clear();
-        self.level = items;
-        // Each old bucket, lowest first; re-filing may append to a bucket
-        // not yet drained, behind its old entries, which then move again
-        // in order.
-        while queued != 0 {
-            let b = queued.trailing_zeros() as usize + 1;
-            queued &= queued - 1;
-            self.drain_bucket(b, |q, key, item| q.file(key, item));
-        }
-    }
 }
 
 impl<T: Copy + Ord> RadixQueue<T> {
@@ -355,7 +326,6 @@ impl<T: Copy + Ord> RadixQueue<T> {
     /// entries of one key then pop in item order.
     #[inline]
     pub fn push_sorted(&mut self, key: u64, item: T) {
-        debug_assert!(key >= self.last, "sorted pushes are monotone");
         if key != self.last {
             return self.push(key, item);
         }
@@ -402,23 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn a_push_below_last_pops_first() {
-        let mut q = RadixQueue::new();
-        for (i, key) in [10u64, 20, 20, 5000].into_iter().enumerate() {
-            q.push(key, i as u32);
-        }
-        assert_eq!(q.pop(), Some((10, 0)));
-        assert_eq!(q.pop(), Some((20, 1)));
-        q.push(7, 4);
-        q.push(20, 5);
-        q.push(4, 6);
-        assert_eq!(
-            drain(&mut q),
-            vec![(4, 6), (7, 4), (20, 2), (20, 5), (5000, 3)]
-        );
-    }
-
-    #[test]
     fn sorted_pops_order_each_key_by_item() {
         let mut q = RadixQueue::new();
         for node in [5u32, 2, 9] {
@@ -453,7 +406,7 @@ mod tests {
         assert!(popped
             .windows(2)
             .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        q.push(3, 1);
+        q.push(9000, 1);
         q.clear();
         assert_eq!(q.pop(), None);
         q.push(0, 2);

@@ -108,27 +108,6 @@ fn detour_through_umich_hurts_from_ubc() {
 }
 
 #[test]
-fn downloads_work_from_every_client() {
-    // Our extension: the download path, symmetric to uploads.
-    let world = NorthAmerica::new();
-    for client in Client::all() {
-        let spec = world.client(client);
-        let drive = world.provider(ProviderKind::GoogleDrive);
-        let mut sim = world.build_sim(11);
-        let stats = routing_detours::cloudstore::download::download(
-            &mut sim,
-            spec.node,
-            &drive,
-            10 * MB,
-            UploadOptions::warm(spec.class),
-        )
-        .expect("download");
-        assert_eq!(stats.bytes, 10 * MB);
-        assert!(stats.elapsed.as_secs_f64() > 0.0);
-    }
-}
-
-#[test]
 fn all_three_providers_work_from_all_clients() {
     let world = NorthAmerica::new();
     for client in Client::all() {

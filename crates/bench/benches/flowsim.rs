@@ -533,10 +533,10 @@ fn threads_point(n: usize, cycles: u64, reps: usize, counts: &[usize]) -> Vec<Js
 //
 // Measures the routing rebuild end to end on generated multi-cloud globes:
 // cold tree construction (one Dijkstra over the CSR per source), warm
-// `path_into` queries (prev-chain walks, zero allocation), `k_detours`
-// enumeration, and — for comparison — the legacy per-query Dijkstra the
-// oracle replaced. Sizes run 1k → 100k nodes; the 100k point uses the
-// acceptance-scale `SynthGlobe::stress` knobs (~1M host links).
+// `path_into` queries (prev-chain walks, zero allocation), and — for
+// comparison — the legacy per-query Dijkstra the oracle replaced. Sizes
+// run 1k → 100k nodes; the 100k point uses the acceptance-scale
+// `SynthGlobe::stress` knobs (~1M host links).
 // ---------------------------------------------------------------------------
 
 /// One routing scaling point on `globe`; `quick` trims sample counts.
@@ -585,7 +585,7 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     }
     let (warmup, samples) = if quick { (3, 21) } else { (10, 51) };
     const BATCH: usize = 256;
-    let mut pairs: Vec<(NodeId, NodeId)> = (0..BATCH)
+    let pairs: Vec<(NodeId, NodeId)> = (0..BATCH)
         .map(|_| (sources[next(sources.len())], hosts[next(hosts.len())]))
         .collect();
     let query_ns = median_ns(warmup, samples, || {
@@ -605,23 +605,9 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
     });
     let speedup = dijkstra_ns / query_ns;
 
-    // Detour enumeration: k=4 candidates per query, warm reverse trees.
-    pairs.truncate(8);
-    for &(src, dst) in &pairs {
-        table.k_detours(topo, src, dst, 4).unwrap();
-    }
-    let mut j = 0usize;
-    let detour_ns = median_ns(warmup, if quick { 11 } else { 31 }, || {
-        let (src, dst) = pairs[j % pairs.len()];
-        std::hint::black_box(table.k_detours(topo, src, dst, 4).unwrap());
-        j += 1;
-    });
-
     println!(
         "flowsim-routing/{nodes}: build {build_ms:.2} ms, warm query {query_ns:.0} ns, \
-         legacy dijkstra {dijkstra_ns:.0} ns (speedup {speedup:.0}x), \
-         k=4 detours {detour_ns:.0} ns/call ({:.0} enum/s)",
-        1e9 / detour_ns
+         legacy dijkstra {dijkstra_ns:.0} ns (speedup {speedup:.0}x)"
     );
     Json::Obj(vec![
         ("nodes".into(), Json::Int(nodes as u64)),
@@ -630,7 +616,6 @@ fn routing_point(globe: SynthGlobe, quick: bool) -> Json {
         ("query_ns".into(), Json::Num(query_ns)),
         ("dijkstra_ns".into(), Json::Num(dijkstra_ns)),
         ("speedup".into(), Json::Num(speedup)),
-        ("detour_ns".into(), Json::Num(detour_ns)),
     ])
 }
 
@@ -1170,8 +1155,8 @@ fn main() {
         threads.extend(threads_point(n, cycles, 5, &[1, 2, 4, 8]));
     }
 
-    // Route-oracle scaling: cold build, warm query, detour enumeration and
-    // the legacy Dijkstra gap at 1k/10k/100k nodes (100k = stress knobs).
+    // Route-oracle scaling: cold build, warm query and the legacy Dijkstra
+    // gap at 1k/10k/100k nodes (100k = stress knobs).
     let mut globes = vec![
         SynthGlobe {
             seed: 11,

@@ -94,7 +94,6 @@ pub const RULES: &[Rule] = &[
     rule("sizes", FLOWS, "incremental_ns", Gate::Baseline),
     rule("engine", FLOWS, "lazy_ns", Gate::Baseline),
     rule("routing", NODES, "query_ns", Gate::Baseline),
-    rule("routing", NODES, "detour_ns", Gate::Baseline),
     rule("routing", NODES, "build_ms", Gate::Baseline),
     rule("plane_decision", KEYS, "warm_ns", Gate::Baseline),
     rule("plane_fleet", THREADS, "ns_per_lookup", Gate::Baseline),

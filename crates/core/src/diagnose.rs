@@ -120,27 +120,6 @@ impl TivRecord {
     }
 }
 
-/// Propose via candidates for [`find_bandwidth_tivs`] straight from the
-/// route oracle: the pivot nodes of the `k` cheapest distinct loop-free
-/// alternatives to the direct `src → dst` route, in deterministic
-/// (cost, via id) order. The paper picked its DTN candidates by hand from
-/// four vantage points; at synthetic-globe scale this is the automated
-/// replacement — `k_detours` ranks every node by
-/// `dist(src→via) + dist(via→dst)` using two precomputed trees instead of
-/// one Dijkstra per candidate.
-pub fn detour_candidates(
-    core: &mut Core,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-) -> NetResult<Vec<NodeId>> {
-    Ok(core
-        .k_detours(src, dst, k)?
-        .into_iter()
-        .map(|d| d.via)
-        .collect())
-}
-
 /// Scan candidate intermediate nodes for bandwidth TIVs on the
 /// `src → dst` path. `class_via` gives each candidate's traffic class
 /// (its own network identity). Returns violations sorted by decreasing
@@ -290,29 +269,6 @@ mod tests {
         let none =
             find_bandwidth_tivs(sim.core(), src, FlowClass::Research, dst, &candidates).unwrap();
         assert!(none.is_empty(), "{none:?}");
-    }
-
-    #[test]
-    fn oracle_proposes_the_papers_detour_candidates() {
-        // Same map as the TIV test: both DTNs pivot off the direct path,
-        // ranked by joined cost then node id — exactly the candidate list
-        // find_bandwidth_tivs wants, no hand-picking.
-        let mut b = TopologyBuilder::new();
-        let src = b.host("src", GeoPoint::new(49.0, -123.0));
-        let dtn = b.host("dtn", GeoPoint::new(53.5, -113.5));
-        let bad_dtn = b.host("bad-dtn", GeoPoint::new(34.0, -118.0));
-        let dst = b.host("dst", GeoPoint::new(37.4, -122.1));
-        let p = |mbps| LinkParams::new(Bandwidth::from_mbps(mbps), SimTime::from_millis(5));
-        b.duplex(src, dst, p(100.0));
-        b.duplex(src, dtn, p(40.0));
-        b.duplex(dtn, dst, p(48.0));
-        b.duplex(src, bad_dtn, p(2.0));
-        b.duplex(bad_dtn, dst, p(60.0));
-        let mut sim = Sim::new(b.build(), 1);
-        let vias = detour_candidates(sim.core(), src, dst, 8).unwrap();
-        assert_eq!(vias, vec![dtn, bad_dtn]);
-        let one = detour_candidates(sim.core(), src, dst, 1).unwrap();
-        assert_eq!(one, vec![dtn]);
     }
 
     #[test]

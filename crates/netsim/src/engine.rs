@@ -14,9 +14,9 @@
 use crate::audit::{AuditHook, Digest};
 use crate::error::{NetError, NetResult};
 use crate::flow::{AllocDivergence, AllocMode, FlowClass, FlowCore, FlowProgress, FlowSpec};
-use crate::middlebox::{FirewallRule, Policer, PolicerScope};
+use crate::middlebox::{Policer, PolicerScope};
 use crate::radix::RadixQueue;
-use crate::routing::{DetourPath, RoutingTable};
+use crate::routing::RoutingTable;
 use crate::tcp::TcpParams;
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId, Topology};
@@ -24,7 +24,6 @@ use crate::units::Bandwidth;
 use obs::{Category, SpanId, Telemetry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -202,9 +201,6 @@ struct Queued {
 struct ActiveFlow {
     id: u64,
     owner: Option<ProcessId>,
-    /// Kept for diagnostics (bottleneck attribution in error paths).
-    #[allow(dead_code)]
-    class: FlowClass,
     /// Resource indices: real links are `0..links.len()`, aggregate policers
     /// follow. A buffer from [`FlowSlab::buffer`]; the slab takes it back
     /// when the flow leaves.
@@ -399,7 +395,6 @@ pub struct Core {
     /// capacity jitter is on). Shared, so a world can hand the same
     /// policers to every sim it builds.
     policers: Vec<(Arc<Policer>, Bandwidth)>,
-    firewalls: Vec<FirewallRule>,
     /// The incremental max-min allocator. Owns the effective resource
     /// capacities (per-run link capacities — equal to the nominal topology
     /// capacities unless jitter is enabled — followed by aggregate policer
@@ -409,10 +404,6 @@ pub struct Core {
     /// Capacity-jitter fraction; also applied to policer rates as they are
     /// attached (a token bucket's effective rate drifts too).
     jitter: f64,
-    /// When true, every rate change of every flow is recorded.
-    tracing: bool,
-    /// flow id → (time, rate bytes/sec) change points.
-    traces: HashMap<u64, Vec<(SimTime, f64)>>,
     flows: FlowSlab,
     /// Scratch the links of each flow start are resolved into.
     route: Vec<LinkId>,
@@ -499,13 +490,6 @@ impl Core {
         let mut path = Vec::new();
         self.routing.path_into(&self.topo, src, dst, &mut path)?;
         Ok(path)
-    }
-
-    /// Up to `k` distinct loop-free alternatives to the routed shortest
-    /// path, cheapest first (see [`RoutingTable::k_detours`]).
-    /// The raw material for detour/relay candidate enumeration.
-    pub fn k_detours(&mut self, src: NodeId, dst: NodeId, k: usize) -> NetResult<Vec<DetourPath>> {
-        self.routing.k_detours(&self.topo, src, dst, k)
     }
 
     /// Round-trip time along the routed path between two nodes.
@@ -633,18 +617,6 @@ impl Core {
         }
         let links = &self.route;
 
-        // Firewalls drop the flow outright.
-        for fw in &self.firewalls {
-            for &l in links {
-                if fw.blocks(l, spec.class) {
-                    return Err(NetError::Blocked {
-                        at: self.topo.link(l).from,
-                        reason: "firewall",
-                    });
-                }
-            }
-        }
-
         // Resource list: real links plus any aggregate policers matched,
         // written into a list a departed flow left with the slab.
         let mut resources = self.flows.buffer();
@@ -708,7 +680,6 @@ impl Core {
         let flow = ActiveFlow {
             id,
             owner,
-            class: spec.class,
             resources,
             progress,
             gen: 0,
@@ -811,9 +782,6 @@ impl Core {
                     .event(now_ns, Category::Flow, "flow.rate", span, |a| {
                         a.set("bytes_per_sec", rate);
                     });
-            }
-            if self.tracing && noticeable {
-                self.traces.entry(c.id).or_default().push((now, rate));
             }
         }
         self.alloc.restore_changes(changes);
@@ -1338,59 +1306,6 @@ impl std::fmt::Display for Bottleneck {
     }
 }
 
-/// A flow's recorded rate timeline (see [`Sim::enable_flow_tracing`]).
-#[derive(Debug, Clone, Default)]
-pub struct FlowTrace {
-    /// `(time, rate bytes/sec)` change points, in time order.
-    pub points: Vec<(SimTime, f64)>,
-}
-
-impl FlowTrace {
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Integrate the step function: total bytes moved.
-    pub fn total_bytes(&self) -> f64 {
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0.saturating_sub(w[0].0)).as_secs_f64();
-            total += w[0].1 * dt;
-        }
-        total
-    }
-
-    /// Resample into `n` equal time buckets of *average rate* (bytes/sec)
-    /// between the first and last change points. Suitable for sparklines.
-    pub fn sample(&self, n: usize) -> Vec<f64> {
-        assert!(n > 0);
-        if self.points.len() < 2 {
-            return vec![0.0; n];
-        }
-        let t0 = self.points[0].0.as_secs_f64();
-        let t1 = self.points.last().expect("nonempty").0.as_secs_f64();
-        let span = (t1 - t0).max(1e-12);
-        let bucket = span / n as f64;
-        let mut out = vec![0.0f64; n];
-        for w in self.points.windows(2) {
-            let (mut a, rate) = (w[0].0.as_secs_f64(), w[0].1);
-            let b = w[1].0.as_secs_f64();
-            while a < b {
-                let idx = (((a - t0) / bucket) as usize).min(n - 1);
-                let bucket_end = t0 + (idx + 1) as f64 * bucket;
-                let step = (b.min(bucket_end) - a).max(0.0);
-                out[idx] += rate * step;
-                a += step.max(1e-12);
-            }
-        }
-        for v in &mut out {
-            *v /= bucket;
-        }
-        out
-    }
-}
-
 /// A request for a single bulk transfer (the simplest simulation driver).
 #[derive(Debug, Clone)]
 pub struct TransferRequest {
@@ -1488,13 +1403,10 @@ impl Sim {
             core: Core {
                 alloc,
                 jitter: 0.0,
-                tracing: false,
-                traces: HashMap::new(),
                 topo,
                 routing: RoutingTable::new(),
                 tcp: TcpParams::default(),
                 policers: Vec::new(),
-                firewalls: Vec::new(),
                 flows,
                 route,
                 stale_drains: 0,
@@ -1698,32 +1610,9 @@ impl Sim {
         self.core.progress_mode = mode;
     }
 
-    /// Attach a firewall rule.
-    pub fn add_firewall(&mut self, f: FirewallRule) {
-        self.core.firewalls.push(f);
-    }
-
     /// Cap the number of processed events (livelock guard).
     pub fn set_event_budget(&mut self, budget: u64) {
         self.core.event_budget = budget;
-    }
-
-    /// Record every flow's rate changes (for post-run timelines). Call
-    /// before starting transfers; modest memory cost per reallocation.
-    pub fn enable_flow_tracing(&mut self) {
-        self.core.tracing = true;
-    }
-
-    /// The recorded rate timeline of a flow: `(time, bytes/sec)` change
-    /// points, ending with a 0.0 entry when the flow drained. `None` unless
-    /// [`Sim::enable_flow_tracing`] was called before the flow ran.
-    pub fn flow_trace(&self, flow: FlowId) -> Option<FlowTrace> {
-        if !self.core.tracing {
-            return None;
-        }
-        Some(FlowTrace {
-            points: self.core.traces.get(&flow.0).cloned().unwrap_or_default(),
-        })
     }
 
     /// Turn on span/event/metric recording for the rest of the run. All
@@ -1969,10 +1858,6 @@ impl Sim {
                         f.alloc_slot = u32::MAX;
                         (f.path_delay, alloc_slot)
                     };
-                    if self.core.tracing {
-                        let now = self.core.now;
-                        self.core.traces.entry(flow).or_default().push((now, 0.0));
-                    }
                     self.core.deactivate_flow(alloc_slot);
                     self.core
                         .push(self.core.now + delay, EventKind::Delivered { flow, slot });
@@ -2222,17 +2107,6 @@ mod tests {
     }
 
     #[test]
-    fn firewall_blocks_flow() {
-        let (t, a, c) = line_topo(10.0);
-        let mut sim = Sim::new(t, 1);
-        sim.add_firewall(FirewallRule::drop_class("fw", LinkId(0), FlowClass::Probe));
-        let err = sim
-            .core()
-            .start_flow_inner(None, FlowSpec::new(a, c, MB, FlowClass::Probe));
-        assert!(matches!(err, Err(NetError::Blocked { .. })));
-    }
-
-    #[test]
     fn two_concurrent_flows_share_link() {
         struct TwoFlows {
             a: NodeId,
@@ -2473,74 +2347,50 @@ mod tests {
         Sim::new(t, 1).set_capacity_jitter(1.5);
     }
 
+    /// A lone flow's `flow.rate` events, closed at its drain (its span
+    /// ends one path delay later, at delivery), integrate to its bytes.
     #[test]
-    fn flow_trace_integral_matches_bytes() {
-        struct OneFlow {
-            a: NodeId,
-            c: NodeId,
-            id: Option<FlowId>,
-        }
-        impl Process for OneFlow {
-            fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-                match ev {
-                    Event::Started => {
-                        self.id = Some(
-                            ctx.start_flow(FlowSpec::new(
-                                self.a,
-                                self.c,
-                                10 * MB,
-                                FlowClass::Commodity,
-                            ))
-                            .unwrap(),
-                        );
-                    }
-                    Event::FlowCompleted { flow, .. } => {
-                        ctx.finish(Value::U64(flow.0));
-                    }
-                    _ => {}
-                }
-            }
-        }
+    fn flow_rate_events_integrate_to_the_flow_bytes() {
         let (t, a, c) = line_topo(80.0);
+        let delay = t.link(LinkId(0)).delay.as_nanos();
         let mut sim = Sim::new(t, 1);
-        sim.enable_flow_tracing();
-        // Competing flow so the traced flow's rate actually changes.
+        sim.enable_telemetry();
+        // Degrade the link mid-flow so the rate actually changes.
         sim.schedule_capacity_change(
             LinkId(0),
             SimTime::from_millis(400),
             Bandwidth::from_mbps(20.0),
         );
-        let v = sim
-            .run_process(Box::new(OneFlow { a, c, id: None }))
+        sim.run_transfer(TransferRequest::new(a, c, 10 * MB))
             .unwrap();
-        let trace = sim
-            .flow_trace(FlowId(v.expect_u64()))
-            .expect("tracing enabled");
-        assert!(!trace.is_empty());
-        assert!(
-            trace.points.len() >= 3,
-            "rate change + drain expected: {trace:?}"
-        );
-        let integral = trace.total_bytes();
+        let rec = sim.take_telemetry().expect("telemetry enabled");
+        let flow = rec
+            .spans
+            .iter()
+            .find(|s| s.name == "flow")
+            .expect("flow span");
+        let drained = flow.end_ns.expect("flow delivered") - delay;
+        let mut points: Vec<(u64, f64)> = rec
+            .events
+            .iter()
+            .filter(|e| e.name == "flow.rate" && e.parent == flow.id)
+            .map(|e| match e.args[..] {
+                [("bytes_per_sec", obs::ArgValue::F64(rate))] => (e.t_ns, rate),
+                _ => panic!("flow.rate args {:?}", e.args),
+            })
+            .collect();
+        assert!(points.len() >= 2, "rate change expected: {points:?}");
+        assert!(points[0].1 > points[points.len() - 1].1, "{points:?}");
+        points.push((drained, 0.0));
+        let integral: f64 = points
+            .windows(2)
+            .map(|w| w[0].1 * (w[1].0 - w[0].0) as f64 / 1e9)
+            .sum();
         let expected = (10 * MB) as f64;
         assert!(
-            (integral - expected).abs() / expected < 0.01,
+            (integral - expected).abs() / expected < 1e-6,
             "integral {integral} vs bytes {expected}"
         );
-        // Sampling produces the requested number of buckets, all finite.
-        let s = trace.sample(16);
-        assert_eq!(s.len(), 16);
-        assert!(s.iter().all(|v| v.is_finite() && *v >= 0.0));
-        // The rate dropped after the capacity change: early > late.
-        assert!(s[0] > *s.last().unwrap(), "samples {s:?}");
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let (t, a, c) = line_topo(10.0);
-        let mut sim = Sim::new(t, 1);
-        let _ = sim.run_transfer(TransferRequest::new(a, c, MB)).unwrap();
-        assert!(sim.flow_trace(FlowId(1)).is_none());
     }
 
     #[test]

@@ -9,8 +9,7 @@ pub type NetResult<T> = Result<T, NetError>;
 /// Everything that can go wrong while building or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// No route exists between the two nodes (disconnected topology, or a
-    /// firewall dropped the traffic class).
+    /// No route exists between the two nodes (disconnected topology).
     NoRoute { src: NodeId, dst: NodeId },
     /// An explicit path was supplied but two consecutive nodes in it are not
     /// adjacent in the topology.
@@ -21,7 +20,8 @@ pub enum NetError {
     EmptyTransfer,
     /// A flow or process id was used after completion/cancellation.
     StaleHandle(&'static str),
-    /// Traffic was administratively blocked by a firewall rule.
+    /// A transfer stage gave up on an endpoint: an upload part or rsync
+    /// stage exceeded its retry limit.
     Blocked { at: NodeId, reason: &'static str },
     /// The simulation reached its configured event budget — almost always a
     /// protocol livelock in a process implementation.

@@ -17,9 +17,8 @@
 //!   every sim over it. A tree build's scratch belongs to the building
 //!   thread, so a sim's routing state is its one [`routing::RoutingTable`]
 //!   (overrides, backend mode, lockstep) and nothing more. The trees give
-//!   zero-allocation warm path queries and k-detour enumeration at
-//!   100k-node scale; the per-query Dijkstra survives as a bit-identical
-//!   differential reference.
+//!   zero-allocation warm path queries at 100k-node scale; the per-query
+//!   Dijkstra survives as a bit-identical differential reference.
 //! * **Fluid flows** ([`flow`]): active transfers share links max-min fairly;
 //!   each flow is additionally capped by a TCP (Mathis) ceiling derived from
 //!   path RTT and loss ([`tcp`]), by per-flow policers ([`middlebox`]) and by
@@ -86,7 +85,7 @@ pub mod prelude {
     pub use crate::flow::{AllocMode, FlowClass, FlowSpec};
     pub use crate::geo::GeoPoint;
     pub use crate::middlebox::{Policer, PolicerScope};
-    pub use crate::routing::{DetourPath, RouteOverride, RoutingMode};
+    pub use crate::routing::{RouteOverride, RoutingMode};
     pub use crate::rpc::{Rpc, RpcSpec};
     pub use crate::tcp::TcpParams;
     pub use crate::time::SimTime;

@@ -1,4 +1,4 @@
-//! Middleboxes: traffic policers and firewalls.
+//! Middleboxes: traffic policers.
 //!
 //! The paper attributes UBC's slow Google uploads to the hand-off at
 //! `vncv1rtr2.canarie.ca` onto the `pacificwave` link, where PlanetLab-class
@@ -10,9 +10,6 @@
 //!   of per-slice shaping on PlanetLab, or per-connection rate limits), and
 //! * an **aggregate** policer gives all matching flows a shared virtual
 //!   queue of fixed capacity, which the allocator shares max-min fairly.
-//!
-//! Firewalls drop flows of a class outright (used for failure injection and
-//!   Science-DMZ-style experiments).
 
 use crate::flow::FlowClass;
 use crate::topology::LinkId;
@@ -77,33 +74,6 @@ impl Policer {
     }
 }
 
-/// A firewall rule: drop flows of the given classes crossing a link.
-#[derive(Debug, Clone)]
-pub struct FirewallRule {
-    /// Link being filtered.
-    pub link: LinkId,
-    /// Dropped classes.
-    pub drops: Vec<FlowClass>,
-    /// Diagnostic name.
-    pub name: String,
-}
-
-impl FirewallRule {
-    /// Build a rule dropping one class.
-    pub fn drop_class(name: &str, link: LinkId, class: FlowClass) -> Self {
-        FirewallRule {
-            link,
-            drops: vec![class],
-            name: name.into(),
-        }
-    }
-
-    /// Does the rule drop a flow of `class` on `link`?
-    pub fn blocks(&self, link: LinkId, class: FlowClass) -> bool {
-        self.link == link && self.drops.contains(&class)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,13 +104,5 @@ mod tests {
         assert!(p.applies(LinkId(0), FlowClass::Commodity));
         assert!(p.applies(LinkId(0), FlowClass::Background));
         assert_eq!(p.scope, PolicerScope::Aggregate);
-    }
-
-    #[test]
-    fn firewall_blocks() {
-        let f = FirewallRule::drop_class("campus-fw", LinkId(7), FlowClass::Probe);
-        assert!(f.blocks(LinkId(7), FlowClass::Probe));
-        assert!(!f.blocks(LinkId(7), FlowClass::Research));
-        assert!(!f.blocks(LinkId(8), FlowClass::Probe));
     }
 }

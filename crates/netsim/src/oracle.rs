@@ -1,23 +1,16 @@
 //! The route oracle: a topology's shortest-path trees.
 //!
 //! Every routed answer — [`RoutingTable::path_into`] and
-//! [`RoutingTable::links_into`] for a pair without an override, and both
-//! halves of [`RoutingTable::k_detours`] — is read off **one shortest-path
-//! tree per queried source** (and, for detour enumeration, one reverse tree
-//! per queried destination), so:
-//!
-//! * `path_into` / `links_into` are near-O(path length): walk the tree's
-//!   predecessor chain into a caller-provided buffer. A warm query performs
-//!   **zero heap allocations**.
-//! * `k_detours` ranks every node `v` by `dist(src→v) + dist(v→dst)` using
-//!   one forward and one reverse tree — the Pied-Piper-style relay
-//!   enumeration — in O(n log n) for the ranking plus O(k · path length)
-//!   for materialisation, instead of one Dijkstra per candidate via.
+//! [`RoutingTable::links_into`] for a pair without an override — is read
+//! off **one shortest-path tree per queried source**, so a query is
+//! near-O(path length): walk the tree's predecessor chain into a
+//! caller-provided buffer. A warm query performs **zero heap
+//! allocations**.
 //!
 //! The trees are a pure function of the topology, so the topology owns
 //! them and builds them itself: [`Topology`] holds one lazily filled slot
-//! per node and direction, filled on the first query of that root from any
-//! routing table and then read by every table over the same topology —
+//! per node, filled on the first query from that root by any routing
+//! table and then read by every table over the same topology —
 //! every [`Sim`] sharing one `Arc<Topology>`, on any thread. The build's
 //! scratch (its radix queue and settled flags) belongs to the thread that
 //! builds: one buffer per thread, reused by every tree that thread builds
@@ -51,21 +44,16 @@
 //! [`Topology`]: crate::topology::Topology
 //! [`RoutingTable::path_into`]: crate::routing::RoutingTable::path_into
 //! [`RoutingTable::links_into`]: crate::routing::RoutingTable::links_into
-//! [`RoutingTable::k_detours`]: crate::routing::RoutingTable::k_detours
 
 use crate::radix::RadixQueue;
 use crate::topology::{Csr, NodeId};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// A shortest-path tree rooted at one node.
-///
-/// For a forward tree rooted at `src`, `prev_node[v]` is the predecessor of
-/// `v` on the canonical shortest path `src → v` and `prev_link[v]` the link
-/// entering `v`. For a reverse tree rooted at `dst` (built over the reverse
-/// CSR), `prev_node[v]` is the **successor** of `v` on the canonical path
-/// `v → dst` and `prev_link[v]` the link leaving `v`. [`NONE`] means none;
-/// an unreachable node's `dist` is [`UNREACHABLE`].
+/// A shortest-path tree rooted at one node, `src`: `prev_node[v]` is the
+/// predecessor of `v` on the canonical shortest path `src → v` and
+/// `prev_link[v]` the link entering `v`. [`NONE`] means none; an
+/// unreachable node's `dist` is [`UNREACHABLE`].
 #[derive(Debug, Clone)]
 pub(crate) struct Spt {
     pub(crate) dist: Vec<u64>,
@@ -92,16 +80,14 @@ impl Spt {
     }
 }
 
-/// The shortest-path trees of one topology: a slot per node for the
-/// forward tree rooted there and one for the reverse tree, each filled on
-/// first use and never changed after. A `OnceLock` makes the fill
-/// race-free when shard threads share the topology: one thread builds, a
-/// racing one waits for it, and both read the same tree. An empty slot is
-/// a pointer plus the lock word.
+/// The shortest-path trees of one topology: a slot per node for the tree
+/// rooted there, filled on first use and never changed after. A
+/// `OnceLock` makes the fill race-free when shard threads share the
+/// topology: one thread builds, a racing one waits for it, and both read
+/// the same tree. An empty slot is a pointer plus the lock word.
 #[derive(Debug, Clone)]
 pub(crate) struct TreeCache {
     forward: Box<[OnceLock<Box<Spt>>]>,
-    reverse: Box<[OnceLock<Box<Spt>>]>,
 }
 
 impl TreeCache {
@@ -109,27 +95,18 @@ impl TreeCache {
     pub(crate) fn new(nodes: usize) -> Self {
         TreeCache {
             forward: (0..nodes).map(|_| OnceLock::new()).collect(),
-            reverse: (0..nodes).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// The forward tree rooted at `root` over `csr`, built on first use.
+    /// The tree rooted at `root` over `csr`, built on first use.
     pub(crate) fn forward(&self, csr: &Csr, root: NodeId) -> &Spt {
         self.forward[root.0 as usize].get_or_init(|| Box::new(build_here(csr, root.0)))
     }
 
-    /// The reverse tree rooted at `root` over the reverse CSR `rcsr`,
-    /// built on first use.
-    pub(crate) fn reverse(&self, rcsr: &Csr, root: NodeId) -> &Spt {
-        self.reverse[root.0 as usize].get_or_init(|| Box::new(build_here(rcsr, root.0)))
-    }
-
-    /// Trees built so far, forward plus reverse.
+    /// Trees built so far.
     #[cfg(test)]
     fn built(&self) -> usize {
-        let filled =
-            |slots: &[OnceLock<Box<Spt>>]| slots.iter().filter(|s| s.get().is_some()).count();
-        filled(&self.forward) + filled(&self.reverse)
+        self.forward.iter().filter(|s| s.get().is_some()).count()
     }
 }
 
@@ -258,10 +235,5 @@ mod tests {
         first.path_into(&t, a, d, &mut path).unwrap();
         assert_eq!(t.trees().built(), 1);
         assert_eq!(tree_of(&t.trees().forward[a.0 as usize]), built);
-        // Detours add the reverse tree rooted at `d`, once.
-        first.k_detours(&t, a, d, 2).unwrap();
-        second.k_detours(&t, a, d, 2).unwrap();
-        assert_eq!(t.trees().built(), 2);
-        assert!(tree_of(&t.trees().reverse[d.0 as usize]).is_some());
     }
 }

@@ -62,21 +62,10 @@ pub enum RoutingMode {
     Reference,
 }
 
-/// One enumerated detour: the canonical shortest path `src → via → dst`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetourPath {
-    /// The pivot node the detour was enumerated through.
-    pub via: NodeId,
-    /// Total link cost of the joined path.
-    pub cost: u64,
-    /// Full node path from `src` to `dst` through `via`.
-    pub path: Vec<NodeId>,
-}
-
 /// A sim's routing state: the route overrides both backends share, which
-/// backend answers ([`RoutingMode`]), the lockstep that checks the oracle
-/// against the reference, and [`RoutingTable::k_detours`]'s candidate
-/// lists. The oracle's trees live on the topology ([`crate::oracle`]).
+/// backend answers ([`RoutingMode`]) and the lockstep that checks the
+/// oracle against the reference. The oracle's trees live on the topology
+/// ([`crate::oracle`]).
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     /// Installed overrides, sorted by `(src, dst)`, one per pair. Shared,
@@ -94,13 +83,6 @@ pub struct RoutingTable {
     /// predecessor id; compiled only with the `failpoints` feature.
     #[cfg(feature = "failpoints")]
     largest_predecessor: bool,
-    /// `k_detours`'s `(joined cost, via)` candidates.
-    ranked: Vec<(u64, u32)>,
-    /// Stamped visited marks for `k_detours`'s loop checks.
-    mark: Vec<u32>,
-    mark_stamp: u32,
-    /// The joined candidate path under construction.
-    joined: Vec<NodeId>,
 }
 
 impl RoutingTable {
@@ -209,101 +191,6 @@ impl RoutingTable {
                     .all(|(w, &l)| topo.link_between(w[0], w[1]) == Some(l))
         });
         found
-    }
-
-    /// Up to `k` distinct loop-free detour paths `src → via → dst` in
-    /// deterministic order: nondecreasing joined cost, ties by via id.
-    ///
-    /// Every node `v` with finite `dist(src→v)` and `dist(v→dst)` is a
-    /// candidate pivot; each joins the canonical forward path to `v` with
-    /// the canonical path `v → dst` from the reverse tree. Candidates whose
-    /// joined path repeats a node (a loop) or duplicates the direct
-    /// shortest path — or an already-accepted detour — are skipped, so the
-    /// result is a set of genuine alternatives to the primary route.
-    ///
-    /// This is a pure topology query, answered from the oracle's trees in
-    /// either mode: route overrides pin *primary* paths and are
-    /// deliberately not consulted here.
-    pub fn k_detours(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        k: usize,
-    ) -> NetResult<Vec<DetourPath>> {
-        check_endpoints(topo, src, dst)?;
-        if src == dst || k == 0 {
-            return Ok(Vec::new());
-        }
-        let n = topo.nodes().len();
-        let fwd = topo.forward_tree(src);
-        let rev = topo.reverse_tree(dst);
-        // The direct shortest path, for exclusion.
-        let mut primary = Vec::new();
-        if !fwd.walk_back(dst, &mut primary) {
-            return Err(NetError::NoRoute { src, dst });
-        }
-        primary.reverse();
-
-        self.ranked.clear();
-        for v in 0..n as u32 {
-            if v == src.0 || v == dst.0 {
-                continue;
-            }
-            let df = fwd.dist[v as usize];
-            let dr = rev.dist[v as usize];
-            if df != UNREACHABLE && dr != UNREACHABLE {
-                self.ranked.push((df + dr, v));
-            }
-        }
-        self.ranked.sort_unstable();
-
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        let mut accepted: Vec<DetourPath> = Vec::new();
-        for &(cost, via) in &self.ranked {
-            if accepted.len() >= k {
-                break;
-            }
-            self.mark_stamp = self.mark_stamp.wrapping_add(1);
-            let stamp = self.mark_stamp;
-            // Forward half: src → via.
-            let joined = &mut self.joined;
-            joined.clear();
-            fwd.walk_back(NodeId(via), joined);
-            joined.reverse();
-            for node in joined.iter() {
-                self.mark[node.0 as usize] = stamp;
-            }
-            // Reverse half: via → dst (successor chain), checking for loops
-            // against the forward half as we go.
-            let mut loop_free = true;
-            let mut cur = rev.prev_node[via as usize];
-            while cur != NONE {
-                if self.mark[cur as usize] == stamp {
-                    loop_free = false;
-                    break;
-                }
-                self.mark[cur as usize] = stamp;
-                joined.push(NodeId(cur));
-                cur = rev.prev_node[cur as usize];
-            }
-            if !loop_free {
-                continue;
-            }
-            debug_assert_eq!(joined.first(), Some(&src));
-            debug_assert_eq!(joined.last(), Some(&dst));
-            if *joined == primary || accepted.iter().any(|d| d.path == *joined) {
-                continue;
-            }
-            accepted.push(DetourPath {
-                via: NodeId(via),
-                cost,
-                path: joined.clone(),
-            });
-        }
-        Ok(accepted)
     }
 
     /// Fold the canonical routing state — the overrides, in `(src, dst)`
@@ -473,8 +360,9 @@ fn validate_path(topo: &Topology, path: &[NodeId]) -> NetResult<()> {
 /// Failpoint: the `src → dst` path on which every node takes its
 /// largest-id tight predecessor strictly closer to `src` in place of the
 /// canonical smallest-id one, keeping the canonical predecessor where only
-/// a zero-cost arc is tight (so the walk back to `src` cannot loop).
-/// Overrides are not consulted; `None` if unreachable.
+/// a zero-cost arc is tight (so the walk back to `src` cannot loop). A
+/// node's tight predecessors are found by scanning every link for those
+/// that enter it. Overrides are not consulted; `None` if unreachable.
 #[cfg(feature = "failpoints")]
 fn largest_predecessor_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
     let tree = topo.forward_tree(src);
@@ -486,13 +374,13 @@ fn largest_predecessor_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option
     while cur != src.0 {
         let dv = tree.dist[cur as usize];
         let largest = topo
-            .reverse_csr()
-            .arcs(cur)
-            .filter(|&(u, cost, _)| {
-                let du = tree.dist[u as usize];
-                du < dv && du + cost as u64 == dv
+            .links()
+            .iter()
+            .filter(|l| {
+                let du = tree.dist[l.from.0 as usize];
+                l.to.0 == cur && du < dv && du + l.cost as u64 == dv
             })
-            .map(|(u, ..)| u)
+            .map(|l| l.from.0)
             .max();
         cur = largest.unwrap_or(tree.prev_node[cur as usize]);
         path.push(NodeId(cur));
@@ -780,7 +668,6 @@ mod tests {
             path(&mut warm, &t, d, a).unwrap();
             path(&mut warm, &t, y, a).unwrap();
             links(&mut warm, &t, a, y).unwrap();
-            warm.k_detours(&t, a, d, 2).unwrap();
             assert_eq!(digest_of(&cold), digest_of(&warm), "mode {mode:?}");
         }
     }
@@ -869,50 +756,6 @@ mod tests {
             }
         }
         assert_eq!(lockstep.divergence(), None);
-    }
-
-    #[test]
-    fn k_detours_diamond() {
-        let (t, a, x, y, d) = diamond();
-        let detours = RoutingTable::new().k_detours(&t, a, d, 4).unwrap();
-        // Primary path a-x-d is excluded; the only alternative is a-y-d.
-        assert_eq!(detours.len(), 1);
-        assert_eq!(detours[0].via, y);
-        assert_eq!(detours[0].path, vec![a, y, d]);
-        assert_eq!(detours[0].cost, 100);
-        // x pivots onto the primary path and must not reappear.
-        assert!(detours.iter().all(|dt| dt.via != x));
-    }
-
-    #[test]
-    fn k_detours_order_and_limits() {
-        // Three parallel two-hop routes of distinct costs.
-        let mut b = TopologyBuilder::new();
-        let s = b.host("s", GeoPoint::new(0.0, 0.0));
-        let m1 = b.router("m1", GeoPoint::new(1.0, 0.0));
-        let m2 = b.router("m2", GeoPoint::new(2.0, 0.0));
-        let m3 = b.router("m3", GeoPoint::new(3.0, 0.0));
-        let d = b.host("d", GeoPoint::new(0.0, 1.0));
-        for (m, cost) in [(m1, 1), (m2, 2), (m3, 3)] {
-            b.duplex(s, m, p(cost));
-            b.duplex(m, d, p(cost));
-        }
-        let t = b.build();
-        let mut rt = RoutingTable::new();
-        let detours = rt.k_detours(&t, s, d, 10).unwrap();
-        // Primary is s-m1-d (cost 2); detours are the other two, cheap first.
-        assert_eq!(detours.len(), 2);
-        assert_eq!(detours[0].path, vec![s, m2, d]);
-        assert_eq!(detours[1].path, vec![s, m3, d]);
-        assert!(detours[0].cost < detours[1].cost);
-        assert_eq!(rt.k_detours(&t, s, d, 1).unwrap().len(), 1);
-        assert!(rt.k_detours(&t, s, s, 4).unwrap().is_empty());
-        assert!(rt.k_detours(&t, s, d, 0).unwrap().is_empty());
-        // Each detour is loop-free.
-        for dt in &detours {
-            let mut seen = std::collections::HashSet::new();
-            assert!(dt.path.iter().all(|n| seen.insert(*n)), "{:?}", dt.path);
-        }
     }
 
     /// A reference that flips equal-cost ties disagrees with the oracle on

@@ -4,12 +4,11 @@
 //! through an `Arc`: a measurement campaign builds one topology and many
 //! [`crate::engine::Sim`] instances over it, on one thread or several.
 //! What is derived from it alone travels with it: the shortest-path tree
-//! of each root, built the first time any sim routes from (or, for detour
-//! enumeration, to) that node and then read by every sim over the same
-//! topology (see [`crate::oracle`]). So do the buffers of the sims that
-//! ran over it: a dropped sim leaves its engine buffers with the topology,
-//! and the next sim built over it resets and reuses them (see
-//! [`crate::engine::Sim::new`]).
+//! of each root, built the first time any sim routes from that node and
+//! then read by every sim over the same topology (see [`crate::oracle`]).
+//! So do the buffers of the sims that ran over it: a dropped sim leaves
+//! its engine buffers with the topology, and the next sim built over it
+//! resets and reuses them (see [`crate::engine::Sim::new`]).
 
 use crate::engine::Spares;
 use crate::geo::GeoPoint;
@@ -167,27 +166,29 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Counting-sort `(bucket, target, cost, link)` arcs into CSR form.
-    /// Arcs must arrive in link-id order so each bucket stays link-sorted.
-    fn build(n: usize, arcs: impl Iterator<Item = (u32, u32, u32, LinkId)> + Clone) -> Csr {
+    /// Counting-sort the links of an `n`-node graph into CSR form, bucketed
+    /// by `from`. The links arrive in link-id order, so each bucket stays
+    /// link-sorted.
+    fn build(n: usize, links: &[Link]) -> Csr {
         let mut offsets = vec![0u32; n + 1];
-        for (bucket, ..) in arcs.clone() {
-            offsets[bucket as usize + 1] += 1;
+        for l in links {
+            offsets[l.from.0 as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        let m = *offsets.last().unwrap_or(&0) as usize;
+        let m = links.len();
         let mut targets = vec![0u32; m];
         let mut costs = vec![0u32; m];
         let mut link_ids = vec![LinkId(0); m];
         let mut cursor = offsets.clone();
-        for (bucket, target, cost, link) in arcs {
-            let at = cursor[bucket as usize] as usize;
-            targets[at] = target;
-            costs[at] = cost;
-            link_ids[at] = link;
-            cursor[bucket as usize] += 1;
+        for l in links {
+            let bucket = l.from.0 as usize;
+            let at = cursor[bucket] as usize;
+            targets[at] = l.to.0;
+            costs[at] = l.cost;
+            link_ids[at] = l.id;
+            cursor[bucket] += 1;
         }
         Csr {
             zero_cost: costs.contains(&0),
@@ -258,15 +259,11 @@ pub struct Topology {
     links: Vec<Link>,
     /// Forward CSR: arcs bucketed by `from`, link-id order within a node.
     csr: Csr,
-    /// Reverse CSR: the same links bucketed by `to` (targets are the `from`
-    /// endpoints), used for reverse shortest-path trees in detour queries.
-    rcsr: Csr,
     /// (from, to) -> link id for O(1) lookup when validating explicit paths.
     edge_index: HashMap<(NodeId, NodeId), LinkId>,
     name_index: HashMap<String, NodeId>,
-    /// Forward and reverse shortest-path trees, one lazily filled slot per
-    /// node and direction; shared by every sim and thread over this
-    /// topology.
+    /// Shortest-path trees, one lazily filled slot per root node; shared
+    /// by every sim and thread over this topology.
     trees: TreeCache,
     /// Engine buffers of dropped sims, waiting for the next sim.
     spares: Spares,
@@ -313,22 +310,10 @@ impl Topology {
         &self.csr
     }
 
-    /// The reverse CSR adjacency (arcs bucketed by destination; a reverse
-    /// arc's target is the link's `from` endpoint).
-    pub fn reverse_csr(&self) -> &Csr {
-        &self.rcsr
-    }
-
     /// The canonical shortest-path tree rooted at `root`, built on the
     /// first call from any thread (see [`crate::oracle`]).
     pub(crate) fn forward_tree(&self, root: NodeId) -> &Spt {
         self.trees.forward(&self.csr, root)
-    }
-
-    /// The reverse tree rooted at `root`: each node's canonical path to
-    /// `root`, built on the first call from any thread.
-    pub(crate) fn reverse_tree(&self, root: NodeId) -> &Spt {
-        self.trees.reverse(&self.rcsr, root)
     }
 
     /// The shortest-path tree slots.
@@ -528,14 +513,7 @@ impl TopologyBuilder {
                 link.to
             );
         }
-        let csr = Csr::build(
-            self.nodes.len(),
-            self.links.iter().map(|l| (l.from.0, l.to.0, l.cost, l.id)),
-        );
-        let rcsr = Csr::build(
-            self.nodes.len(),
-            self.links.iter().map(|l| (l.to.0, l.from.0, l.cost, l.id)),
-        );
+        let csr = Csr::build(self.nodes.len(), &self.links);
         let name_index = self.nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
         Topology {
             trees: TreeCache::new(self.nodes.len()),
@@ -543,7 +521,6 @@ impl TopologyBuilder {
             nodes: self.nodes,
             links: self.links,
             csr,
-            rcsr,
             edge_index,
             name_index,
         }
@@ -585,11 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_mirrors_links_and_reverse() {
-        let (t, a, r, c) = three_node();
+    fn csr_mirrors_links() {
+        let (t, _a, r, _c) = three_node();
         assert_eq!(t.csr().node_count(), t.nodes().len());
         assert_eq!(t.csr().arc_count(), t.links().len());
-        assert_eq!(t.reverse_csr().arc_count(), t.links().len());
         // Forward arcs of r are its outgoing links, in link-id order.
         let out = t.outgoing(r);
         assert_eq!(out.len(), 2);
@@ -600,17 +576,6 @@ mod tests {
             assert_eq!(l.to.0, target);
             assert_eq!(l.cost, cost);
         }
-        // Reverse arcs of r point back at the links' sources: a and c.
-        let ins: Vec<_> = t.reverse_csr().arcs(r.0).collect();
-        assert_eq!(ins.len(), 2);
-        for &(source, cost, lid) in &ins {
-            let l = t.link(lid);
-            assert_eq!(l.to, r);
-            assert_eq!(l.from.0, source);
-            assert_eq!(l.cost, cost);
-        }
-        let sources: Vec<u32> = ins.iter().map(|&(s, ..)| s).collect();
-        assert!(sources.contains(&a.0) && sources.contains(&c.0));
     }
 
     #[test]

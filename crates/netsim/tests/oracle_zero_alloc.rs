@@ -56,12 +56,11 @@ fn assert_warm_queries_allocate_nothing(globe: SynthGlobe, queries: usize) {
     let mut path_buf: Vec<NodeId> = Vec::with_capacity(topo.nodes().len());
     let mut link_buf: Vec<LinkId> = Vec::with_capacity(topo.nodes().len());
 
-    // Warm: build every tree this workload will touch (forward per source,
-    // reverse per k_detours destination) and let scratch reach steady state.
+    // Warm: build every tree this workload will touch (one per source)
+    // and let scratch reach steady state.
     for &src in &sources {
         let dst = hosts[next(hosts.len())];
         table.path_into(topo, src, dst, &mut path_buf).unwrap();
-        let _ = table.k_detours(topo, src, hosts[0], 2).unwrap();
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);

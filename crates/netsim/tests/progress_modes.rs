@@ -11,7 +11,7 @@
 //! that runs every reference backend beside the production one, and
 //! compare everything bitwise.
 
-use netsim::engine::{Ctx, Divergences, Event, FlowId, Process, ProgressMode, Sim, Value};
+use netsim::engine::{Ctx, Divergences, Event, Process, ProgressMode, Sim, Value};
 use netsim::flow::{FlowClass, FlowSpec};
 use netsim::synth::SynthWan;
 use netsim::time::SimTime;
@@ -52,6 +52,11 @@ impl Process for StaggeredFlows {
     }
 }
 
+/// One flow's rate timeline from the telemetry recording: its `flow.rate`
+/// change points `(time_ns, rate_bits)`, then the time its span closed at
+/// delivery, one fixed path delay after its drain.
+type Timeline = (Vec<(u64, u64)>, Option<u64>);
+
 /// Everything observable about one execution, with floats as bit patterns
 /// so comparison is exact rather than approximate.
 #[derive(Debug, PartialEq)]
@@ -62,10 +67,9 @@ struct Observed {
     bytes_delivered: u64,
     reallocations: u64,
     finish: SimTime,
-    /// Per-flow rate timelines: `(time_ns, rate_bits)` change points. The
-    /// final `0.0` entry is the drain event; equal traces mean equal drain
-    /// times, not merely equal totals.
-    traces: Vec<Vec<(u64, u64)>>,
+    /// Every flow's timeline, in flow start order. Equal timelines mean
+    /// equal drain times, not merely equal totals.
+    timelines: Vec<Timeline>,
     /// What the eager sweep and any lockstep backend recorded.
     divergences: Divergences,
 }
@@ -101,7 +105,7 @@ fn run_world(seed: u64, n_pairs: usize, mb: u64, setup: Setup) -> Observed {
         Setup::Mode(mode) => sim.set_progress_mode(mode),
         Setup::Lockstep => sim.enable_lockstep(),
     }
-    sim.enable_flow_tracing();
+    sim.enable_telemetry();
     // Mid-flight bottleneck dynamics: shrink then restore a couple of
     // links while transfers are in progress, forcing rate changes that do
     // not coincide with flow boundaries.
@@ -125,17 +129,26 @@ fn run_world(seed: u64, n_pairs: usize, mb: u64, setup: Setup) -> Observed {
     };
 
     let stats = sim.stats();
-    // Flow ids are assigned in start order from 1, identically in both
-    // runs; pull every started flow's recorded timeline.
-    let traces = (1..=n as u64)
-        .filter_map(|id| sim.flow_trace(FlowId(id)))
-        .map(|t| {
-            t.points
+    // Flow spans begin in flow start order, identically in every run.
+    let rec = sim.take_telemetry().expect("telemetry enabled");
+    let timelines: Vec<_> = rec
+        .spans
+        .iter()
+        .filter(|s| s.name == "flow")
+        .map(|span| {
+            let rates: Vec<(u64, u64)> = rec
+                .events
                 .iter()
-                .map(|&(at, rate)| (at.as_nanos(), rate.to_bits()))
-                .collect()
+                .filter(|e| e.name == "flow.rate" && e.parent == span.id)
+                .map(|e| match e.args[..] {
+                    [("bytes_per_sec", obs::ArgValue::F64(rate))] => (e.t_ns, rate.to_bits()),
+                    _ => panic!("flow.rate args {:?}", e.args),
+                })
+                .collect();
+            (rates, span.end_ns)
         })
         .collect();
+    assert_eq!(timelines.len(), n, "one flow span per transfer");
     Observed {
         state_digest: sim.state_digest(),
         events: stats.events,
@@ -143,7 +156,7 @@ fn run_world(seed: u64, n_pairs: usize, mb: u64, setup: Setup) -> Observed {
         bytes_delivered: stats.bytes_delivered,
         reallocations: stats.reallocations,
         finish,
-        traces,
+        timelines,
         divergences: sim.divergences(),
     }
 }
@@ -174,17 +187,18 @@ proptest! {
     }
 }
 
-/// Deterministic spot check that the traces really carry drain times: the
-/// last change point of every completed flow is a zero rate.
+/// Deterministic spot check that the timelines really carry drain times:
+/// every flow changed rate at least once and was delivered after its last
+/// rate change, by the end of the run.
 #[test]
-fn traces_end_with_drain_points_in_both_modes() {
+fn timelines_close_at_delivery_in_both_modes() {
     for mode in [ProgressMode::Lazy, ProgressMode::Eager] {
         let obs = run_world(11, 6, 2, Setup::Mode(mode));
-        assert_eq!(obs.traces.len(), 6);
-        for t in &obs.traces {
-            let &(at, rate_bits) = t.last().expect("non-empty trace");
-            assert_eq!(rate_bits, 0f64.to_bits(), "trace must end drained");
-            assert!(at <= obs.finish.as_nanos());
+        assert_eq!(obs.timelines.len(), 6);
+        for (rates, delivered) in &obs.timelines {
+            let &(last, _) = rates.last().expect("the flow ran at some rate");
+            let delivered = delivered.expect("the flow was delivered");
+            assert!(last < delivered && delivered <= obs.finish.as_nanos());
         }
     }
 }

@@ -3,13 +3,13 @@
 //! The shortest-path trees live on the [`Topology`], so sims that share an
 //! `Arc<Topology>` read trees that other sims, or other threads, built.
 //! These tests warm every tree of a topology from another thread with path
-//! and detour queries, then run sims over the shared, warm topology and
-//! over unshared cold clones of it, under both routing modes: every
-//! chained state digest, counter, result and diagnostic query must agree.
+//! queries, then run sims over the shared, warm topology and over unshared
+//! cold clones of it, under both routing modes: every chained state
+//! digest, counter, result and diagnostic query must agree.
 
 use netsim::audit::{AuditHook, Digest};
 use netsim::background::{BackgroundProfile, BackgroundTraffic};
-use netsim::engine::{AuditView, Ctx, Event, Process, Sim, Value};
+use netsim::engine::{AuditView, Core, Ctx, Event, Process, Sim, Value};
 use netsim::flow::{FlowClass, FlowSpec};
 use netsim::routing::{RoutingMode, RoutingTable};
 use netsim::synth::SynthWan;
@@ -17,6 +17,7 @@ use netsim::time::SimTime;
 use netsim::topology::{NodeId, Topology};
 use netsim::units::MB;
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -81,6 +82,24 @@ struct Observed {
     queries: Vec<String>,
 }
 
+/// A loop-free route from `src` to `dst` other than `routed`: the routed
+/// paths `src → via` and `via → dst` joined at the first pivot `via`, in
+/// node id order, that gives one, or `None` when no node does.
+fn pivot_detour(
+    core: &mut Core,
+    src: NodeId,
+    dst: NodeId,
+    routed: &[NodeId],
+) -> Option<Vec<NodeId>> {
+    let n = core.topology().nodes().len() as u32;
+    (0..n).map(NodeId).find_map(|via| {
+        let mut joined = core.resolve_path(src, via).ok()?;
+        joined.extend_from_slice(&core.resolve_path(via, dst).ok()?[1..]);
+        let mut seen = HashSet::new();
+        (joined != routed && joined.iter().all(|&n| seen.insert(n))).then_some(joined)
+    })
+}
+
 fn run(topo: impl Into<Arc<Topology>>, hosts: &[NodeId], seed: u64, mode: RoutingMode) -> Observed {
     let mut sim = Sim::new(topo, seed);
     sim.set_routing_mode(mode);
@@ -100,8 +119,10 @@ fn run(topo: impl Into<Arc<Topology>>, hosts: &[NodeId], seed: u64, mode: Routin
             continue;
         }
         let core = sim.core();
-        let detours = core.k_detours(src, dst, 2).expect("connected WAN");
-        queries.push(format!("{detours:?}"));
+        let routed = core.resolve_path(src, dst).expect("connected WAN");
+        let detour = pivot_detour(core, src, dst, &routed);
+        queries.push(format!("{routed:?}"));
+        queries.push(format!("{detour:?}"));
         queries.push(format!(
             "{:?}",
             core.idle_path_rate(src, dst, FlowClass::Commodity)
@@ -110,11 +131,7 @@ fn run(topo: impl Into<Arc<Topology>>, hosts: &[NodeId], seed: u64, mode: Routin
             "{:?}",
             core.bottleneck(src, dst, FlowClass::Commodity)
         ));
-        let path = if i % 2 == 1 {
-            detours.first().map(|d| d.path.clone())
-        } else {
-            None
-        };
+        let path = if i % 2 == 1 { detour } else { None };
         flows.push((src, dst, (1 + i as u64) * MB, path));
     }
     let result = sim.run_process(Box::new(Uploads {
@@ -136,8 +153,7 @@ fn run(topo: impl Into<Arc<Topology>>, hosts: &[NodeId], seed: u64, mode: Routin
     }
 }
 
-/// Build every forward and every reverse tree of `topo` with path and
-/// detour queries.
+/// Build every tree of `topo` with path queries.
 fn warm_every_tree(topo: &Topology) {
     let (mut table, mut path) = (RoutingTable::new(), Vec::new());
     let n = topo.nodes().len() as u32;
@@ -146,7 +162,6 @@ fn warm_every_tree(topo: &Topology) {
         table
             .path_into(topo, u, v, &mut path)
             .expect("connected WAN");
-        table.k_detours(topo, v, u, 2).expect("connected WAN");
     }
 }
 

@@ -633,8 +633,9 @@ fn best_route(args: &Args, world: &NorthAmerica) {
     let provider = world.provider(args.provider());
     let size = args.size_bytes();
     let rule = match args.flags.get("rule").map(String::as_str) {
+        None | Some("overlap") => DecisionRule::OverlapAware,
         Some("mean") => DecisionRule::MeanOnly,
-        _ => DecisionRule::OverlapAware,
+        Some(_) => usage(),
     };
     let routes = vec![
         Route::Direct,

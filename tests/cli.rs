@@ -305,6 +305,7 @@ fn out_of_range_flag_values_are_usage_errors() {
         ubc("trace", &["--size", "18446744073709"]),
         ubc("simulate", &["--size", "18446744073709551615"]),
         ubc("simulate", &["--size", "0"]),
+        ubc("best-route", &["--size", "10", "--rule", "bogus"]),
         vec!["check", "--cases", "4294967296"],
         vec!["check", "--cases", "0"],
     ];

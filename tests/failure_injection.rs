@@ -1,11 +1,10 @@
-//! Integration tests: faults, throttling, token expiry and firewalls on
+//! Integration tests: faults, throttling, token expiry and deadlines on
 //! the calibrated scenario.
 
 use routing_detours::cloudstore::{FaultPlan, ProviderKind, RetryPolicy, UploadOptions};
 use routing_detours::detour_core::{run_job, JobDetail, Route};
 use routing_detours::netsim::error::NetError;
 use routing_detours::netsim::flow::FlowClass;
-use routing_detours::netsim::middlebox::FirewallRule;
 use routing_detours::netsim::time::SimTime;
 use routing_detours::netsim::units::MB;
 use routing_detours::scenarios::{Client, NorthAmerica};
@@ -86,41 +85,6 @@ fn token_expiry_mid_campaign_is_handled() {
         .expect("upload completes despite token expiry risk");
         assert_eq!(report.bytes, 100 * MB);
     }
-}
-
-#[test]
-fn firewall_on_access_link_blocks_probes_only() {
-    // A Science-DMZ-style rule: probe-class traffic is dropped at the UBC
-    // access link; bulk PlanetLab traffic still flows.
-    let world = NorthAmerica::new();
-    let n = *world.nodes();
-    let topo = world.topology();
-    let ubc_access = topo
-        .link_between(n.ubc, topo.node_by_name("a0-a1.net.ubc.ca").unwrap())
-        .expect("access link");
-    let mut sim = world.build_sim(1);
-    sim.add_firewall(FirewallRule::drop_class(
-        "campus-fw",
-        ubc_access,
-        FlowClass::Probe,
-    ));
-
-    use routing_detours::netsim::engine::TransferRequest;
-    use routing_detours::netsim::flow::FlowSpec;
-    let err = sim
-        .run_transfer(TransferRequest {
-            spec: FlowSpec::new(n.ubc, n.ualberta, MB, FlowClass::Probe),
-        })
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        routing_detours::netsim::error::NetError::Blocked { .. }
-    ));
-
-    let ok = sim.run_transfer(TransferRequest {
-        spec: FlowSpec::new(n.ubc, n.ualberta, MB, FlowClass::PlanetLab),
-    });
-    assert!(ok.is_ok(), "bulk traffic must pass: {ok:?}");
 }
 
 #[test]

@@ -28,7 +28,9 @@
 //!   cell again on the sharded executor's worker threads, folds the chain
 //!   digest alone, and must match the first bit for bit — the determinism
 //!   check ([`Violation::ShardDivergence`]). A sync case adds a third,
-//!   fully audited run with the relay chunk store bypassed.
+//!   fully audited run with the relay chunk store bypassed. The executions
+//!   share no state, so [`check_case`] runs them side by side on scoped
+//!   threads and reports their findings in one fixed order.
 //! * [`mod@shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`

@@ -2,7 +2,10 @@
 //! under the invariant oracle, and (for checking) run it once more under
 //! the sharded executor at [`SHARD_WORKER_COUNTS`], whose chained digest
 //! must be bit-identical to the first — two executions per case, three for
-//! a sync case, which adds a chunk-store bypass run.
+//! a sync case, which adds a chunk-store bypass run. The executions and the
+//! plane-coherence differential share no state, so [`check_case`] runs them
+//! side by side: the first on the calling thread, the others on scoped
+//! threads, with the verdict assembled in a fixed order.
 //!
 //! Each execution does only the work its verdict reads. The first
 //! execution and the chunk-bypass run are *full audits*: every per-event
@@ -115,6 +118,12 @@ pub struct RunOptions {
     /// a corrupted transfer. Requires the `failpoints` feature; silently
     /// ignored without it.
     pub corrupt_sync_literal: bool,
+    /// Flip one byte of each sync session's delivered files after its last
+    /// leg's integrity check, only when a chunk store is attached, so the
+    /// cached execution delivers a byte the bypass execution does not.
+    /// Proves the [`Violation::ChunkDivergence`] oracle fires. Requires the
+    /// `failpoints` feature; silently ignored without it.
+    pub corrupt_cached_delivery: bool,
     /// Make a cell's outcome depend on its thread: under [`run_sharded`],
     /// a cell that ran on a worker rather than on the calling thread
     /// reports an inverted chain digest. Proves the
@@ -363,6 +372,7 @@ struct ResolvedSync {
     start: SimTime,
     store: Option<Rc<RefCell<ChunkStore>>>,
     corrupt_literal: bool,
+    corrupt_delivery: bool,
 }
 
 impl ResolvedSync {
@@ -393,6 +403,7 @@ impl ResolvedSync {
             file_idx: 0,
             pending: None,
             corrupt_literal: self.corrupt_literal,
+            corrupt_delivery: self.corrupt_delivery,
         }
     }
 }
@@ -443,6 +454,9 @@ fn resolve_sync(
                 // from the 0..replicas cell reseeds.
                 pop_seed: crate::scenario::case_seed(spec.seed, 0x5e5e + s.dataset),
                 start: SimTime::from_millis(s.start_ms),
+                corrupt_delivery: cfg!(feature = "failpoints")
+                    && opts.corrupt_cached_delivery
+                    && store.is_some(),
                 store,
                 corrupt_literal: cfg!(feature = "failpoints") && opts.corrupt_sync_literal,
             }
@@ -482,6 +496,9 @@ struct SyncSession {
     /// Failpoint: corrupt every leg's delta after pricing it
     /// ([`RunOptions::corrupt_sync_literal`]).
     corrupt_literal: bool,
+    /// Failpoint: flip a delivered byte after the last leg lands
+    /// ([`RunOptions::corrupt_cached_delivery`]).
+    corrupt_delivery: bool,
 }
 
 /// A file leg in flight.
@@ -502,6 +519,11 @@ impl SyncSession {
             self.file_idx = 0;
             self.pass += 1;
             if self.pass > self.rounds {
+                if self.corrupt_delivery {
+                    if let Some(byte) = self.remote.iter_mut().find_map(|f| f.first_mut()) {
+                        *byte ^= 0xff;
+                    }
+                }
                 let digest = content_digest(&self.remote);
                 self.ledger.borrow_mut().push((self.session, digest));
                 ctx.finish(Value::U64(digest));
@@ -1270,7 +1292,8 @@ fn plane_coherence_with(seed: u64, gen_skew: u64) -> Vec<Violation> {
     violations
 }
 
-/// Check one scenario in at most three executions:
+/// Check one scenario in at most three executions plus the
+/// plane-coherence differential:
 ///
 /// 1. A full audit ([`run_once`]): every per-event invariant, with the
 ///    reference allocator, routing and progress backends in lockstep.
@@ -1283,6 +1306,14 @@ fn plane_coherence_with(seed: u64, gen_skew: u64) -> Vec<Violation> {
 ///    (cold-cache wire bytes give different flows and timings), so it is a
 ///    full audit too and its violations are reported; its delivered bytes
 ///    must equal the first execution's ([`Violation::ChunkDivergence`]).
+/// 4. [`check_plane_coherence`].
+///
+/// The pieces share no state, so they overlap: the full audit runs on the
+/// calling thread and the others on scoped threads beside it. A piece that
+/// panics has its own payload re-raised here. The violations are assembled
+/// in the order above whatever order the pieces finish in: the first
+/// execution's, a shard divergence, the bypass run's, a chunk divergence,
+/// the plane check's.
 pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
     // Health folding is forced on so the determinism comparison also
     // covers the aggregation/health plane.
@@ -1290,10 +1321,27 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
         health: true,
         ..opts
     };
-    let first = run_once(spec, opts);
-    let mut violations = first.violations.clone();
-    for workers in SHARD_WORKER_COUNTS {
-        let sharded = run_sharded_with(spec, opts, workers, Audit::DigestOnly).chain_digest;
+    // The chunk differential re-runs a sync case with the relay chunk
+    // store bypassed. Wire bytes (and therefore timing and chain digests)
+    // legitimately differ, but the delivered file bytes must be identical:
+    // the cache only re-prices the forward leg, it never changes content.
+    let bypass_opts = (!spec.sync.is_empty() && !opts.chunk_bypass).then_some(RunOptions {
+        chunk_bypass: true,
+        ..opts
+    });
+    let (first, sharded, bypass, plane) = std::thread::scope(|s| {
+        let sharded = s.spawn(|| {
+            SHARD_WORKER_COUNTS.map(|workers| {
+                run_sharded_with(spec, opts, workers, Audit::DigestOnly).chain_digest
+            })
+        });
+        let bypass = bypass_opts.map(|o| s.spawn(move || run_once(spec, o)));
+        let plane = s.spawn(|| check_plane_coherence(spec));
+        let first = run_once(spec, opts);
+        (first, joined(sharded), bypass.map(joined), joined(plane))
+    });
+    let mut violations = first.violations;
+    for (workers, sharded) in SHARD_WORKER_COUNTS.into_iter().zip(sharded) {
         if first.chain_digest != sharded {
             violations.push(Violation::ShardDivergence {
                 workers: workers as u32,
@@ -1302,18 +1350,7 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
             });
         }
     }
-    // The chunk differential: re-run with the relay chunk store bypassed.
-    // Wire bytes (and therefore timing and chain digests) legitimately
-    // differ, but the delivered file bytes must be identical — the cache
-    // only re-prices the forward leg, it never changes content.
-    if !spec.sync.is_empty() && !opts.chunk_bypass {
-        let bypass = run_once(
-            spec,
-            RunOptions {
-                chunk_bypass: true,
-                ..opts
-            },
-        );
+    if let Some(bypass) = bypass {
         violations.extend(bypass.violations);
         if first.sync_digest != bypass.sync_digest {
             violations.push(Violation::ChunkDivergence {
@@ -1322,7 +1359,7 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
             });
         }
     }
-    violations.extend(check_plane_coherence(spec));
+    violations.extend(plane);
     CaseResult {
         spec: spec.clone(),
         violations,
@@ -1330,6 +1367,14 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
         events: first.events,
         jobs_completed: first.jobs_completed,
     }
+}
+
+/// Join one of [`check_case`]'s scoped pieces, re-raising its own panic
+/// payload so a failed assertion keeps its message.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]

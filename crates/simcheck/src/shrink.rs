@@ -22,7 +22,7 @@ pub struct ShrinkResult {
     /// Accepted shrink steps.
     pub steps: u32,
     /// Candidates evaluated, each one [`check_case`] call: two executions,
-    /// three for a sync case.
+    /// three for a sync case, run side by side.
     pub evals: u32,
 }
 

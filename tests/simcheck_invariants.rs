@@ -4,13 +4,14 @@
 //! the simcheck invariant oracles, proves same-seed re-execution is
 //! bit-identical, and — via the `failpoints` feature, enabled for tests by
 //! the root crate's dev-dependency — proves the oracles catch an
-//! intentionally broken allocator, progress ledger, sync transfer, sharded
-//! execution or routing backend and shrink the failure to a minimal
-//! reproducer.
+//! intentionally broken allocator, progress ledger, sync transfer, chunk
+//! store, sharded execution or routing backend and shrink the failure to a
+//! minimal reproducer.
 
+use routing_detours::simcheck::runner::check_plane_coherence;
 use routing_detours::simcheck::{
-    case_seed, check_case, replay, run_check, run_once, shrink, CheckConfig, RunOptions,
-    ScenarioClass, ScenarioSpec, Violation,
+    case_seed, check_case, replay, run_check, run_once, run_sharded, shrink, CheckConfig,
+    RunOptions, ScenarioClass, ScenarioSpec, Violation,
 };
 
 /// The CI budget: a fixed-seed batch must hold every invariant.
@@ -217,6 +218,98 @@ fn corrupted_sync_delta_is_reported_by_the_bypass_run_too() {
         "{:?}",
         case.violations
     );
+}
+
+/// Fault injection on the chunk differential: the cached execution flips
+/// one delivered byte after each sync session's last integrity check, so
+/// every leg verifies yet the delivered files differ from the bypass
+/// run's. The case must report one chunk divergence and nothing else, and
+/// must shrink to a replayable spec with one sync session that still fails,
+/// and that passes once the fault is off.
+#[test]
+fn flipped_cached_byte_is_caught_by_the_chunk_differential_and_shrunk() {
+    let opts = RunOptions {
+        corrupt_cached_delivery: true,
+        ..Default::default()
+    };
+    let only_chunk_divergence =
+        |violations: &[Violation]| matches!(violations, [Violation::ChunkDivergence { .. }]);
+    let spec = ScenarioSpec::generate_sync(case_seed(13, 0));
+    assert!(
+        check_case(&spec, RunOptions::default()).ok(),
+        "the faithful case must pass"
+    );
+    let broken = check_case(&spec, opts);
+    assert!(
+        only_chunk_divergence(&broken.violations),
+        "expected only a chunk divergence, got {:?}",
+        broken.violations
+    );
+
+    let res = shrink(&spec, opts, 60);
+    assert!(res.steps > 0, "nothing shrank");
+    assert_eq!(
+        res.spec.sync.len(),
+        1,
+        "reproducer kept {:?}",
+        res.spec.sync
+    );
+    let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
+    let replayed = check_case(&round, opts);
+    assert!(
+        only_chunk_divergence(&replayed.violations),
+        "shrunk spec {} reported {:?}",
+        res.spec.to_json(),
+        replayed.violations
+    );
+    assert!(check_case(&round, RunOptions::default()).ok());
+}
+
+/// `check_case` runs its pieces side by side but reports them in one fixed
+/// order. With a fault in every piece that can carry one (a corrupted delta
+/// in both full audits, a thread-dependent cell in the shard run, a flipped
+/// cached byte for the chunk differential), the verdict must equal, element
+/// for element, what the pieces report when called one by one: the first
+/// execution's violations, the shard divergence, the bypass run's
+/// violations, the chunk divergence, then the plane check's.
+#[test]
+fn verdict_lists_every_piece_in_order() {
+    let opts = RunOptions {
+        corrupt_sync_literal: true,
+        thread_dependent_cells: true,
+        corrupt_cached_delivery: true,
+        health: true,
+        ..Default::default()
+    };
+    let spec = ScenarioSpec::generate_sync(case_seed(13, 0));
+    let first = run_once(&spec, opts);
+    let sharded = run_sharded(&spec, opts, 4);
+    let bypass = run_once(
+        &spec,
+        RunOptions {
+            chunk_bypass: true,
+            ..opts
+        },
+    );
+    assert!(
+        !first.violations.is_empty() && !bypass.violations.is_empty(),
+        "first {:?}, bypass {:?}",
+        first.violations,
+        bypass.violations
+    );
+    let mut expected = first.violations.clone();
+    expected.push(Violation::ShardDivergence {
+        workers: 4,
+        sequential: first.chain_digest,
+        sharded: sharded.chain_digest,
+    });
+    expected.extend(bypass.violations.iter().cloned());
+    expected.push(Violation::ChunkDivergence {
+        cached: first.sync_digest.expect("a sync case"),
+        bypass: bypass.sync_digest.expect("a sync case"),
+    });
+    expected.extend(check_plane_coherence(&spec));
+    assert_eq!(check_case(&spec, opts).violations, expected);
 }
 
 /// Fault injection on the sharded executor: a cell whose outcome depends

@@ -1,14 +1,14 @@
-//! Post-hoc trace analytics: critical paths, retry waterfalls, breaker
-//! timelines, and top-k slowest spans.
+//! Post-hoc trace analytics: critical paths, retry waterfalls and top-k
+//! slowest spans.
 //!
 //! [`analyze`] consumes a parsed [`Trace`] (live or recorded) and
 //! produces the `detour analyze` report: for every root span the
 //! **critical path** (the chain of largest-duration children — where the
-//! time actually went), the **retry waterfall** (every retry/throttle
-//! event in time order with its backoff), the **breaker timeline**
-//! (trips, cooldown closes, and skipped routes), and the top-k slowest
-//! spans overall. Output is deterministic and renders as both an aligned
-//! text report and canonical JSON for golden snapshots and CI artifacts.
+//! time actually went), the **retry waterfall** (every `chunk.retry` and
+//! `chunk.throttled` event in time order with its backoff or throttle
+//! wait), and the top-k slowest spans overall. Output is deterministic and
+//! renders as both an aligned text report and canonical JSON for golden
+//! snapshots and CI artifacts.
 
 use crate::json;
 use crate::trace::Trace;
@@ -49,20 +49,7 @@ pub struct RetryStep {
     /// Retry attempt number, when recorded.
     pub attempt: Option<u64>,
     /// Backoff or throttle wait in ms, when recorded.
-    pub wait_ms: Option<u64>,
-}
-
-/// One entry of the breaker timeline.
-#[derive(Debug, Clone)]
-pub struct BreakerStep {
-    /// Event time, ns.
-    pub t_ns: u64,
-    /// `"trip"`, `"close"`, or `"skip"`.
-    pub kind: &'static str,
-    /// Breaker target id.
-    pub target: String,
-    /// Route involved, when recorded.
-    pub route: Option<String>,
+    pub wait_ms: Option<f64>,
 }
 
 /// One of the top-k slowest spans.
@@ -85,8 +72,6 @@ pub struct AnalyzeReport {
     pub sessions: Vec<CriticalPath>,
     /// Retry/throttle waterfall in time order.
     pub retries: Vec<RetryStep>,
-    /// Breaker trips/closes/skips in time order.
-    pub breakers: Vec<BreakerStep>,
     /// Top-k spans by duration, descending (ties toward earlier spans).
     pub slowest: Vec<SlowSpan>,
 }
@@ -137,43 +122,27 @@ pub fn analyze(trace: &Trace, top_k: usize) -> AnalyzeReport {
         sessions.push(CriticalPath { steps });
     }
 
-    let mut retries = Vec::new();
-    let mut breakers = Vec::new();
-    for e in &trace.events {
-        match e.name.as_str() {
-            "chunk.retry" | "chunk.throttled" => retries.push(RetryStep {
-                t_ns: e.t_ns,
-                name: e.name.clone(),
-                under: e
-                    .parent
-                    .and_then(|p| trace.spans.get(p))
-                    .map(|s| s.name.clone())
-                    .unwrap_or_else(|| "-".to_string()),
-                attempt: e.arg("attempt").and_then(|v| v.as_u64()),
-                wait_ms: e
-                    .arg("backoff_ms")
-                    .or_else(|| e.arg("wait_ms"))
-                    .and_then(|v| v.as_u64()),
-            }),
-            "breaker.trip" | "breaker.close" | "failover.breaker_skip" => {
-                breakers.push(BreakerStep {
-                    t_ns: e.t_ns,
-                    kind: match e.name.as_str() {
-                        "breaker.trip" => "trip",
-                        "breaker.close" => "close",
-                        _ => "skip",
-                    },
-                    target: e
-                        .arg("target")
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("?")
-                        .to_string(),
-                    route: e.arg("route").and_then(|v| v.as_str()).map(str::to_string),
-                })
-            }
-            _ => {}
-        }
-    }
+    // The events the waterfall reads; tests/metric_names.rs checks that a
+    // user path records each one.
+    let retries = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "chunk.retry" || e.name == "chunk.throttled")
+        .map(|e| RetryStep {
+            t_ns: e.t_ns,
+            name: e.name.clone(),
+            under: e
+                .parent
+                .and_then(|p| trace.spans.get(p))
+                .map(|s| s.name.clone())
+                .unwrap_or_else(|| "-".to_string()),
+            attempt: e.arg("attempt").and_then(|v| v.as_u64()),
+            wait_ms: e
+                .arg("backoff_ms")
+                .or_else(|| e.arg("wait_ms"))
+                .and_then(|v| v.as_f64()),
+        })
+        .collect();
 
     let mut order: Vec<usize> = (0..trace.spans.len()).collect();
     order.sort_by(|&a, &b| {
@@ -200,7 +169,6 @@ pub fn analyze(trace: &Trace, top_k: usize) -> AnalyzeReport {
     AnalyzeReport {
         sessions,
         retries,
-        breakers,
         slowest,
     }
 }
@@ -245,22 +213,6 @@ impl AnalyzeReport {
                 r.under,
                 attempt,
                 wait
-            );
-        }
-        let _ = writeln!(out, "\nbreaker timeline ({} steps):", self.breakers.len());
-        for b in &self.breakers {
-            let route = b
-                .route
-                .as_deref()
-                .map(|r| format!(" route {r}"))
-                .unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "  +{:>9.1} ms  {:<5} target {}{}",
-                ms(b.t_ns),
-                b.kind,
-                b.target,
-                route
             );
         }
         let _ = writeln!(out, "\nslowest spans (top {}):", self.slowest.len());
@@ -308,28 +260,10 @@ impl AnalyzeReport {
             json::escape(&r.name, &mut out);
             out.push_str(",\"under\":");
             json::escape(&r.under, &mut out);
-            let opt = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_else(|| "null".into());
-            let _ = write!(
-                out,
-                ",\"attempt\":{},\"wait_ms\":{}}}",
-                opt(r.attempt),
-                opt(r.wait_ms)
-            );
-        }
-        out.push_str("],\"breakers\":[");
-        for (i, b) in self.breakers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"t_ns\":{},\"kind\":\"{}\",\"target\":",
-                b.t_ns, b.kind
-            );
-            json::escape(&b.target, &mut out);
-            out.push_str(",\"route\":");
-            match &b.route {
-                Some(r) => json::escape(r, &mut out),
+            let attempt = r.attempt.map_or_else(|| "null".into(), |a| a.to_string());
+            let _ = write!(out, ",\"attempt\":{attempt},\"wait_ms\":");
+            match r.wait_ms {
+                Some(w) => json::push_f64(&mut out, w),
                 None => out.push_str("null"),
             }
             out.push('}');
@@ -365,31 +299,14 @@ mod tests {
         let fast = tele.span_begin(2_000_000, Category::Chunk, "part", sess);
         tele.span_end(3_000_000, fast);
         let slow = tele.span_begin(3_000_000, Category::Chunk, "part", sess);
+        // Waits are f64 milliseconds, as cloudstore's sessions record them.
         tele.event(4_000_000, Category::Chunk, "chunk.retry", slow, |a| {
-            a.set("attempt", 1u64).set("backoff_ms", 40u64);
+            a.set("attempt", 1u64).set("backoff_ms", 419.594719);
         });
         tele.event(5_000_000, Category::Chunk, "chunk.throttled", slow, |a| {
-            a.set("wait_ms", 25u64);
+            a.set("wait_ms", 2000.0);
         });
         tele.span_end(9_000_000, slow);
-        tele.event(
-            9_100_000,
-            Category::Control,
-            "breaker.trip",
-            SpanId::NONE,
-            |a| {
-                a.set("target", "3").set("route", "Direct");
-            },
-        );
-        tele.event(
-            9_200_000,
-            Category::Control,
-            "breaker.close",
-            SpanId::NONE,
-            |a| {
-                a.set("target", "3");
-            },
-        );
         tele.span_end(10_000_000, sess);
         tele.span_end(10_500_000, job);
         Trace::from_recording(&tele.take().unwrap())
@@ -411,17 +328,26 @@ mod tests {
     }
 
     #[test]
-    fn waterfalls_and_timelines_are_time_ordered() {
+    fn retry_waterfall_is_time_ordered_with_fractional_waits() {
         let rep = analyze(&sample_trace(), 3);
         assert_eq!(rep.retries.len(), 2);
         assert!(rep.retries[0].t_ns <= rep.retries[1].t_ns);
         assert_eq!(rep.retries[0].attempt, Some(1));
-        assert_eq!(rep.retries[1].wait_ms, Some(25));
+        assert_eq!(rep.retries[0].wait_ms, Some(419.594719));
+        assert_eq!(rep.retries[1].wait_ms, Some(2000.0));
         assert_eq!(rep.retries[0].under, "part");
-        assert_eq!(rep.breakers.len(), 2);
-        assert_eq!(rep.breakers[0].kind, "trip");
-        assert_eq!(rep.breakers[1].kind, "close");
-        assert_eq!(rep.breakers[0].route.as_deref(), Some("Direct"));
+        let text = rep.to_text();
+        assert!(text.contains("attempt 1 wait 419.594719 ms"), "{text}");
+        assert!(text.contains("wait 2000 ms"), "{text}");
+        let json = rep.to_json();
+        assert!(
+            json.contains("\"attempt\":1,\"wait_ms\":419.594719}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"attempt\":null,\"wait_ms\":2000}"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -3,18 +3,23 @@
 //! [`HealthBoard`] folds a parsed [`Trace`] (live or recorded — see
 //! [`Trace::from_recording`]) into per-cell health state keyed by
 //! **(vantage, provider, size-class)**, the unit of the paper's detour
-//! argument. Each cell carries a mergeable [`QuantileSketch`] of
-//! successful transfer times plus counters fed by every plane of the
-//! stack: monitor probes, failover route failures and switches, breaker
-//! trips/cooldowns/skips, and resilience throttle/retry/budget/deadline
-//! events.
+//! argument. An attempt is a `job` span, or an `upload-session` span no
+//! job encloses; it fails when a `job.error` or `session.error` event
+//! hangs directly under it. Each cell carries a mergeable
+//! [`QuantileSketch`] of successful transfer times plus the resilience
+//! counters of the sessions under its attempts: `chunk.throttled` and
+//! `chunk.retry` events, and `session.error`s that name an exhausted retry
+//! budget or a deadline. Root-level `monitor.probe` events count toward
+//! the board's probe total.
 //!
 //! SLO evaluation follows the multi-window burn-rate discipline: the
-//! error rate over a short and a long window (measured back from the end
-//! of the trace, in sim time) is divided by the error budget to get a
-//! burn rate; a cell is **burning** when both windows exceed the page
-//! threshold, **warn** when the long window exceeds the warn threshold
-//! or p99 transfer time drifts past its target, **ok** otherwise.
+//! error rate over a short (60 s) and a long (600 s) window, measured back
+//! from the end of the trace in sim time, is divided by a 5% error budget
+//! to get a burn rate; a cell is **burning** when both windows reach the
+//! page threshold (6), **warn** when the long window reaches the warn
+//! threshold (1) or p99 transfer time drifts past its target, **ok**
+//! otherwise. Only the p99 target is settable (`detour health
+//! --slo-p99-secs`).
 //!
 //! Everything is integer or rational arithmetic over deterministic
 //! inputs: the same trace always produces the same scoreboard, and
@@ -27,35 +32,18 @@ use crate::trace::{Trace, TraceSpan};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// SLO targets and burn-rate windows for every cell.
-#[derive(Debug, Clone)]
-pub struct SloPolicy {
-    /// p99 successful-transfer-time target, sim nanoseconds.
-    pub p99_ns: u64,
-    /// Fraction of attempts allowed to fail (error budget).
-    pub error_budget: f64,
-    /// Short burn window, sim nanoseconds.
-    pub short_window_ns: u64,
-    /// Long burn window, sim nanoseconds.
-    pub long_window_ns: u64,
-    /// Long-window burn rate at which a cell turns warn.
-    pub warn_burn: f64,
-    /// Burn rate both windows must exceed for burning.
-    pub page_burn: f64,
-}
-
-impl Default for SloPolicy {
-    fn default() -> Self {
-        SloPolicy {
-            p99_ns: 120_000_000_000, // 120 s of sim time
-            error_budget: 0.05,
-            short_window_ns: 60_000_000_000,
-            long_window_ns: 600_000_000_000,
-            warn_burn: 1.0,
-            page_burn: 6.0,
-        }
-    }
-}
+/// Default p99 successful-transfer-time target, sim nanoseconds (120 s).
+pub const DEFAULT_SLO_P99_NS: u64 = 120_000_000_000;
+/// Fraction of attempts allowed to fail (error budget).
+const ERROR_BUDGET: f64 = 0.05;
+/// Short burn window, sim nanoseconds.
+const SHORT_WINDOW_NS: u64 = 60_000_000_000;
+/// Long burn window, sim nanoseconds.
+const LONG_WINDOW_NS: u64 = 600_000_000_000;
+/// Long-window burn rate at which a cell turns warn.
+const WARN_BURN: f64 = 1.0;
+/// Burn rate both windows must reach for burning.
+const PAGE_BURN: f64 = 6.0;
 
 /// Health state of one cell or board row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -101,24 +89,10 @@ pub struct CellHealth {
     pub throttles: u64,
     /// Chunk retry events.
     pub retries: u64,
-    /// Route attempts that failed inside failover.
-    pub route_failures: u64,
-    /// Failover switches away from the preferred route.
-    pub failovers: u64,
-    /// Breaker trips attributed to this cell.
-    pub breaker_trips: u64,
-    /// Routes skipped because a breaker was open.
-    pub breaker_skips: u64,
     /// Retry budget exhaustions.
     pub budget_exhausted: u64,
     /// Deadline exceeded terminations.
     pub deadline_exceeded: u64,
-    /// Route-plane lookups shed by admission control for this cell.
-    pub plane_sheds: u64,
-    /// Route-plane decisions demoted to direct by an open breaker.
-    pub plane_demotions: u64,
-    /// Route-plane stale-generation refreshes (invalidation pressure).
-    pub plane_stale: u64,
 }
 
 impl CellHealth {
@@ -132,7 +106,7 @@ impl CellHealth {
         self.outcomes.iter().filter(|(_, ok)| !ok).count() as u64
     }
 
-    fn burn_rate(&self, window_ns: u64, end_ns: u64, budget: f64) -> f64 {
+    fn burn_rate(&self, window_ns: u64, end_ns: u64) -> f64 {
         let lo = end_ns.saturating_sub(window_ns);
         let mut attempts = 0u64;
         let mut errors = 0u64;
@@ -144,31 +118,19 @@ impl CellHealth {
                 }
             }
         }
-        if attempts == 0 || budget <= 0.0 {
+        if attempts == 0 {
             return 0.0;
         }
-        (errors as f64 / attempts as f64) / budget
+        (errors as f64 / attempts as f64) / ERROR_BUDGET
     }
 }
 
-/// Per-breaker-target activity (keyed by breaker target id).
-#[derive(Debug, Clone, Default)]
-pub struct BreakerRow {
-    /// Closed → Open transitions.
-    pub trips: u64,
-    /// Open/HalfOpen → Closed transitions.
-    pub closes: u64,
-    /// Route attempts skipped while open.
-    pub skips: u64,
-}
-
-/// The scoreboard: cells, breaker activity, probe volume, and the SLO
-/// policy they are judged against.
-#[derive(Debug, Default)]
+/// The scoreboard: cells, probe volume, and the p99 target they are
+/// judged against.
+#[derive(Debug)]
 pub struct HealthBoard {
-    slo: SloPolicy,
+    p99_ns: u64,
     cells: BTreeMap<(String, String, &'static str), CellHealth>,
-    breakers: BTreeMap<String, BreakerRow>,
     probes: u64,
     end_ns: u64,
 }
@@ -203,12 +165,10 @@ pub struct HealthRow {
 /// The rendered scoreboard.
 #[derive(Debug, Clone)]
 pub struct HealthReport {
-    /// Policy the rows were judged against.
-    pub slo: SloPolicy,
+    /// p99 target the rows were judged against, sim nanoseconds.
+    pub slo_p99_ns: u64,
     /// Evaluated cells, sorted by (vantage, provider, size).
     pub rows: Vec<HealthRow>,
-    /// Breaker activity by target.
-    pub breakers: Vec<(String, BreakerRow)>,
     /// Monitor probes observed.
     pub probes: u64,
     /// Anchor for the burn windows (max sim time in the traces).
@@ -235,17 +195,15 @@ fn span_cell_key(span: &TraceSpan) -> (String, String, &'static str) {
 }
 
 impl HealthBoard {
-    /// A board judging against the given policy.
-    pub fn new(slo: SloPolicy) -> Self {
+    /// A board judging p99 transfer times against `p99_ns` (sim
+    /// nanoseconds; [`DEFAULT_SLO_P99_NS`] unless the user sets one).
+    pub fn new(p99_ns: u64) -> Self {
         HealthBoard {
-            slo,
-            ..Default::default()
+            p99_ns,
+            cells: BTreeMap::new(),
+            probes: 0,
+            end_ns: 0,
         }
-    }
-
-    /// The policy in force.
-    pub fn slo(&self) -> &SloPolicy {
-        &self.slo
     }
 
     /// Fold one trace into the board. Calling this for several traces
@@ -260,9 +218,8 @@ impl HealthBoard {
         let mut owner: Vec<Option<usize>> = vec![None; trace.spans.len()];
         for (i, s) in trace.spans.iter().enumerate() {
             let inherited = s.parent.and_then(|p| owner.get(p).copied().flatten());
-            let is_attempt_root = s.name == "job"
-                || (inherited.is_none()
-                    && (s.name == "upload-session" || s.name == "download-session"));
+            let is_attempt_root =
+                s.name == "job" || (inherited.is_none() && s.name == "upload-session");
             owner[i] = if is_attempt_root { Some(i) } else { inherited };
         }
 
@@ -294,95 +251,56 @@ impl HealthBoard {
             }
         }
 
+        // The events the board reads; tests/metric_names.rs checks that a
+        // user path records each one. Resilience events count toward the
+        // cell of the attempt they happened under and are dropped outside
+        // any attempt.
         for e in &trace.events {
-            // A cell for the event: the owning job's key when it has one,
-            // else the event's own vantage/provider args (failover and
-            // breaker events are root-parented but self-describing).
-            let key = e
-                .parent
-                .and_then(|p| owner.get(p).copied().flatten())
-                .map(|j| span_cell_key(&trace.spans[j]))
-                .or_else(|| {
-                    e.arg("vantage").and_then(|v| v.as_str()).map(|vantage| {
-                        let provider = e
-                            .arg("provider")
-                            .and_then(|v| v.as_str())
-                            .unwrap_or("-")
-                            .to_string();
-                        let size = e
-                            .arg("bytes")
-                            .and_then(|v| v.as_u64())
-                            .map(size_class)
-                            .unwrap_or("-");
-                        (vantage.to_string(), provider, size)
-                    })
-                });
-            let mut bump = |f: fn(&mut CellHealth)| {
-                if let Some(k) = key.clone() {
-                    f(self.cells.entry(k).or_default());
-                }
-            };
-            let target = || {
-                e.arg("target")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("?")
-                    .to_string()
-            };
-            match e.name.as_str() {
-                "chunk.throttled" => bump(|c| c.throttles += 1),
-                "chunk.retry" => bump(|c| c.retries += 1),
-                "failover.route_failed" => bump(|c| c.route_failures += 1),
-                "failover.switched" => bump(|c| c.failovers += 1),
-                "failover.breaker_skip" => {
-                    bump(|c| c.breaker_skips += 1);
-                    self.breakers.entry(target()).or_default().skips += 1;
-                }
-                "breaker.trip" => {
-                    bump(|c| c.breaker_trips += 1);
-                    self.breakers.entry(target()).or_default().trips += 1;
-                }
-                "breaker.close" => {
-                    self.breakers.entry(target()).or_default().closes += 1;
-                }
-                "monitor.probe" => self.probes += 1,
-                // Route-plane pressure: self-describing events (vantage /
-                // provider / bytes args) emitted by fleet drivers and the
-                // plane CLI, so cache overload shows up on the same
-                // scoreboard as transfer health.
-                "plane.shed" => bump(|c| c.plane_sheds += 1),
-                "plane.demote" => bump(|c| c.plane_demotions += 1),
-                "plane.stale" => bump(|c| c.plane_stale += 1),
+            let bump: fn(&mut CellHealth) = match e.name.as_str() {
+                "chunk.throttled" => |c| c.throttles += 1,
+                "chunk.retry" => |c| c.retries += 1,
                 "session.error" => {
                     let text = e.arg("error").and_then(|v| v.as_str()).unwrap_or("");
                     if text.contains("deadline") {
-                        bump(|c| c.deadline_exceeded += 1);
+                        |c| c.deadline_exceeded += 1
                     } else if text.contains("budget") || text.contains("retry") {
-                        bump(|c| c.budget_exhausted += 1);
+                        |c| c.budget_exhausted += 1
+                    } else {
+                        continue;
                     }
                 }
-                _ => {}
+                "monitor.probe" => {
+                    self.probes += 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            if let Some(j) = e.parent.and_then(|p| owner.get(p).copied().flatten()) {
+                bump(
+                    self.cells
+                        .entry(span_cell_key(&trace.spans[j]))
+                        .or_default(),
+                );
             }
         }
     }
 
-    /// Evaluate every cell against the SLO policy.
+    /// Evaluate every cell against the SLO.
     pub fn report(&self) -> HealthReport {
         let mut rows = Vec::with_capacity(self.cells.len());
         for ((vantage, provider, size), cell) in &self.cells {
             let p99 = cell.transfer_ns.quantile(0.99);
             let latency = match p99 {
                 None => Verdict::Ok,
-                Some(p) if p <= self.slo.p99_ns => Verdict::Ok,
-                Some(p) if p <= self.slo.p99_ns + self.slo.p99_ns / 4 => Verdict::Warn,
+                Some(p) if p <= self.p99_ns => Verdict::Ok,
+                Some(p) if p <= self.p99_ns + self.p99_ns / 4 => Verdict::Warn,
                 Some(_) => Verdict::Burning,
             };
-            let burn_short =
-                cell.burn_rate(self.slo.short_window_ns, self.end_ns, self.slo.error_budget);
-            let burn_long =
-                cell.burn_rate(self.slo.long_window_ns, self.end_ns, self.slo.error_budget);
-            let errors = if burn_short >= self.slo.page_burn && burn_long >= self.slo.page_burn {
+            let burn_short = cell.burn_rate(SHORT_WINDOW_NS, self.end_ns);
+            let burn_long = cell.burn_rate(LONG_WINDOW_NS, self.end_ns);
+            let errors = if burn_short >= PAGE_BURN && burn_long >= PAGE_BURN {
                 Verdict::Burning
-            } else if burn_long >= self.slo.warn_burn {
+            } else if burn_long >= WARN_BURN {
                 Verdict::Warn
             } else {
                 Verdict::Ok
@@ -402,13 +320,8 @@ impl HealthBoard {
             });
         }
         HealthReport {
-            slo: self.slo.clone(),
+            slo_p99_ns: self.p99_ns,
             rows,
-            breakers: self
-                .breakers
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
             probes: self.probes,
             end_ns: self.end_ns,
         }
@@ -438,25 +351,11 @@ impl HealthBoard {
             for v in [
                 cell.throttles,
                 cell.retries,
-                cell.route_failures,
-                cell.failovers,
-                cell.breaker_trips,
-                cell.breaker_skips,
                 cell.budget_exhausted,
                 cell.deadline_exceeded,
-                cell.plane_sheds,
-                cell.plane_demotions,
-                cell.plane_stale,
             ] {
                 f(v);
             }
-        }
-        f(self.breakers.len() as u64);
-        for (target, row) in &self.breakers {
-            fold_str(target, f);
-            f(row.trips);
-            f(row.closes);
-            f(row.skips);
         }
         f(self.probes);
         f(self.end_ns);
@@ -479,12 +378,12 @@ impl HealthReport {
             "route health @ t={:.1}s  (slo: p99 <= {:.1}s, error budget {:.1}%, \
              windows {}s/{}s, warn>={}, page>={})",
             self.end_ns as f64 / 1e9,
-            self.slo.p99_ns as f64 / 1e9,
-            self.slo.error_budget * 100.0,
-            self.slo.short_window_ns / 1_000_000_000,
-            self.slo.long_window_ns / 1_000_000_000,
-            self.slo.warn_burn,
-            self.slo.page_burn,
+            self.slo_p99_ns as f64 / 1e9,
+            ERROR_BUDGET * 100.0,
+            SHORT_WINDOW_NS / 1_000_000_000,
+            LONG_WINDOW_NS / 1_000_000_000,
+            WARN_BURN,
+            PAGE_BURN,
         );
         if self.rows.is_empty() {
             out.push_str("(no transfer attempts in trace)\n");
@@ -506,14 +405,13 @@ impl HealthReport {
             .max(8);
         let _ = writeln!(
             out,
-            "{:<vw$}  {:<pw$}  {:<6}  {:>4} {:>4}  {:>9} {:>9}  {:>3} {:>3} {:>3} {:>3}  {:>6} {:>6}  verdict",
-            "vantage", "provider", "size", "att", "err", "p50_ms", "p99_ms",
-            "thr", "rty", "fov", "skp", "burn_s", "burn_l"
+            "{:<vw$}  {:<pw$}  size     att  err     p50_ms    p99_ms  thr rty  burn_s burn_l  verdict",
+            "vantage", "provider"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:<vw$}  {:<pw$}  {:<6}  {:>4} {:>4}  {:>9} {:>9}  {:>3} {:>3} {:>3} {:>3}  {:>6.2} {:>6.2}  {}",
+                "{:<vw$}  {:<pw$}  {:<6}  {:>4} {:>4}  {:>9} {:>9}  {:>3} {:>3}  {:>6.2} {:>6.2}  {}",
                 r.vantage,
                 r.provider,
                 r.size,
@@ -523,22 +421,10 @@ impl HealthReport {
                 fmt_ms(r.p99_ns),
                 r.cell.throttles,
                 r.cell.retries,
-                r.cell.failovers,
-                r.cell.breaker_skips,
                 r.burn_short,
                 r.burn_long,
                 r.overall.label(),
             );
-        }
-        if !self.breakers.is_empty() {
-            out.push_str("\nbreakers:\n");
-            for (target, row) in &self.breakers {
-                let _ = writeln!(
-                    out,
-                    "  target {:<6} trips {:>3}  closes {:>3}  skips {:>3}",
-                    target, row.trips, row.closes, row.skips
-                );
-            }
         }
         let _ = writeln!(out, "\nmonitor probes: {}", self.probes);
         out
@@ -552,12 +438,7 @@ impl HealthReport {
             out,
             "\"p99_ns\":{},\"error_budget\":{},\"short_window_ns\":{},\"long_window_ns\":{},\
              \"warn_burn\":{},\"page_burn\":{}}},",
-            self.slo.p99_ns,
-            self.slo.error_budget,
-            self.slo.short_window_ns,
-            self.slo.long_window_ns,
-            self.slo.warn_burn,
-            self.slo.page_burn
+            self.slo_p99_ns, ERROR_BUDGET, SHORT_WINDOW_NS, LONG_WINDOW_NS, WARN_BURN, PAGE_BURN
         );
         let _ = write!(
             out,
@@ -575,10 +456,8 @@ impl HealthReport {
             let _ = write!(
                 out,
                 ",\"size\":\"{}\",\"attempts\":{},\"errors\":{},\"p50_ns\":{},\"p99_ns\":{},\
-                 \"throttles\":{},\"retries\":{},\"route_failures\":{},\"failovers\":{},\
-                 \"breaker_trips\":{},\"breaker_skips\":{},\"budget_exhausted\":{},\
-                 \"deadline_exceeded\":{},\"plane_sheds\":{},\"plane_demotions\":{},\
-                 \"plane_stale\":{},\"burn_short\":{},\"burn_long\":{},\
+                 \"throttles\":{},\"retries\":{},\"budget_exhausted\":{},\
+                 \"deadline_exceeded\":{},\"burn_short\":{},\"burn_long\":{},\
                  \"latency\":\"{}\",\"error_verdict\":\"{}\",\"verdict\":\"{}\"}}",
                 r.size,
                 r.cell.attempts(),
@@ -591,33 +470,13 @@ impl HealthReport {
                     .unwrap_or_else(|| "null".into()),
                 r.cell.throttles,
                 r.cell.retries,
-                r.cell.route_failures,
-                r.cell.failovers,
-                r.cell.breaker_trips,
-                r.cell.breaker_skips,
                 r.cell.budget_exhausted,
                 r.cell.deadline_exceeded,
-                r.cell.plane_sheds,
-                r.cell.plane_demotions,
-                r.cell.plane_stale,
                 r.burn_short,
                 r.burn_long,
                 r.latency.label(),
                 r.errors.label(),
                 r.overall.label(),
-            );
-        }
-        out.push_str("],\"breakers\":[");
-        for (i, (target, row)) in self.breakers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"target\":");
-            json::escape(target, &mut out);
-            let _ = write!(
-                out,
-                ",\"trips\":{},\"closes\":{},\"skips\":{}}}",
-                row.trips, row.closes, row.skips
             );
         }
         out.push_str("]}\n");
@@ -652,7 +511,7 @@ mod tests {
     fn board_from(tele: &mut Telemetry) -> HealthBoard {
         let rec = tele.take().unwrap();
         let trace = Trace::from_recording(&rec);
-        let mut b = HealthBoard::new(SloPolicy::default());
+        let mut b = HealthBoard::new(DEFAULT_SLO_P99_NS);
         b.ingest(&trace);
         b
     }
@@ -715,85 +574,31 @@ mod tests {
     #[test]
     fn latency_verdict_tracks_p99_target() {
         // 0.5 s target while the jobs take a full second.
-        let slo = SloPolicy {
-            p99_ns: 500_000_000,
-            ..SloPolicy::default()
-        };
         let mut tele = Telemetry::enabled();
         job(&mut tele, 0, true, "UBC", "Google Drive", 1 << 20);
         let rec = tele.take().unwrap();
-        let mut b = HealthBoard::new(slo);
+        let mut b = HealthBoard::new(500_000_000);
         b.ingest(&Trace::from_recording(&rec));
         let rep = b.report();
         assert_eq!(rep.rows[0].latency, Verdict::Burning);
     }
 
     #[test]
-    fn root_events_attribute_via_their_own_args() {
+    fn root_events_count_probes_and_join_no_cell() {
         let mut tele = Telemetry::enabled();
-        tele.event(
-            5,
-            Category::Control,
-            "failover.switched",
-            SpanId::NONE,
-            |a| {
-                a.set("route", "via UAlberta")
-                    .set("vantage", "UBC")
-                    .set("provider", "Dropbox")
-                    .set("bytes", 1u64 << 20)
-                    .set("failed_attempts", 1u64);
-            },
-        );
-        tele.event(6, Category::Control, "breaker.trip", SpanId::NONE, |a| {
-            a.set("target", "7")
-                .set("vantage", "UBC")
-                .set("provider", "Dropbox")
-                .set("bytes", 1u64 << 20);
-        });
-        tele.event(7, Category::Control, "breaker.close", SpanId::NONE, |a| {
-            a.set("target", "7");
-        });
         tele.event(8, Category::Control, "monitor.probe", SpanId::NONE, |a| {
             a.set("route", 1u64);
         });
-        let b = board_from(&mut tele);
-        let rep = b.report();
-        assert_eq!(rep.probes, 1);
-        assert_eq!(rep.breakers.len(), 1);
-        assert_eq!(rep.breakers[0].1.trips, 1);
-        assert_eq!(rep.breakers[0].1.closes, 1);
-        let cell = &rep.rows[0].cell;
-        assert_eq!(cell.failovers, 1);
-        assert_eq!(cell.breaker_trips, 1);
-    }
-
-    #[test]
-    fn plane_pressure_events_land_in_their_cell() {
-        let mut tele = Telemetry::enabled();
-        for (i, name) in ["plane.shed", "plane.shed", "plane.demote", "plane.stale"]
-            .iter()
-            .enumerate()
-        {
-            tele.event(10 + i as u64, Category::Control, name, SpanId::NONE, |a| {
-                a.set("vantage", "UBC")
-                    .set("provider", "Dropbox")
-                    .set("bytes", 1u64 << 20);
-            });
-        }
-        // No vantage arg and no parent span: nowhere to attribute, dropped.
-        tele.event(99, Category::Control, "plane.shed", SpanId::NONE, |a| {
-            a.set("tenant", 3u64);
+        // Outside any attempt a resilience event has no cell, whatever
+        // args it carries.
+        tele.event(9, Category::Chunk, "chunk.retry", SpanId::NONE, |a| {
+            a.set("vantage", "UBC")
+                .set("provider", "Dropbox")
+                .set("bytes", 1u64 << 20);
         });
         let rep = board_from(&mut tele).report();
-        assert_eq!(rep.rows.len(), 1);
-        let cell = &rep.rows[0].cell;
-        assert_eq!(cell.plane_sheds, 2);
-        assert_eq!(cell.plane_demotions, 1);
-        assert_eq!(cell.plane_stale, 1);
-        let json = rep.to_json();
-        assert!(json.contains("\"plane_sheds\":2"));
-        assert!(json.contains("\"plane_demotions\":1"));
-        assert!(json.contains("\"plane_stale\":1"));
+        assert_eq!(rep.probes, 1);
+        assert!(rep.rows.is_empty());
     }
 
     #[test]
@@ -804,10 +609,10 @@ mod tests {
             Trace::from_recording(&tele.take().unwrap())
         };
         let (a, b) = (mk(true), mk(false));
-        let mut x = HealthBoard::new(SloPolicy::default());
+        let mut x = HealthBoard::new(DEFAULT_SLO_P99_NS);
         x.ingest(&a);
         x.ingest(&b);
-        let mut y = HealthBoard::new(SloPolicy::default());
+        let mut y = HealthBoard::new(DEFAULT_SLO_P99_NS);
         y.ingest(&b);
         y.ingest(&a);
         let mut dx = Vec::new();

@@ -24,7 +24,7 @@
 //!   recorded JSONL traces back (with typed, actionable errors), folds
 //!   them into a per-(vantage, provider, size-class) route-health
 //!   scoreboard with multi-window SLO burn rates, and extracts critical
-//!   paths / retry waterfalls / breaker timelines (`detour health`,
+//!   paths, retry waterfalls and the slowest spans (`detour health`,
 //!   `detour analyze`).
 //! * **JSON** ([`json`]) is the workspace's one JSON codec: the value
 //!   tree, parser and writer behind trace reading, replayable simcheck
@@ -46,7 +46,7 @@ pub mod window;
 
 pub use analyze::{analyze, AnalyzeReport};
 pub use export::{chrome_trace_json, jsonl_log, span_tree_text};
-pub use health::{size_class, HealthBoard, HealthReport, SloPolicy, Verdict};
+pub use health::{size_class, HealthBoard, HealthReport, Verdict, DEFAULT_SLO_P99_NS};
 pub use json::{Json, JsonError, JsonErrorKind};
 pub use metrics::{
     is_valid_metric_name, metric_segment, Histogram, MetricsRegistry, MetricsSnapshot,

@@ -118,7 +118,7 @@ impl Histogram {
 /// Is `name` a conforming metric name? The scheme is dotted lowercase:
 /// at least two non-empty `.`-separated segments, each built only from
 /// ASCII lowercase letters, digits, and underscores (e.g.
-/// `cloudstore.throttles`, `core.breaker.trips`). Dynamic parts must be
+/// `cloudstore.throttles`, `core.monitor.probes`). Dynamic parts must be
 /// sanitized through [`metric_segment`] first.
 pub fn is_valid_metric_name(name: &str) -> bool {
     let mut segments = 0usize;
@@ -524,7 +524,7 @@ mod tests {
     fn metric_name_scheme_is_enforced() {
         for good in [
             "cloudstore.throttles",
-            "core.breaker.trips",
+            "core.monitor.probes",
             "netsim.flow.delivered_bytes",
             "a.b_c.d9",
         ] {

@@ -33,7 +33,7 @@ impl SpanId {
 /// grouping and lets tools filter one layer of the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
-    /// Campaign / job / selector / failover decisions (detour-core).
+    /// Campaign / job / selector decisions and route probes (detour-core).
     Control,
     /// A whole upload/download session (cloudstore).
     Session,
@@ -398,13 +398,6 @@ impl Telemetry {
         }
     }
 
-    /// Change the tumbling-window width (flushes all open windows first).
-    pub fn set_window_width(&mut self, width_ns: u64) {
-        if let Some(rec) = self.inner.as_deref_mut() {
-            rec.windows.set_width_ns(width_ns);
-        }
-    }
-
     /// Take the recording out, leaving the handle disabled.
     /// Returns `None` when telemetry was never enabled.
     pub fn take(&mut self) -> Option<Recording> {
@@ -466,17 +459,17 @@ mod tests {
 
     #[test]
     fn take_drains_open_windows() {
+        const S: u64 = crate::window::DEFAULT_WINDOW_NS;
         let mut tele = Telemetry::enabled();
-        tele.set_window_width(1_000);
         tele.window_count(10, "a.count", 2);
         tele.window_record(20, "a.lat", 500);
-        tele.window_count(1_500, "a.count", 1); // flushes window [0,1000)
+        tele.window_count(S + S / 2, "a.count", 1); // flushes window [0, 1 s)
         let rec = tele.take().unwrap();
         // First flush from the boundary crossing, then the two open
         // windows drained by take() in name order.
         assert_eq!(rec.window_flushes.len(), 3);
         assert_eq!(rec.window_flushes[0].name, "a.count");
-        assert_eq!(rec.window_flushes[0].end_ns, 1_000);
+        assert_eq!(rec.window_flushes[0].end_ns, S);
         assert_eq!(rec.window_flushes[1].name, "a.count");
         assert_eq!(rec.window_flushes[2].name, "a.lat");
     }

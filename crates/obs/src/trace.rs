@@ -56,6 +56,16 @@ impl TraceValue {
         }
     }
 
+    /// The value as an `f64` if it is a number; integers convert.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            TraceValue::U64(v) => Some(*v as f64),
+            TraceValue::I64(v) => Some(*v as f64),
+            TraceValue::F64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
     /// The value as text.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -103,7 +113,7 @@ pub struct TraceEvent {
     pub parent: Option<usize>,
     /// Category label.
     pub cat: String,
-    /// Event name ("chunk.retry", "failover.switched", ...).
+    /// Event name ("chunk.retry", "job.error", ...).
     pub name: String,
     /// Simulated time, nanoseconds.
     pub t_ns: u64,

@@ -85,13 +85,6 @@ impl WindowSet {
         self.width_ns
     }
 
-    /// Change the window width. Flushes all open windows first so no
-    /// window ever spans two widths.
-    pub fn set_width_ns(&mut self, width_ns: u64) {
-        self.flush_all();
-        self.width_ns = width_ns.max(1);
-    }
-
     /// Add `delta` to the counter series `name` at sim time `t_ns`.
     pub fn count(&mut self, t_ns: u64, name: &'static str, delta: u64) {
         let w = t_ns / self.width_ns;
@@ -246,19 +239,6 @@ mod tests {
             }
             other => panic!("expected sketch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn width_change_flushes_open_windows() {
-        let mut w = WindowSet::new(1_000);
-        w.count(10, "a", 1);
-        w.set_width_ns(500);
-        assert_eq!(w.flushes().len(), 1);
-        assert_eq!(w.flushes()[0].end_ns, 1_000);
-        w.count(600, "a", 1);
-        w.advance_watermark(1_100);
-        assert_eq!(w.flushes()[1].start_ns, 500);
-        assert_eq!(w.flushes()[1].end_ns, 1_000);
     }
 
     #[test]

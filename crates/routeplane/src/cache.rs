@@ -161,7 +161,7 @@ pub struct PlaneCounters {
     pub misses: AtomicU64,
     /// Lazy recomputations of generation-stale entries.
     pub stale_refreshes: AtomicU64,
-    /// Decisions demoted to direct by an open breaker.
+    /// Decisions demoted to direct while their breaker is open.
     pub demotions: AtomicU64,
     /// Requests shed by admission control.
     pub sheds: AtomicU64,

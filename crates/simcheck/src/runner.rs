@@ -1124,7 +1124,7 @@ fn trace_round_trip(rec: &obs::Recording, direct: &obs::Trace) -> Option<Violati
 /// merged flow-delivery duration sketch, the per-cell telemetry summary the
 /// sharded reduction combines via the commutative monoid.
 fn health_plane_digest(rec: &obs::Recording, trace: &obs::Trace) -> (u64, obs::QuantileSketch) {
-    let mut board = obs::HealthBoard::new(obs::SloPolicy::default());
+    let mut board = obs::HealthBoard::new(obs::DEFAULT_SLO_P99_NS);
     board.ingest(trace);
     let mut d = netsim::audit::Digest::new();
     board.fold_into(&mut |v| d.write_u64(v));

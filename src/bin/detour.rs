@@ -12,7 +12,9 @@
 //! detour health     --client ubc --provider gdrive --size 100 [--route ualberta] [--runs 3]
 //!                   [--seed 1] [--record FILE] [--slo-p99-secs N] [--format table|json] [--out FILE]
 //! detour health     --trace FILE [--slo-p99-secs N] [--format table|json] [--out FILE]
-//! detour analyze    (same inputs as health) [--top N]
+//! detour analyze    --client ubc --provider gdrive --size 100 [--route ualberta] [--runs 3]
+//!                   [--seed 1] [--record FILE] [--top N] [--format table|json] [--out FILE]
+//! detour analyze    --trace FILE [--top N] [--format table|json] [--out FILE]
 //! detour check      [--cases 64] [--seed 7] [--class std|chaos|sync] [--replay FILE] [--out FILE]
 //! detour plane      [--lookups N] [--clients N] [--threads N] [--seed N] [--tenants N]
 //!                   [--churn-every N] [--trip-every N]
@@ -22,7 +24,7 @@
 //!
 //! `health` renders the SLO scoreboard (per vantage/provider/size-class
 //! attempts, error and latency verdicts, burn rates); `analyze` renders
-//! critical paths, retry waterfalls, breaker timelines and slowest spans.
+//! critical paths, retry waterfalls and slowest spans.
 //! Both read either a live campaign (replayed deterministically from
 //! `--seed`) or a recorded JSONL trace; `--record` saves the live campaign
 //! so the two inputs are byte-identical.
@@ -69,8 +71,11 @@ fn usage() -> ! {
          --from FILE\n  detour health     --client <c> --provider <p> --size <MB> [--route <r>] \
          [--runs N] [--seed N] [--record FILE] [--slo-p99-secs N] [--format <table|json>] \
          [--out FILE]\n  detour health     --trace FILE [--slo-p99-secs N] [--format <table|json>] \
-         [--out FILE]\n  detour analyze    (same inputs as health) [--top N]\n  detour check      \
-         [--cases N] [--seed N] [--class <std|chaos|sync>] [--replay FILE] [--out FILE]\n  \
+         [--out FILE]\n  detour analyze    --client <c> --provider <p> --size <MB> [--route <r>] \
+         [--runs N] [--seed N] [--record FILE] [--top N] [--format <table|json>] [--out FILE]\n  \
+         detour analyze    --trace FILE [--top N] [--format <table|json>] [--out FILE]\n  \
+         detour check      [--cases N] [--seed N] [--class <std|chaos|sync>] [--replay FILE] \
+         [--out FILE]\n  \
          detour plane      [--lookups N] [--clients N] [--threads N] [--seed N] [--tenants N] \
          [--churn-every N] [--trip-every N]\n  \
          detour sync       [--tenants N] [--files N] [--rounds N] [--size-kb N] [--cache-mb N] \
@@ -106,7 +111,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ),
     (
         "analyze",
-        "client provider size route runs seed record slo-p99-secs format out trace top",
+        "client provider size route runs seed record format out trace top",
         analyze,
     ),
     ("check", "cases seed class replay out", check),
@@ -274,16 +279,13 @@ fn write_or_print(args: &Args, rendered: &str) {
 }
 
 /// Route-health scoreboard: per (vantage, provider, size-class) attempts,
-/// quantiles, retry/failover pressure and multi-window SLO burn rates.
+/// quantiles, throttle/retry pressure and multi-window SLO burn rates,
+/// judged against a p99 target of `--slo-p99-secs` (default 120 s).
 fn health(args: &Args, world: &NorthAmerica) {
     use routing_detours::obs;
     let trace = report_input(args, world);
-    let mut slo = obs::SloPolicy::default();
-    if let Some(secs) = args.flags.get("slo-p99-secs") {
-        let secs: u64 = secs.parse().unwrap_or_else(|_| usage());
-        slo.p99_ns = secs.saturating_mul(1_000_000_000);
-    }
-    let mut board = obs::HealthBoard::new(slo);
+    let p99_secs: u64 = args.num("slo-p99-secs", obs::DEFAULT_SLO_P99_NS / 1_000_000_000, ..);
+    let mut board = obs::HealthBoard::new(p99_secs.saturating_mul(1_000_000_000));
     board.ingest(&trace);
     let report = board.report();
     let rendered = match args.flags.get("format").map(String::as_str) {
@@ -294,8 +296,8 @@ fn health(args: &Args, world: &NorthAmerica) {
     write_or_print(args, &rendered);
 }
 
-/// Trace analytics: per-session critical paths, retry waterfalls, breaker
-/// timelines and the top-k slowest spans.
+/// Trace analytics: per-session critical paths, retry waterfalls and the
+/// `--top` (default 10) slowest spans.
 fn analyze(args: &Args, world: &NorthAmerica) {
     use routing_detours::obs;
     let trace = report_input(args, world);

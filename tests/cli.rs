@@ -347,4 +347,18 @@ fn unknown_flags_are_usage_errors() {
     detour_rejects(&["check", "--cases", "2", "--threadz", "3"]);
     detour_rejects(&["probe", "--client", "ubc", "--provider", "gdrive"]);
     detour_rejects(&["sync", "--size", "10"]);
+    // analyze has no SLO: the p99 target is health's alone.
+    detour_rejects(&[
+        "analyze",
+        "--client",
+        "ubc",
+        "--provider",
+        "gdrive",
+        "--size",
+        "1",
+        "--runs",
+        "1",
+        "--slo-p99-secs",
+        "bogus",
+    ]);
 }

@@ -1,27 +1,28 @@
 //! End-to-end tests of the streaming aggregation & route-health plane:
-//! live-vs-recorded scoreboard identity, golden snapshots of the health
-//! and analyze reports, and window flushes driven by the engine clock.
+//! live-vs-recorded scoreboard identity, snapshots of the health and
+//! analyze reports, the retry waterfall of a flaky upload, and window
+//! flushes driven by the engine clock.
 //!
-//! Regenerate the snapshots after an intentional change with:
+//! The JSON snapshots are the two report pins CI `cmp`s `detour health`
+//! and `detour analyze` against (`results/health.json`,
+//! `results/analyze.json`); the text snapshots live in `tests/golden`.
+//! Regenerate them after an intentional change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test health_plane
 //! ```
 
-use routing_detours::cloudstore::UploadOptions;
+use routing_detours::cloudstore::{FaultPlan, ProviderKind, UploadOptions};
 use routing_detours::detour_core::{run_job, Route};
+use routing_detours::netsim::units::MB;
 use routing_detours::obs;
 use routing_detours::scenarios::{Client, NorthAmerica};
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_golden(name: &str, rendered: &str) {
-    let path = golden_path(name);
+/// Compare `rendered` with the pinned file at `rel` (relative to the
+/// repository root), or rewrite the pin under `UPDATE_GOLDEN=1`.
+fn assert_golden(rel: &str, rendered: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel);
     if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, rendered).unwrap();
@@ -48,7 +49,7 @@ fn assert_golden(name: &str, rendered: &str) {
 fn campaign_jsonl(seed: u64, runs: u64) -> String {
     let world = NorthAmerica::new();
     let client = world.client(Client::Ubc);
-    let provider = world.provider(routing_detours::cloudstore::ProviderKind::GoogleDrive);
+    let provider = world.provider(ProviderKind::GoogleDrive);
     let route = Route::via(world.hop_ualberta());
     let mut jsonl = String::new();
     for r in 0..runs {
@@ -59,7 +60,7 @@ fn campaign_jsonl(seed: u64, runs: u64) -> String {
             client.node,
             client.class,
             &provider,
-            60 * routing_detours::netsim::units::MB,
+            60 * MB,
             &route,
             UploadOptions::warm(client.class),
         )
@@ -71,7 +72,7 @@ fn campaign_jsonl(seed: u64, runs: u64) -> String {
 }
 
 fn board_for(trace: &obs::Trace) -> obs::HealthReport {
-    let mut board = obs::HealthBoard::new(obs::SloPolicy::default());
+    let mut board = obs::HealthBoard::new(obs::DEFAULT_SLO_P99_NS);
     board.ingest(trace);
     board.report()
 }
@@ -108,14 +109,16 @@ fn scoreboard_is_deterministic_per_seed() {
     assert_eq!(a, b, "same-seed campaigns must record identical bytes");
 }
 
+/// CI's campaign (`detour health --client ubc --provider gdrive --size 60
+/// --route ualberta --runs 3 --seed 7`): its JSON report is the
+/// `results/health.json` pin.
 #[test]
 fn health_report_snapshot() {
     let jsonl = campaign_jsonl(7, 3);
     let trace = obs::parse_jsonl(&jsonl, "<live>").expect("parse");
     let report = board_for(&trace);
-    assert_golden("health_report.txt", &report.to_text());
-    // The JSON rendering is canonical too (CI uploads it as an artifact).
-    assert_golden("health_report.json", &report.to_json());
+    assert_golden("tests/golden/health_report.txt", &report.to_text());
+    assert_golden("results/health.json", &report.to_json());
 }
 
 #[test]
@@ -123,7 +126,56 @@ fn analyze_report_snapshot() {
     let jsonl = campaign_jsonl(7, 1);
     let trace = obs::parse_jsonl(&jsonl, "<live>").expect("parse");
     let report = obs::analyze(&trace, 5);
-    assert_golden("analyze_report.txt", &report.to_text());
+    assert_golden("tests/golden/analyze_report.txt", &report.to_text());
+}
+
+/// `detour analyze` of CI's campaign at its default `--top 10`: the
+/// `results/analyze.json` pin.
+#[test]
+fn analyze_json_snapshot() {
+    let jsonl = campaign_jsonl(7, 3);
+    let trace = obs::parse_jsonl(&jsonl, "<live>").expect("parse");
+    assert_golden("results/analyze.json", &obs::analyze(&trace, 10).to_json());
+}
+
+/// Every retry-waterfall step of a flaky upload shows its wait: sessions
+/// record `backoff_ms` and `wait_ms` as f64 milliseconds, so a jittered
+/// backoff reads back from the JSONL as a fraction and an integral
+/// throttle wait as an integer.
+#[test]
+fn flaky_upload_waterfall_shows_every_wait() {
+    let world = NorthAmerica::new();
+    let client = world.client(Client::Ubc);
+    let provider = world
+        .provider(ProviderKind::GoogleDrive)
+        .with_faults(FaultPlan::flaky());
+    let mut sim = world.build_sim(21);
+    sim.enable_telemetry();
+    run_job(
+        &mut sim,
+        client.node,
+        client.class,
+        &provider,
+        200 * MB,
+        &Route::Direct,
+        UploadOptions::warm(client.class),
+    )
+    .expect("flaky upload completes");
+    let rec = sim.take_telemetry().expect("telemetry was enabled");
+    let trace = obs::parse_jsonl(&obs::jsonl_log(&rec), "<live>").expect("parse");
+    let retries = obs::analyze(&trace, 10).retries;
+    for step in &retries {
+        let wait = step
+            .wait_ms
+            .unwrap_or_else(|| panic!("{step:?} has no wait"));
+        assert!(wait > 0.0, "{step:?}");
+    }
+    assert!(
+        retries
+            .iter()
+            .any(|r| r.name == "chunk.retry" && r.wait_ms.is_some_and(|w| w.fract() != 0.0)),
+        "a jittered backoff keeps its fraction: {retries:?}"
+    );
 }
 
 /// The engine clock drives window flushes: a recorded run emits sim-time
@@ -133,7 +185,7 @@ fn analyze_report_snapshot() {
 fn engine_emits_watermarked_window_flushes() {
     let world = NorthAmerica::new();
     let client = world.client(Client::Ubc);
-    let provider = world.provider(routing_detours::cloudstore::ProviderKind::GoogleDrive);
+    let provider = world.provider(ProviderKind::GoogleDrive);
     let mut sim = world.build_sim(5);
     sim.enable_telemetry();
     run_job(
@@ -141,7 +193,7 @@ fn engine_emits_watermarked_window_flushes() {
         client.node,
         client.class,
         &provider,
-        60 * routing_detours::netsim::units::MB,
+        60 * MB,
         &Route::Direct,
         UploadOptions::warm(client.class),
     )

@@ -1,8 +1,8 @@
 //! Mutation fuzzing of the one JSON codec (`obs::json`) and the two
 //! readers built on it, over a corpus shaped like their real inputs: an
 //! upload recording's JSONL trace, generated replay specs of all three
-//! scenario classes, the checked-in `BENCH_flowsim.json` and the golden
-//! health report.
+//! scenario classes, the checked-in `BENCH_flowsim.json` and the pinned
+//! health report (`results/health.json`).
 //!
 //! `Json::parse`, `obs::parse_jsonl` and `ScenarioSpec::from_json` must
 //! never panic on a mutated input, and every syntax error must say on
@@ -18,7 +18,7 @@ use routing_detours::simcheck::{case_seed, ScenarioSpec};
 use std::sync::OnceLock;
 
 const BENCH_FLOWSIM: &str = include_str!("../BENCH_flowsim.json");
-const HEALTH_REPORT: &str = include_str!("golden/health_report.json");
+const HEALTH_REPORT: &str = include_str!("../results/health.json");
 
 /// JSONL of a traced 10 MB UBC → Google Drive upload through the UAlberta
 /// detour: sessions, parts, RPCs, flows, relay legs and their events.

@@ -1,8 +1,10 @@
-//! Every metric the stack emits must follow the dotted naming scheme
-//! (`crate.subsystem.metric`, lowercase `[a-z0-9_]` segments) that
-//! `obs::is_valid_metric_name` enforces. The registry debug-asserts at
-//! record time; this test sweeps the emitters that user paths run, so CI
-//! catches a non-conforming name even in release builds.
+//! A census of what the user paths record, swept once over the emitters
+//! they run. Every metric the stack emits must follow the dotted naming
+//! scheme (`crate.subsystem.metric`, lowercase `[a-z0-9_]` segments) that
+//! `obs::is_valid_metric_name` enforces; the registry debug-asserts at
+//! record time, and the sweep catches a non-conforming name even in
+//! release builds. Every event the health plane reads must be recorded by
+//! some path, so a consumer cannot outlive its producer unnoticed.
 
 use routing_detours::cloudstore::{FaultPlan, Provider, ProviderKind, UploadOptions};
 use routing_detours::detour_core::monitor::{MonitorConfig, ProbeLeg, RouteMonitor};
@@ -18,6 +20,7 @@ use routing_detours::transfer::{ChunkManifest, RsyncWirePlan, DEFAULT_CHUNK_SIZE
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Names the sweep must record: one or more per emitting layer, so an
 /// emitter that goes quiet fails here as surely as a malformed name.
@@ -42,14 +45,36 @@ const REQUIRED: &[&str] = &[
     "relay.staging_bytes",
 ];
 
-/// Run `body` on a fresh telemetry-enabled sim and add every metric name
-/// it recorded to `names`.
-fn sweep(world: &NorthAmerica, names: &mut BTreeSet<String>, body: impl FnOnce(&mut Sim)) {
+/// Event names the health plane matches on: the arms of
+/// `HealthBoard::ingest` (crates/obs/src/health.rs) and the retry
+/// waterfall of `obs::analyze` (crates/obs/src/analyze.rs). A name added
+/// there belongs here, with a sweep below that records it.
+const HEALTH_PLANE_EVENTS: &[&str] = &[
+    "chunk.retry",
+    "chunk.throttled",
+    "job.error",
+    "monitor.probe",
+    "session.error",
+];
+
+/// Metric and event names recorded by the sweeps.
+#[derive(Default)]
+struct Census {
+    metrics: BTreeSet<String>,
+    events: BTreeSet<&'static str>,
+}
+
+/// Run `body` on a fresh telemetry-enabled sim and add every metric and
+/// event name it recorded to the census.
+fn sweep(world: &NorthAmerica, census: &mut Census, body: impl FnOnce(&mut Sim)) {
     let mut sim = world.build_sim(3);
     sim.enable_telemetry();
     body(&mut sim);
     let rec = sim.take_telemetry().expect("telemetry was enabled");
-    names.extend(rec.metrics.snapshot().rows.into_iter().map(|row| row.name));
+    census
+        .metrics
+        .extend(rec.metrics.snapshot().rows.into_iter().map(|row| row.name));
+    census.events.extend(rec.events.iter().map(|e| e.name));
 }
 
 /// A store-and-forward detour through UAlberta whose rsync legs carry a
@@ -80,12 +105,17 @@ fn sync_detour(world: &NorthAmerica, sim: &mut Sim, provider: &Provider) {
     }
 }
 
-#[test]
-fn every_recorded_metric_follows_the_naming_scheme() {
+/// The census of every path a user runs, swept once per test binary.
+fn census() -> &'static Census {
+    static CENSUS: OnceLock<Census> = OnceLock::new();
+    CENSUS.get_or_init(sweep_user_paths)
+}
+
+fn sweep_user_paths() -> Census {
     let world = NorthAmerica::new();
     let ubc = world.client(Client::Ubc);
     let drive = world.provider(ProviderKind::GoogleDrive);
-    let mut names = BTreeSet::new();
+    let mut found = Census::default();
 
     // Direct and store-and-forward jobs, one to a provider whose display
     // name has a space in it (sanitization).
@@ -94,14 +124,14 @@ fn every_recorded_metric_follows_the_naming_scheme() {
         (Route::via(world.hop_ualberta()), ProviderKind::GoogleDrive),
     ] {
         let provider = world.provider(kind);
-        sweep(&world, &mut names, |sim| {
+        sweep(&world, &mut found, |sim| {
             let opts = UploadOptions::warm(ubc.class);
             run_job(sim, ubc.node, ubc.class, &provider, 20 * MB, &route, opts).expect("job");
         });
     }
 
     // A pipelined relay through UAlberta.
-    sweep(&world, &mut names, |sim| {
+    sweep(&world, &mut found, |sim| {
         let hop = world.hop_ualberta();
         pipelined_upload(
             sim,
@@ -115,13 +145,13 @@ fn every_recorded_metric_follows_the_naming_scheme() {
         .expect("pipelined relay");
     });
 
-    sweep(&world, &mut names, |sim| sync_detour(&world, sim, &drive));
+    sweep(&world, &mut found, |sim| sync_detour(&world, sim, &drive));
 
     // A flaky provider: the retry and throttle counters.
     let flaky = world
         .provider(ProviderKind::Dropbox)
         .with_faults(FaultPlan::flaky());
-    sweep(&world, &mut names, |sim| {
+    sweep(&world, &mut found, |sim| {
         let opts = UploadOptions::warm(ubc.class);
         run_job(
             sim,
@@ -135,8 +165,31 @@ fn every_recorded_metric_follows_the_naming_scheme() {
         .expect("flaky upload");
     });
 
+    // A provider that throttles every request: the session spends its
+    // retry budget and fails, and so does the job.
+    let hopeless = world
+        .provider(ProviderKind::Dropbox)
+        .with_faults(FaultPlan {
+            throttle_prob: 1.0,
+            ..FaultPlan::flaky()
+        });
+    sweep(&world, &mut found, |sim| {
+        let opts = UploadOptions::warm(ubc.class);
+        let err = run_job(
+            sim,
+            ubc.node,
+            ubc.class,
+            &hopeless,
+            20 * MB,
+            &Route::Direct,
+            opts,
+        )
+        .expect_err("every request is throttled");
+        assert!(err.to_string().contains("budget"), "{err}");
+    });
+
     // The route monitor's probes, direct against via UAlberta.
-    sweep(&world, &mut names, |sim| {
+    sweep(&world, &mut found, |sim| {
         let hop = world.hop_ualberta();
         let frontend = drive.frontend_for(sim.core().topology(), ubc.node);
         let leg = |src, dst, class| ProbeLeg { src, dst, class };
@@ -157,7 +210,12 @@ fn every_recorded_metric_follows_the_naming_scheme() {
         sim.run_process(Box::new(RouteMonitor::new(cfg)))
             .expect("monitor");
     });
+    found
+}
 
+#[test]
+fn every_recorded_metric_follows_the_naming_scheme() {
+    let names = &census().metrics;
     let missing: Vec<&str> = REQUIRED
         .iter()
         .copied()
@@ -171,6 +229,19 @@ fn every_recorded_metric_follows_the_naming_scheme() {
     assert!(
         bad.is_empty(),
         "metrics violating the dotted naming scheme: {bad:?}"
+    );
+}
+
+#[test]
+fn every_event_the_health_plane_reads_is_recorded() {
+    let unrecorded: Vec<&str> = HEALTH_PLANE_EVENTS
+        .iter()
+        .copied()
+        .filter(|n| !census().events.contains(n))
+        .collect();
+    assert!(
+        unrecorded.is_empty(),
+        "the health plane reads {unrecorded:?}, which no swept path records"
     );
 }
 
